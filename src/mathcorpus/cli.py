@@ -303,8 +303,6 @@ def build_parser():
     pe.add_argument("--sql-page")
     pe.add_argument("--category")
     pe.add_argument("--depth", type=int, default=3)
-    pe.add_argument("--deterministic", action="store_true")
-    pe.add_argument("--jobs", type=int, default=1)
     pe.add_argument("--config")
     pe.set_defaults(fn=cmd_extract, sub_parser=pe)
 
@@ -335,14 +333,14 @@ def build_parser():
     ps.add_argument("--benchmark")
     ps.add_argument("--spec")
     ps.add_argument("--runs", type=int, default=20)
-    ps.add_argument("--with-mlm", help="MLM1 weight file")
-    ps.add_argument("--no-mlm", action="store_true")
+    prior = ps.add_mutually_exclusive_group()
+    prior.add_argument("--with-mlm", help="MLM1 weight file")
+    prior.add_argument("--no-mlm", action="store_true")
     ps.add_argument("--lambda", dest="lam", type=float, default=0.5)
     ps.add_argument("--lambda-sweep", action="store_true")
     ps.add_argument("--max-steps", type=int, default=2000)
     ps.add_argument("--batch-size", type=int, default=500)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--jobs", type=int, default=1)
     ps.add_argument("--out", help="metrics CSV path")
     ps.add_argument("--config")
     ps.set_defaults(fn=cmd_sr, sub_parser=ps)

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .expr_core import (
+    OPS,
     Library,
-    OPERATOR,
     Token,
     Traversal,
     VARIABLE,
@@ -30,8 +30,6 @@ from .latex_parser import normalize, parse_plain
 from .recurrent import Adam, GRUCell, log_softmax, softmax
 
 NEG_INF = float("-inf")
-TRIG = ("sin", "cos", "tan")
-INVERSE_PAIRS = (("log", "exp"), ("exp", "log"))
 
 
 class DsrError(Exception):
@@ -80,10 +78,12 @@ class PartialState:
     constraint evaluation are O(depth) per step.
     """
 
-    __slots__ = ("lib", "seq", "stack", "complete", "open", "trig_depth")
+    __slots__ = ("lib", "is_trig", "seq", "stack", "complete", "open",
+                 "trig_depth")
 
     def __init__(self, lib):
         self.lib = lib
+        self.is_trig = _lib_tables(lib)["is_trig"]
         self.seq = []
         # stack entries: [token_index, remaining_children, last_child_root]
         self.stack = []
@@ -98,7 +98,7 @@ class PartialState:
         arity = self.lib[idx].arity
         self.open += arity - 1
         if arity > 0:
-            if self.lib[idx].name in TRIG:
+            if self.is_trig[idx]:
                 self.trig_depth += 1
             self.stack.append([idx, arity, None])
         else:
@@ -111,7 +111,7 @@ class PartialState:
             top[2] = root_idx
             if top[1] == 0:
                 root_idx = top[0]
-                if self.lib[root_idx].name in TRIG:
+                if self.is_trig[root_idx]:
                     self.trig_depth -= 1
                 self.stack.pop()
             else:
@@ -154,13 +154,17 @@ def _lib_tables(lib):
     tables = getattr(lib, "_constraint_tables", None)
     if tables is None:
         arities = np.array(lib.arities())
+        ops = [OPS.get(t.name) for t in lib.tokens]
+        is_trig = [op is not None and op.trig for op in ops]
         tables = {
             "arities": arities,
             "terminals": np.flatnonzero(arities == 0),
-            "trig": np.array([i for i, t in enumerate(lib.tokens)
-                              if t.name in TRIG], dtype=int),
-            "log": lib.index.get("log", -1),
-            "exp": lib.index.get("exp", -1),
+            "is_trig": is_trig,
+            "trig": np.flatnonzero(is_trig),
+            # (parent, child) index pairs where the child inverts the parent
+            "inverse_pairs": [(i, lib.index[op.inverse])
+                              for i, op in enumerate(ops)
+                              if op is not None and op.inverse in lib.index],
         }
         lib._constraint_tables = tables
     return tables
@@ -192,9 +196,9 @@ class ConstraintSet:
             rows = np.flatnonzero(trig > 0)
             if rows.size:
                 masks[np.ix_(rows, tb["trig"])] = NEG_INF
-        if self.no_inverse_pairs and tb["log"] >= 0 and tb["exp"] >= 0:
-            masks[parent == tb["log"], tb["exp"]] = NEG_INF
-            masks[parent == tb["exp"], tb["log"]] = NEG_INF
+        if self.no_inverse_pairs:
+            for p, c in tb["inverse_pairs"]:
+                masks[parent == p, c] = NEG_INF
         if not (masks == 0.0).any(axis=1).all():
             raise Infeasible("constraint set masks every token")
         return masks
@@ -488,8 +492,8 @@ class BenchmarkSpec:
     def library(self):
         toks = []
         for name in self.library_tokens:
-            if name in _OPERATOR_TOKENS:
-                toks.append(_OPERATOR_TOKENS[name])
+            if name in OPS:
+                toks.append(OPS[name].token)
             elif name in self.variables:
                 toks.append(Token(name, 0, VARIABLE))
             else:
@@ -510,21 +514,6 @@ class BenchmarkSpec:
             raise DsrError(f"target {self.expression!r} invalid on sampled points")
         return X, y
 
-
-_OPERATOR_TOKENS = {
-    "add": Token("add", 2, OPERATOR),
-    "sub": Token("sub", 2, OPERATOR),
-    "mul": Token("mul", 2, OPERATOR),
-    "div": Token("div", 2, OPERATOR),
-    "pow": Token("pow", 2, OPERATOR),
-    "sin": Token("sin", 1, OPERATOR),
-    "cos": Token("cos", 1, OPERATOR),
-    "tan": Token("tan", 1, OPERATOR),
-    "exp": Token("exp", 1, OPERATOR),
-    "log": Token("log", 1, OPERATOR),
-    "sqrt": Token("sqrt", 1, OPERATOR),
-    "neg": Token("neg", 1, OPERATOR),
-}
 
 _BASE_OPS = ["add", "sub", "mul", "div", "sin", "cos", "exp", "log"]
 

@@ -1,4 +1,5 @@
-"""Tokens, token libraries, expression trees, and the pre-order traversal encoding.
+"""Tokens, the operator registry, token libraries, expression trees, and the
+pre-order traversal encoding.
 
 Every other module speaks these types.  A traversal is a sequence of indices
 into a Library; it encodes exactly one tree when the running slot count
@@ -73,7 +74,6 @@ class Token:
     name: str
     arity: int
     kind: str
-    infix_form: str | None = None
 
     def __post_init__(self):
         if not self.name:
@@ -269,28 +269,38 @@ def traversal_to_tree(t, lib):
     return tree
 
 
-# Scalar operator semantics.  Each entry raises or returns a float; domain
-# errors surface as ValueError/OverflowError/ZeroDivisionError and are mapped
-# to INVALID by evaluate().
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "pow": lambda a, b: math.pow(a, b),
-}
+@dataclass(frozen=True)
+class Op:
+    """One operator and everything the pipeline stages derive from it."""
 
-_UNARY = {
-    "neg": lambda a: -a,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "ln": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-}
+    token: Token
+    fn: np.ufunc
+    infix: str | None = None  # binary operators rendered infix
+    latex: tuple = ()  # LaTeX command names that parse to this operator
+    trig: bool = False  # counted by the no-nested-trig constraint
+    inverse: str | None = None  # masked as this operator's direct child
+
+
+def _op(name, arity, fn, **fields):
+    return name, Op(Token(name, arity, OPERATOR), fn, **fields)
+
+
+# The single operator registry.  Row order is the operator order of
+# default_library, whose positions index model logits.
+OPS = dict([
+    _op("add", 2, np.add, infix="+"),
+    _op("sub", 2, np.subtract, infix="-"),
+    _op("mul", 2, np.multiply, infix="*"),
+    _op("div", 2, np.divide, infix="/"),
+    _op("pow", 2, np.power, infix="^"),
+    _op("neg", 1, np.negative),
+    _op("sqrt", 1, np.sqrt),
+    _op("sin", 1, np.sin, latex=("sin",), trig=True),
+    _op("cos", 1, np.cos, latex=("cos",), trig=True),
+    _op("tan", 1, np.tan, latex=("tan",), trig=True),
+    _op("exp", 1, np.exp, latex=("exp",), inverse="log"),
+    _op("log", 1, np.log, latex=("log", "ln"), inverse="exp"),
+])
 
 
 def constant_value(token):
@@ -306,45 +316,20 @@ def constant_value(token):
 
 
 def evaluate(tree, bindings):
-    """IEEE-double evaluation; INVALID on any domain error or non-finite value."""
+    """IEEE-double evaluation at one point; INVALID on any domain error or
+    non-finite value.
 
-    def ev(n):
-        tok = n.root
-        if tok.kind == VARIABLE:
-            if tok.name not in bindings:
-                raise UnboundVariable(tok.name)
-            return float(bindings[tok.name])
-        if tok.kind in (CONSTANT, PLACEHOLDER):
-            v = constant_value(tok)
-            if v is None:
-                raise ExprError(f"constant token {tok.name!r} has no numeric value")
-            return v
-        args = []
-        for c in n.children:
-            v = ev(c)
-            if v is INVALID:
-                return INVALID
-            args.append(v)
-        fn = _BINARY.get(tok.name) if tok.arity == 2 else _UNARY.get(tok.name)
-        if fn is None:
-            raise ExprError(f"no evaluation rule for operator {tok.name!r}")
-        try:
-            out = fn(*args)
-        except (ValueError, OverflowError, ZeroDivisionError):
-            return INVALID
-        if isinstance(out, complex) or not math.isfinite(out):
-            return INVALID
-        return out
-
-    return ev(tree)
+    A length-1 call of evaluate_batch, so both share one set of domain rules.
+    """
+    values, ok = evaluate_batch(tree, {k: [float(v)] for k, v in bindings.items()})
+    return float(values[0]) if ok else INVALID
 
 
 def evaluate_batch(tree, bindings):
     """Vectorized evaluation over numpy arrays of points.
 
     Returns (values, ok) where ok is False if any point hit a domain error
-    or non-finite intermediate.  Used by the search reward; the scalar
-    evaluate() is the per-point contract.
+    or non-finite intermediate.
     """
     with np.errstate(all="ignore"):
         def ev(n):
@@ -363,10 +348,10 @@ def evaluate_batch(tree, bindings):
                 v, o = ev(c)
                 ok = ok and o
                 args.append(v)
-            fn = _NP_BINARY.get(tok.name) if tok.arity == 2 else _NP_UNARY.get(tok.name)
-            if fn is None:
+            op = OPS.get(tok.name)
+            if op is None:
                 raise ExprError(f"no evaluation rule for operator {tok.name!r}")
-            out = fn(*args)
+            out = op.fn(*args)
             ok = ok and bool(np.isfinite(out).all())
             return out, ok
 
@@ -379,71 +364,28 @@ def _batch_len(bindings):
     return 1
 
 
-def _np_ops():
-    binary = {
-        "add": np.add,
-        "sub": np.subtract,
-        "mul": np.multiply,
-        "div": np.divide,
-        "pow": np.power,
-    }
-    unary = {
-        "neg": np.negative,
-        "sin": np.sin,
-        "cos": np.cos,
-        "tan": np.tan,
-        "exp": np.exp,
-        "log": np.log,
-        "ln": np.log,
-        "sqrt": np.sqrt,
-        "abs": np.abs,
-    }
-    return binary, unary
-
-
-_NP_BINARY, _NP_UNARY = _np_ops()
-
-
-_INFIX_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
-
-
 def render_infix(tree):
     """Fully parenthesized infix text, parseable back by the plain-math grammar."""
     tok = tree.root
     if tok.arity == 0:
         return tok.name
-    if tok.name in _INFIX_SYMBOL:
+    op = OPS.get(tok.name)
+    if op is not None and op.infix:
         a, b = tree.children
-        return f"({render_infix(a)} {_INFIX_SYMBOL[tok.name]} {render_infix(b)})"
+        return f"({render_infix(a)} {op.infix} {render_infix(b)})"
     if tok.name == "neg":
         return f"(-{render_infix(tree.children[0])})"
     args = ", ".join(render_infix(c) for c in tree.children)
     return f"{tok.name}({args})"
 
 
-def default_library(n_vars=2, name=None, extra_tokens=(), with_pow=True):
+def default_library(n_vars=2, name=None):
     """Standard operator/constant/variable library used by corpus and search.
 
-    Variables are named x1..xn; constants are small integer literals.
+    Operators are the OPS rows in order; variables are named x1..xn;
+    constants are small integer literals.
     """
-    toks = [
-        Token("add", 2, OPERATOR),
-        Token("sub", 2, OPERATOR),
-        Token("mul", 2, OPERATOR),
-        Token("div", 2, OPERATOR),
-    ]
-    if with_pow:
-        toks.append(Token("pow", 2, OPERATOR))
-    toks += [
-        Token("neg", 1, OPERATOR),
-        Token("sqrt", 1, OPERATOR),
-        Token("sin", 1, OPERATOR),
-        Token("cos", 1, OPERATOR),
-        Token("tan", 1, OPERATOR),
-        Token("exp", 1, OPERATOR),
-        Token("log", 1, OPERATOR),
-    ]
+    toks = [op.token for op in OPS.values()]
     toks += [Token(str(k), 0, CONSTANT) for k in (0, 1, 2, 3)]
     toks += [Token(f"x{i}", 0, VARIABLE) for i in range(1, n_vars + 1)]
-    toks += list(extra_tokens)
     return Library(toks, name=name or f"std{n_vars}")

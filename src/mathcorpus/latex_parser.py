@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .expr_core import (
     CONSTANT,
     OPERATOR,
+    OPS,
     VARIABLE,
     ExprTree,
     Token,
@@ -25,22 +26,10 @@ from .expr_core import (
 UNSUPPORTED_PREFIX = "?"
 
 # Canonical operator tokens shared by every parsed tree.
-T_ADD = Token("add", 2, OPERATOR)
-T_SUB = Token("sub", 2, OPERATOR)
-T_MUL = Token("mul", 2, OPERATOR)
-T_DIV = Token("div", 2, OPERATOR)
-T_POW = Token("pow", 2, OPERATOR)
-T_NEG = Token("neg", 1, OPERATOR)
-T_SQRT = Token("sqrt", 1, OPERATOR)
+T_ADD, T_SUB, T_MUL, T_DIV, T_POW, T_NEG, T_SQRT = (
+    OPS[name].token for name in ("add", "sub", "mul", "div", "pow", "neg", "sqrt"))
 
-_FUNCTIONS = {
-    "sin": Token("sin", 1, OPERATOR),
-    "cos": Token("cos", 1, OPERATOR),
-    "tan": Token("tan", 1, OPERATOR),
-    "log": Token("log", 1, OPERATOR),
-    "ln": Token("log", 1, OPERATOR),
-    "exp": Token("exp", 1, OPERATOR),
-}
+_FUNCTIONS = {alias: op.token for op in OPS.values() for alias in op.latex}
 
 _GREEK = {
     "alpha", "beta", "gamma", "delta", "epsilon", "varepsilon", "zeta", "eta",
@@ -53,23 +42,14 @@ _GREEK = {
 _RELATIONS = {"le", "ge", "leq", "geq", "ne", "neq", "approx", "sim", "equiv",
               "propto", "ll", "gg"}
 
-_SPACING = {",", ";", "!", ":", "quad", "qquad", " ", "displaystyle", "left",
-            "right", "limits", "nolimits", "big", "Big", "bigg", "Bigg",
-            "bigl", "bigr", "Bigl", "Bigr", "mathrm", "mathit", "mathbf",
-            "text", "operatorname"}
+# Font/text wrappers; every other spacing command is dropped by the lexer.
+_SPACING = {"mathrm", "mathit", "mathbf", "text", "operatorname"}
 
-# Constructs outside the expression grammar; kept in-tree as markers.
 # Purely decorative commands: dropped during lexing so they cannot interrupt
 # a term (e.g. \left( x \right)^2 must keep its exponent).
 _LEX_DROP = {"left", "right", "displaystyle", "limits", "nolimits", "quad",
              "qquad", "big", "Big", "bigg", "Bigg", "bigl", "bigr", "Bigl",
              "Bigr"}
-
-_UNSUPPORTED = {"int", "iint", "iiint", "oint", "sum", "prod", "partial",
-                "lim", "nabla", "infty", "binom", "vec", "hat", "bar", "dot",
-                "ddot", "tilde", "forall", "exists", "in", "subset", "cup",
-                "cap", "to", "rightarrow", "mapsto", "cdots", "dots", "ldots",
-                "pm", "mp", "begin", "end", "max", "min", "arg", "det"}
 
 
 class LatexError(Exception):
@@ -268,7 +248,7 @@ class _SegmentParser:
         if lx.kind in ("number", "symbol", "group", "lparen"):
             return True
         if lx.kind == "command":
-            return lx.value not in _SPACING or lx.value in ("left",)
+            return lx.value not in _SPACING
         return False
 
     def term(self, stop=()):
@@ -387,14 +367,13 @@ class _SegmentParser:
         lx = self.advance()
         name = lx.value
         if name in _SPACING:
-            if name in ("mathrm", "mathit", "mathbf", "text", "operatorname"):
-                grp = self.peek()
-                if grp is not None and grp.kind == "group":
-                    self.advance()
-                    text = "".join(str(l.value) for l in grp.value)
-                    if text in _FUNCTIONS:
-                        return self._apply_function(_FUNCTIONS[text], stop)
-                    return node(variable_token(text or "empty"))
+            grp = self.peek()
+            if grp is not None and grp.kind == "group":
+                self.advance()
+                text = "".join(str(l.value) for l in grp.value)
+                if text in _FUNCTIONS:
+                    return self._apply_function(_FUNCTIONS[text], stop)
+                return node(variable_token(text or "empty"))
             return self.atom(stop)
         if name == "frac":
             num = self._required_group("frac")
@@ -417,9 +396,8 @@ class _SegmentParser:
             return self._decorated_variable(name)
         if name == "pi":
             return node(Token("pi", 0, CONSTANT))
-        if name in _UNSUPPORTED or name not in _FUNCTIONS:
-            return self._unsupported_atom(name, lx.offset, stop)
-        raise LatexError(f"unhandled command \\{name}", lx.offset)
+        # any other command is outside the grammar: keep it as a marker
+        return self._unsupported_atom(name, lx.offset, stop)
 
     def _required_group(self, ctx):
         lx = self.peek()
@@ -736,18 +714,12 @@ class _PlainParser:
         raise PlainSyntaxError(f"unexpected {val!r}", off)
 
     def _call(self, name, args, off):
-        tok = None
         if self.lib is not None and name in self.lib:
             tok = self.lib.get(name)
-        elif name in _FUNCTIONS:
-            tok = _FUNCTIONS[name]
-        elif name == "sqrt":
-            tok = T_SQRT
-        elif name == "neg":
-            tok = T_NEG
-        elif name in ("add", "sub", "mul", "div", "pow"):
-            tok = {"add": T_ADD, "sub": T_SUB, "mul": T_MUL,
-                   "div": T_DIV, "pow": T_POW}[name]
+        elif name in OPS:
+            tok = OPS[name].token
+        else:
+            tok = _FUNCTIONS.get(name)
         if tok is None:
             raise PlainSyntaxError(f"unknown function {name!r}", off)
         if tok.arity != len(args):

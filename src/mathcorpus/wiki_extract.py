@@ -121,7 +121,8 @@ def stream_pages(source):
             source.close()
 
 
-_MATH_OPEN_RE = re.compile(r"<math(\s[^>]*)?(/)?>", re.IGNORECASE)
+# lazy attributes, so a self-closing "/" right before ">" lands in group 2
+_MATH_OPEN_RE = re.compile(r"<math(\s[^>]*?)?(/)?>", re.IGNORECASE)
 _MATH_CLOSE = re.compile(r"</math\s*>", re.IGNORECASE)
 
 

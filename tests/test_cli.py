@@ -141,6 +141,12 @@ class TestSr:
         assert code == 2
         assert "nguyen-99" in capsys.readouterr().err
 
+    def test_with_and_no_mlm_exclusive(self, tmp_path, capsys):
+        code = main(["sr", "--benchmark", "nguyen-1", "--runs", "1",
+                     "--no-mlm", "--with-mlm", str(tmp_path / "m.mlm")])
+        assert code == 2
+        assert "not allowed with" in capsys.readouterr().err
+
     def test_tiny_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
         code = main(["sr", "--benchmark", "nguyen-1", "--runs", "1",

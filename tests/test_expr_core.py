@@ -204,6 +204,16 @@ class TestEvaluate:
         assert not INVALID
         assert repr(INVALID) == "Invalid"
 
+    @pytest.mark.parametrize("op, args, x1", [
+        ("pow", ("x1", "0.5"), -1.0),
+        ("sqrt", ("x1",), -4.0),
+        ("div", ("0", "0"), 1.0),
+    ])
+    def test_domain_rules_give_invalid(self, lib, op, args, x1):
+        leaves = [node(lib.get(a) if a in lib else Token(a, 0, ec.CONSTANT))
+                  for a in args]
+        assert evaluate(node(lib.get(op), *leaves), {"x1": x1}) is INVALID
+
 
 class TestRenderInfix:
     def test_examples(self, lib):

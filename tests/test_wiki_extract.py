@@ -138,6 +138,10 @@ class TestExtractMath:
         page = PageRecord(1, "T", 0, '<MATH display="inline">q</MATH>')
         assert extract_math(page)[0].latex == "q"
 
+    def test_self_closing_with_space(self):
+        page = PageRecord(1, "T", 0, "a <math /> b <math>x+1</math>")
+        assert [r.latex for r in extract_math(page)] == ["x+1"]
+
 
 CL_SQL = ("INSERT INTO `categorylinks` VALUES "
           "(12,'Physics','','2020-01-01','','','subcat'),"
