@@ -37,6 +37,13 @@ def _load_config(args):
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key) == sub.get_default(key):
             setattr(args, key, value)
+    # the file may set a flag that excludes one given on the command line
+    for group in sub._mutually_exclusive_groups:
+        given = [a.option_strings[0] for a in group._group_actions
+                 if getattr(args, a.dest) != sub.get_default(a.dest)]
+        if len(given) > 1:
+            raise UsageError(f"argument {given[1]}: not allowed with "
+                             f"argument {given[0]}")
     return args
 
 

@@ -18,13 +18,15 @@ import numpy as np
 
 from .expr_core import (
     OPS,
+    ExprTree,
     Library,
     Token,
     Traversal,
     VARIABLE,
     evaluate_batch,
+    evaluate_prefix,
+    render_infix,
     traversal_to_tree,
-    tree_to_traversal,
 )
 from .latex_parser import normalize, parse_plain
 from .recurrent import Adam, GRUCell, log_softmax, softmax
@@ -71,72 +73,74 @@ class SRConfig:
             raise ValueError("min_length must be <= max_length")
 
 
-class PartialState:
-    """Incremental pre-order bookkeeping for one sequence being sampled.
+class _SlotState:
+    """Pre-order slot bookkeeping for B sequences at once, in arrays.
 
-    Tracks the stack of open operator slots, so parent/sibling lookup and
-    constraint evaluation are O(depth) per step.
+    Row b's open operators form a stack in columns [1, depth[b]] of tok
+    (library index), rem (children still to fill) and last (root of the
+    most recently completed child, -1 for none); column 0 stands for the
+    empty stack, with no parent and no sibling.  n is the length so far,
+    open the dangling slot count d_k, trig the trig operators among the
+    open ancestors.
     """
 
-    __slots__ = ("lib", "is_trig", "seq", "stack", "complete", "open",
-                 "trig_depth")
+    def __init__(self, lib, B, max_len):
+        tb = _lib_tables(lib)
+        self.arities, self.is_trig = tb["arities"], tb["is_trig"]
+        self.seq = np.zeros((B, max_len), dtype=np.int64)
+        self.tok = np.full((B, max_len + 1), -1, dtype=np.int64)
+        self.rem = np.zeros((B, max_len + 1), dtype=np.int64)
+        self.last = np.full((B, max_len + 1), -1, dtype=np.int64)
+        self.depth = np.zeros(B, dtype=np.int64)
+        self.n = np.zeros(B, dtype=np.int64)
+        self.open = np.ones(B, dtype=np.int64)
+        self.trig = np.zeros(B, dtype=np.int64)
+        self.done = np.zeros(B, dtype=bool)
 
-    def __init__(self, lib):
-        self.lib = lib
-        self.is_trig = _lib_tables(lib)["is_trig"]
-        self.seq = []
-        # stack entries: [token_index, remaining_children, last_child_root]
-        self.stack = []
-        self.complete = False
-        self.open = 1  # dangling slot count d_k
-        self.trig_depth = 0  # trig operators among the open ancestors
+    def parent_sibling(self, rows):
+        """Parent and sibling of each row's next slot; -1 for empty."""
+        top = self.depth[rows]
+        return self.tok[rows, top], self.last[rows, top]
 
-    def push(self, idx):
-        if self.complete:
+    def push(self, rows, picks):
+        """Append picks[i] to row rows[i]; rows must be distinct."""
+        if self.done[rows].any():
             raise CompleteTraversal("expression already complete")
-        self.seq.append(idx)
-        arity = self.lib[idx].arity
-        self.open += arity - 1
-        if arity > 0:
-            if self.is_trig[idx]:
-                self.trig_depth += 1
-            self.stack.append([idx, arity, None])
-        else:
-            self._resolve(idx)
-
-    def _resolve(self, root_idx):
-        while self.stack:
-            top = self.stack[-1]
-            top[1] -= 1
-            top[2] = root_idx
-            if top[1] == 0:
-                root_idx = top[0]
-                if self.is_trig[root_idx]:
-                    self.trig_depth -= 1
-                self.stack.pop()
-            else:
-                return
-        self.complete = True
-
-    def parent_sibling(self):
-        if self.complete:
-            raise CompleteTraversal("no next slot in a complete traversal")
-        if not self.stack:
-            return None, None
-        top = self.stack[-1]
-        return top[0], top[2]
-
-    def open_slots(self):
-        return self.open
-
-    def ancestors(self):
-        return [e[0] for e in self.stack]
+        ar = self.arities[picks]
+        self.seq[rows, self.n[rows]] = picks
+        self.n[rows] += 1
+        self.open[rows] += ar - 1
+        is_op = ar > 0
+        r, p = rows[is_op], picks[is_op]
+        self.depth[r] += 1
+        top = self.depth[r]
+        self.tok[r, top] = p
+        self.rem[r, top] = ar[is_op]
+        self.last[r, top] = -1
+        self.trig[r] += self.is_trig[p]
+        # a terminal completes a subtree: close the operators it finishes,
+        # one tree level per pass
+        r, root = rows[~is_op], picks[~is_op]
+        while r.size:
+            empty = self.depth[r] == 0
+            self.done[r[empty]] = True
+            r, root = r[~empty], root[~empty]
+            top = self.depth[r]
+            self.rem[r, top] -= 1
+            self.last[r, top] = root
+            closed = self.rem[r, top] == 0
+            r, top = r[closed], top[closed]
+            root = self.tok[r, top]
+            self.trig[r] -= self.is_trig[root]
+            self.depth[r] -= 1
 
 
 def _replay(partial, lib):
-    st = PartialState(lib)
+    st = _SlotState(lib, 1, len(partial))
     for idx in partial:
-        st.push(idx)
+        st.push(np.zeros(1, dtype=np.int64), np.array([idx]))
+    if st.done[0]:
+        raise CompleteTraversal("traversal is already complete")
     return st
 
 
@@ -146,8 +150,9 @@ def parent_sibling(partial, lib):
     Returns library indices, with None for empty.  Both are empty before the
     first token.
     """
-    st = _replay(partial, lib)
-    return st.parent_sibling()
+    parent, sibling = _replay(partial, lib).parent_sibling(0)
+    return (int(parent) if parent >= 0 else None,
+            int(sibling) if sibling >= 0 else None)
 
 
 def _lib_tables(lib):
@@ -155,7 +160,8 @@ def _lib_tables(lib):
     if tables is None:
         arities = np.array(lib.arities())
         ops = [OPS.get(t.name) for t in lib.tokens]
-        is_trig = [op is not None and op.trig for op in ops]
+        is_trig = np.array([op is not None and op.trig for op in ops],
+                           dtype=np.int64)
         tables = {
             "arities": arities,
             "terminals": np.flatnonzero(arities == 0),
@@ -203,24 +209,13 @@ class ConstraintSet:
             raise Infeasible("constraint set masks every token")
         return masks
 
-    def mask(self, lib, state, min_length, max_length):
-        parent, _ = state.parent_sibling()
-        return self.mask_batch(
-            lib,
-            np.array([len(state.seq)]),
-            np.array([state.open_slots()]),
-            np.array([state.trig_depth]),
-            np.array([parent if parent is not None else -1]),
-            min_length, max_length,
-        )[0]
-
 
 def constraint_logits(cs, lib, partial, min_length=4, max_length=30):
     """Public form of the per-step mask; recomputes state from the prefix."""
     st = _replay(partial, lib)
-    if st.complete:
-        raise CompleteTraversal("traversal is already complete")
-    return cs.mask(lib, st, min_length, max_length)
+    parent, _ = st.parent_sibling(np.zeros(1, dtype=np.int64))
+    return cs.mask_batch(lib, st.n, st.open, st.trig, parent,
+                         min_length, max_length)[0]
 
 
 def combine_and_sample(l_dsr, l_mlm, l_mask, lam, rng):
@@ -258,11 +253,13 @@ class Controller:
     def zero_grads(self):
         return {name: np.zeros_like(p) for name, p in self.params().items()}
 
-    def input_vector(self, parent, sibling):
-        x = np.zeros(2 * (self.V + 1))
-        x[parent if parent is not None else self.V] = 1.0
-        off = self.V + 1
-        x[off + (sibling if sibling is not None else self.V)] = 1.0
+    def input_batch(self, parent, sibling):
+        """One-hot inputs for arrays of parents and siblings; -1 is empty."""
+        V = self.V
+        x = np.zeros((len(parent), 2 * (V + 1)))
+        rows = np.arange(len(parent))
+        x[rows, np.where(parent < 0, V, parent)] = 1.0
+        x[rows, V + 1 + np.where(sibling < 0, V, sibling)] = 1.0
         return x
 
     def initial_state(self, batch=1):
@@ -274,15 +271,11 @@ class Controller:
         return logits, h, cache
 
 
-def _mlm_input_token(parent, sibling, bos):
+def _mlm_inputs(parent, sibling, bos):
     # the sibling (the most recently completed elder subtree's root) is the
     # closest thing to "the previous token" for a model trained on flat
     # sequences; fall back to the parent, then BOS
-    if sibling is not None:
-        return sibling
-    if parent is not None:
-        return parent
-    return bos
+    return np.where(sibling >= 0, sibling, np.where(parent >= 0, parent, bos))
 
 
 def sample_batch(controller, mlm_model, cs, config, rng, batch_size=None):
@@ -290,48 +283,29 @@ def sample_batch(controller, mlm_model, cs, config, rng, batch_size=None):
 
     Implements the per-step recurrence of the sampling algorithm for all
     sequences at once; inactive (already complete) rows keep consuming their
-    lane but their draws are discarded.
+    lane with the inputs of an empty prefix, but their draws are discarded.
     """
     lib = config.library
     B = batch_size if batch_size is not None else config.batch_size
     V = len(lib)
-    states = [PartialState(lib) for _ in range(B)]
+    st = _SlotState(lib, B, config.max_length)
     h_dsr = controller.initial_state(B)
     h_mlm = mlm_model.initial_state(B) if mlm_model is not None else None
     mlm_prev = np.full(B, mlm_model.bos if mlm_model is not None else 0,
                        dtype=np.int64)
     rows = np.arange(B)
     for _ in range(config.max_length):
-        any_active = False
-        parents = np.full(B, V)
-        siblings = np.full(B, V)
-        n_arr = np.zeros(B, dtype=int)
-        d_arr = np.ones(B, dtype=int)  # inactive rows stay trivially feasible
-        trig_arr = np.zeros(B, dtype=int)
-        for b, st in enumerate(states):
-            if st.complete:
-                continue
-            any_active = True
-            parent, sibling = st.parent_sibling()
-            if parent is not None:
-                parents[b] = parent
-            if sibling is not None:
-                siblings[b] = sibling
-            n_arr[b] = len(st.seq)
-            d_arr[b] = st.open
-            trig_arr[b] = st.trig_depth
-            if mlm_model is not None:
-                mlm_prev[b] = _mlm_input_token(parent, sibling, mlm_model.bos)
-        if not any_active:
+        live = ~st.done
+        if not live.any():
             break
-        raw_parent = np.where(parents == V, -1, parents)
-        masks = cs.mask_batch(lib, n_arr, d_arr, trig_arr, raw_parent,
+        parent, sibling = st.parent_sibling(rows)  # -1 on finished rows
+        masks = cs.mask_batch(lib, np.where(live, st.n, 0),
+                              np.where(live, st.open, 1), st.trig, parent,
                               config.min_length, config.max_length)
-        x = np.zeros((B, 2 * (V + 1)))
-        x[rows, parents] = 1.0
-        x[rows, V + 1 + siblings] = 1.0
-        l_dsr, h_dsr, _ = controller.step_batch(x, h_dsr)
+        l_dsr, h_dsr, _ = controller.step_batch(
+            controller.input_batch(parent, sibling), h_dsr)
         if mlm_model is not None:
+            mlm_prev[live] = _mlm_inputs(parent, sibling, mlm_model.bos)[live]
             l_mlm, h_mlm = mlm_model.step_batch(mlm_prev, h_mlm)
             combined = l_dsr + config.lam * l_mlm + masks
         else:
@@ -341,10 +315,9 @@ def sample_batch(controller, mlm_model, cs, config, rng, batch_size=None):
         cum = np.cumsum(p, axis=1)
         picks = (cum < u[:, None]).sum(axis=1)
         np.clip(picks, 0, V - 1, out=picks)
-        for b, st in enumerate(states):
-            if not st.complete:
-                st.push(int(picks[b]))
-    return [Traversal(s.seq) for s in states]
+        live_rows = rows[live]
+        st.push(live_rows, picks[live_rows])
+    return [Traversal(s[:k]) for s, k in zip(st.seq.tolist(), st.n)]
 
 
 def sample_expression(controller, mlm_model, cs, config, rng):
@@ -352,17 +325,19 @@ def sample_expression(controller, mlm_model, cs, config, rng):
     return sample_batch(controller, mlm_model, cs, config, rng, batch_size=1)[0]
 
 
-def reward(tree, X, y):
+def reward(expr, X, y):
     """1 / (1 + NRMSE); 0 for expressions that evaluate Invalid anywhere.
 
-    Returns (reward, invalid flag).  X maps variable name -> sample array.
+    ``expr`` is an ExprTree or a pre-order list of Tokens.  Returns
+    (reward, invalid flag).  X maps variable name -> sample array.
     """
     y = np.asarray(y, dtype=float)
     sd = float(np.std(y))
     if sd == 0.0:
         raise DegenerateTarget("target values are constant")
+    evaluate = evaluate_batch if isinstance(expr, ExprTree) else evaluate_prefix
     try:
-        yhat, ok = evaluate_batch(tree, X)
+        yhat, ok = evaluate(expr, X)
     except Exception:
         return 0.0, True
     if not ok:
@@ -375,39 +350,44 @@ def reward(tree, X, y):
 
 
 def objective_and_gradients(controller, traversals, advantages, config,
-                            mlm_model=None):
+                            mlm_model=None, cs=None):
     """Risk-seeking surrogate objective and its exact controller gradients.
 
     J = mean_i adv_i * log p(tau_i) + entropy_weight * mean_i sum_t H_t.
     The prior logits and constraint masks enter the softmax but are treated
-    as constants; gradients flow only through the controller logits.
+    as constants; gradients flow only through the controller logits.  ``cs``
+    must be the constraint set the traversals were sampled under (default:
+    ConstraintSet()).
     """
     lib = config.library
-    cs = ConstraintSet()
+    if cs is None:
+        cs = ConstraintSet()
     k = len(traversals)
     V = len(lib)
-    T = max(len(t) for t in traversals)
-    lengths = [len(t) for t in traversals]
+    lengths = np.array([len(t) for t in traversals])
+    T = int(lengths.max())
 
-    # replay inputs, masks and targets
+    # teacher-forced inputs, masks and targets; padded steps stay zero
+    seqs = np.zeros((k, T), dtype=np.int64)
+    for i, trav in enumerate(traversals):
+        seqs[i, :lengths[i]] = tuple(trav)
+    targets = seqs.T
+    step_mask = (np.arange(T)[:, None] < lengths[None, :]).astype(float)
     xs = np.zeros((T, k, 2 * (V + 1)))
     masks = np.zeros((T, k, V))
-    targets = np.zeros((T, k), dtype=np.int64)
-    step_mask = np.zeros((T, k))
     mlm_inputs = np.full((T, k), mlm_model.bos if mlm_model is not None else 0,
                          dtype=np.int64)
-    for i, trav in enumerate(traversals):
-        st = PartialState(lib)
-        for t, idx in enumerate(trav):
-            parent, sibling = st.parent_sibling()
-            xs[t, i, parent if parent is not None else V] = 1.0
-            xs[t, i, V + 1 + (sibling if sibling is not None else V)] = 1.0
-            masks[t, i] = cs.mask(lib, st, config.min_length, config.max_length)
-            targets[t, i] = idx
-            step_mask[t, i] = 1.0
-            if mlm_model is not None:
-                mlm_inputs[t, i] = _mlm_input_token(parent, sibling, mlm_model.bos)
-            st.push(idx)
+    st = _SlotState(lib, k, T)
+    for t in range(T):
+        rows = np.flatnonzero(lengths > t)
+        parent, sibling = st.parent_sibling(rows)
+        xs[t, rows] = controller.input_batch(parent, sibling)
+        masks[t, rows] = cs.mask_batch(lib, st.n[rows], st.open[rows],
+                                       st.trig[rows], parent,
+                                       config.min_length, config.max_length)
+        if mlm_model is not None:
+            mlm_inputs[t, rows] = _mlm_inputs(parent, sibling, mlm_model.bos)
+        st.push(rows, seqs[rows, t])
 
     # forward
     h = controller.initial_state(k)
@@ -458,8 +438,10 @@ def objective_and_gradients(controller, traversals, advantages, config,
     return J, grads
 
 
-def train_step(controller, batch, config, optimizer, mlm_model=None):
-    """One risk-seeking policy update from a batch of (traversal, reward)."""
+def train_step(controller, batch, config, optimizer, mlm_model=None, cs=None):
+    """One risk-seeking policy update from a batch of (traversal, reward).
+
+    ``cs`` is the constraint set the batch was sampled under."""
     if not batch:
         raise ValueError("empty batch")
     rewards = np.array([r for _, r in batch])
@@ -472,7 +454,7 @@ def train_step(controller, batch, config, optimizer, mlm_model=None):
     if all(a == 0.0 for a in advantages) and config.entropy_weight == 0.0:
         return 0.0
     J, grads = objective_and_gradients(controller, traversals, advantages,
-                                       config, mlm_model)
+                                       config, mlm_model, cs)
     neg = {n: -g for n, g in grads.items()}
     optimizer.update(controller.params(), neg)
     return J
@@ -611,8 +593,7 @@ def run_search(spec, config, rng_seed, mlm_model=None, check_every=1):
         traversals = sample_batch(controller, mlm_model, cs, cfg, rng)
         batch = []
         for trav in traversals:
-            tree = traversal_to_tree(trav, lib)
-            r, invalid = reward(tree, X, y)
+            r, invalid = reward([lib.tokens[i] for i in trav.seq], X, y)
             n_invalid += invalid
             n_total += 1
             batch.append((trav, r))
@@ -625,8 +606,7 @@ def run_search(spec, config, rng_seed, mlm_model=None, check_every=1):
             if recovered(traversal_to_tree(best_trav, lib), spec):
                 solved_at = step_i
                 break
-        train_step(controller, batch, cfg, optimizer, mlm_model)
-    from .expr_core import render_infix
+        train_step(controller, batch, cfg, optimizer, mlm_model, cs)
     best_expr = render_infix(traversal_to_tree(best_trav, lib)) if best_trav else ""
     return RunMetrics(
         recovered=solved_at is not None,

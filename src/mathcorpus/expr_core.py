@@ -326,36 +326,49 @@ def evaluate(tree, bindings):
 
 
 def evaluate_batch(tree, bindings):
-    """Vectorized evaluation over numpy arrays of points.
+    """Vectorized evaluation of a tree; see evaluate_prefix."""
+    return evaluate_prefix([n.root for n in tree.iter_nodes()], bindings)
+
+
+def evaluate_prefix(tokens, bindings):
+    """Vectorized evaluation of a pre-order token list over numpy arrays of
+    points, right to left on a stack.
 
     Returns (values, ok) where ok is False if any point hit a domain error
-    or non-finite intermediate.
+    or non-finite intermediate.  Every value is computed either way.
     """
+    stack = []
+    ok = True
     with np.errstate(all="ignore"):
-        def ev(n):
-            tok = n.root
-            if tok.kind == VARIABLE:
-                if tok.name not in bindings:
-                    raise UnboundVariable(tok.name)
-                return np.asarray(bindings[tok.name], dtype=float), True
-            if tok.kind in (CONSTANT, PLACEHOLDER):
-                v = constant_value(tok)
-                if v is None:
-                    raise ExprError(f"constant token {tok.name!r} has no numeric value")
-                return np.full(_batch_len(bindings), v), True
-            args, ok = [], True
-            for c in n.children:
-                v, o = ev(c)
-                ok = ok and o
-                args.append(v)
+        for tok in reversed(tokens):
+            k = tok.arity
+            if k == 0:
+                stack.append(_leaf(tok, bindings))
+                continue
             op = OPS.get(tok.name)
             if op is None:
                 raise ExprError(f"no evaluation rule for operator {tok.name!r}")
-            out = op.fn(*args)
+            if len(stack) < k:
+                raise InvalidPrefix(f"operator {tok.name!r} is missing operands")
+            # the children are the top k entries, the first child on top
+            out = op.fn(*stack[:-k - 1:-1])
+            del stack[-k:]
             ok = ok and bool(np.isfinite(out).all())
-            return out, ok
+            stack.append(out)
+    if len(stack) != 1:
+        raise InvalidPrefix(f"tokens encode {len(stack)} trees, not one")
+    return stack[0], ok
 
-        return ev(tree)
+
+def _leaf(tok, bindings):
+    if tok.kind == VARIABLE:
+        if tok.name not in bindings:
+            raise UnboundVariable(tok.name)
+        return np.asarray(bindings[tok.name], dtype=float)
+    v = constant_value(tok)
+    if v is None:
+        raise ExprError(f"constant token {tok.name!r} has no numeric value")
+    return np.full(_batch_len(bindings), v)
 
 
 def _batch_len(bindings):

@@ -11,12 +11,11 @@ import numpy as np
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without
+    branches: exp(-|x|) never overflows, and since it lies in [0, 1] the
+    numerator max(exp(-|x|), x >= 0) is exactly 1 or exp(x)."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 class GRUCell:

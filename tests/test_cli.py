@@ -147,6 +147,22 @@ class TestSr:
         assert code == 2
         assert "not allowed with" in capsys.readouterr().err
 
+    def test_config_cannot_override_mlm_exclusion(self, tmp_path, capsys):
+        from mathcorpus import dsr
+
+        weights = tmp_path / "m.mlm"
+        lib = dsr.builtin_benchmarks()["nguyen-1"].library()
+        mlm.save(mlm.init(lib, 4, 4, seed=0), weights)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"with_mlm": str(weights)}))
+        out = tmp_path / "metrics.csv"
+        code = main(["sr", "--benchmark", "nguyen-1", "--runs", "1",
+                     "--max-steps", "1", "--batch-size", "10", "--no-mlm",
+                     "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "metrics.csv"
         code = main(["sr", "--benchmark", "nguyen-1", "--runs", "1",

@@ -24,6 +24,7 @@ from mathcorpus.dsr import (
 )
 from mathcorpus.expr_core import (
     CONSTANT,
+    OPS,
     Library,
     OPERATOR,
     Token,
@@ -247,7 +248,102 @@ class TestSampling:
         assert [t.seq for t in a] == [t.seq for t in b]
 
 
+def _open_at(prefix, i, lib):
+    """Whether the subtree rooted at prefix[i] is still open."""
+    slots = 1
+    for idx in prefix[i:]:
+        slots += lib[idx].arity - 1
+        if slots == 0:
+            return False
+    return True
+
+
+def reference_sample_batch(controller, mlm_model, cs, config, rng, B):
+    """sample_batch with the bookkeeping redone per row from the prefix:
+    naive_parent_sibling, and explicit length, open-slot and trig counts.
+    The recurrent steps still run on the whole batch, as in sample_batch."""
+    lib = config.library
+    V = len(lib)
+    trig = [t.name in OPS and OPS[t.name].trig for t in lib]
+    bos = mlm_model.bos if mlm_model is not None else 0
+    seqs = [[] for _ in range(B)]
+    done = [False] * B
+    prev = [bos] * B
+    h = controller.initial_state(B)
+    h_mlm = mlm_model.initial_state(B) if mlm_model is not None else None
+    for _ in range(config.max_length):
+        if all(done):
+            break
+        n, d, tr, par = [], [], [], []
+        x = np.zeros((B, 2 * (V + 1)))
+        for b, seq in enumerate(seqs):
+            parent = sibling = None
+            if done[b]:  # finished rows see an empty prefix
+                n.append(0), d.append(1), tr.append(0)
+            else:
+                parent, sibling = naive_parent_sibling(seq, lib)
+                n.append(len(seq))
+                d.append(1 + sum(lib[i].arity - 1 for i in seq))
+                tr.append(sum(trig[idx] for i, idx in enumerate(seq)
+                              if lib[idx].arity and _open_at(seq, i, lib)))
+                prev[b] = next(t for t in (sibling, parent, bos)
+                               if t is not None)
+            par.append(-1 if parent is None else parent)
+            x[b, V if parent is None else parent] = 1.0
+            x[b, V + 1 + (V if sibling is None else sibling)] = 1.0
+        masks = cs.mask_batch(lib, np.array(n), np.array(d), np.array(tr),
+                              np.array(par), config.min_length,
+                              config.max_length)
+        logits, h, _ = controller.step_batch(x, h)
+        if mlm_model is not None:
+            l_mlm, h_mlm = mlm_model.step_batch(np.array(prev), h_mlm)
+            logits = logits + config.lam * l_mlm
+        p = softmax(logits + masks, axis=1)
+        u = rng.random(B)
+        for b in range(B):
+            if not done[b]:
+                pick = min(int((np.cumsum(p[b]) < u[b]).sum()), V - 1)
+                seqs[b].append(pick)
+                done[b] = is_complete(Traversal(seqs[b]), lib)
+    return [tuple(s) for s in seqs]
+
+
+class TestSampleBatchOracle:
+    @pytest.mark.parametrize("library", ["search1", "nguyen-5"])
+    @pytest.mark.parametrize("with_mlm", [False, True])
+    def test_matches_per_row_reference(self, library, with_mlm):
+        if library == "search1":
+            lib = default_library(n_vars=1, name=library)
+        else:
+            lib = builtin_benchmarks()[library].library()
+        config = cfg(lib, lam=0.5 if with_mlm else 0.0)
+        controller = Controller(lib, config.hidden_size, seed=2)
+        controller.W_out += np.random.default_rng(3).normal(
+            size=controller.W_out.shape)
+        model = None
+        if with_mlm:
+            model = mlm.init(lib, 4, 8, seed=0)
+            model.W_out += np.random.default_rng(4).normal(
+                size=model.W_out.shape)
+        cs = ConstraintSet()
+        got = sample_batch(controller, model, cs, config,
+                           np.random.default_rng(5), batch_size=64)
+        want = reference_sample_batch(controller, model, cs, config,
+                                      np.random.default_rng(5), 64)
+        assert [t.seq for t in got] == want
+
+
 class TestReward:
+    def test_tokens_and_tree_agree(self, slib, rng):
+        from conftest import random_tree
+
+        X = {"x1": np.linspace(-1, 1, 20)}
+        y = X["x1"] ** 2 + X["x1"]
+        for _ in range(200):
+            tree = random_tree(slib, rng, max_depth=6)
+            tokens = [n.root for n in tree.iter_nodes()]
+            assert reward(tokens, X, y) == reward(tree, X, y)
+
     def test_exact_target_reward_one(self, slib):
         tree = parse_plain("x1^2 + x1", slib)
         X = {"x1": np.linspace(-1, 1, 20)}
@@ -351,6 +447,26 @@ class TestTrainStep:
                      for t in travs]
             train_step(controller, batch, config, opt, mlm_model=model)
         assert model.equal(snapshot)
+
+    def test_replay_uses_the_sampling_constraint_set(self):
+        # add(exp(log(x)), x) is legal only without the inverse-pair rule
+        lib = builtin_benchmarks()["nguyen-7"].library()
+        config = SRConfig(library=lib)
+        controller = Controller(lib, config.hidden_size, seed=0)
+        trav = Traversal([lib.index_of(n)
+                          for n in ("add", "exp", "log", "x", "x")])
+        cs = ConstraintSet(no_inverse_pairs=False)
+        J, grads = dsr.objective_and_gradients(controller, [trav], [0.5],
+                                               config, cs=cs)
+        assert math.isfinite(J)
+        assert all(np.isfinite(g).all() for g in grads.values())
+        # the default set masks the sampled token, so its log-prob is -inf
+        J, _ = dsr.objective_and_gradients(controller, [trav], [0.5], config)
+        assert J == NEG_INF
+        other = Traversal([lib.index_of(n) for n in ("add", "x", "x")])
+        batch = [(trav, 1.0)] + [(other, 0.0)] * 19
+        J = train_step(controller, batch, config, Adam(0.001), cs=cs)
+        assert math.isfinite(J)
 
     def test_empty_batch(self, slib):
         config = cfg(slib)

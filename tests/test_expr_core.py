@@ -21,6 +21,7 @@ from mathcorpus.expr_core import (
     default_library,
     evaluate,
     evaluate_batch,
+    evaluate_prefix,
     is_complete,
     is_valid_prefix,
     node,
@@ -213,6 +214,45 @@ class TestEvaluate:
         leaves = [node(lib.get(a) if a in lib else Token(a, 0, ec.CONSTANT))
                   for a in args]
         assert evaluate(node(lib.get(op), *leaves), {"x1": x1}) is INVALID
+
+
+def naive_evaluate(tree, bindings):
+    """Recursive reference evaluator: every value, and ok over every node."""
+    tok = tree.root
+    if tok.kind == ec.VARIABLE:
+        return np.asarray(bindings[tok.name], dtype=float), True
+    if tok.arity == 0:
+        n = len(next(iter(bindings.values())))
+        return np.full(n, ec.constant_value(tok)), True
+    args = [naive_evaluate(c, bindings) for c in tree.children]
+    with np.errstate(all="ignore"):
+        out = ec.OPS[tok.name].fn(*[v for v, _ in args])
+    return out, all(o for _, o in args) and bool(np.isfinite(out).all())
+
+
+class TestEvaluatePrefix:
+    def test_matches_tree_evaluation(self, lib, rng):
+        xs = np.linspace(-2, 2, 17)
+        bindings = {"x1": xs, "x2": xs - 0.5}
+        n_invalid = 0
+        for _ in range(300):
+            tree = random_tree(lib, rng, max_depth=6)
+            tokens = [n.root for n in tree.iter_nodes()]
+            values, ok = evaluate_prefix(tokens, bindings)
+            tree_values, tree_ok = evaluate_batch(tree, bindings)
+            ref_values, ref_ok = naive_evaluate(tree, bindings)
+            assert ok == tree_ok == ref_ok
+            # every value, bit for bit, also where the expression is invalid
+            assert np.array_equal(values, ref_values, equal_nan=True)
+            assert np.array_equal(tree_values, ref_values, equal_nan=True)
+            n_invalid += not ok
+        assert 0 < n_invalid < 300
+
+    def test_malformed_token_lists(self, lib):
+        add, x = lib.get("add"), lib.get("x1")
+        for tokens in ([], [add, x], [x, x]):
+            with pytest.raises(InvalidPrefix):
+                evaluate_prefix(tokens, {"x1": np.ones(3)})
 
 
 class TestRenderInfix:
