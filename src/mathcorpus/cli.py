@@ -93,7 +93,7 @@ def cmd_extract(args):
         for e in expressions:
             f.write(json.dumps({"page_id": e.page_id,
                                 "page_title": e.page_title,
-                                "offset": e.byte_offset,
+                                "offset": e.char_offset,
                                 "latex": e.latex}, ensure_ascii=False) + "\n")
     unterminated = tally.get("unterminated", 0)
     print(f"pages={n_pages} expressions={len(expressions)} "

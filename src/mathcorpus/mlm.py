@@ -1,7 +1,8 @@
 """Recurrent next-token model over the expression-token vocabulary.
 
-From-scratch float64 implementation: training by masked cross-entropy with
-exact analytic gradients (checked against finite differences in the test
+From-scratch float64 implementation: training by cross-entropy over
+length-sorted batches, computing only the rows still inside their sequence,
+with exact analytic gradients (checked against finite differences in the test
 suite), per-step logit emission for search integration, sampling, and a
 portable binary weight format.
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
 
 import numpy as np
 
@@ -112,83 +114,70 @@ def step(model, token_index, state):
 
 def score(model, traversal):
     """Total log-probability of a token sequence, stepping from BOS."""
-    state = model.initial_state(1)
-    prev = model.bos
-    total = 0.0
-    for idx in traversal:
-        logits, state = model.step_batch([prev], state)
-        total += log_softmax(logits[0])[idx]
-        prev = idx
-    return float(total)
+    # 0.0 - nll negates exactly and gives +0.0, not -0.0, for an empty one
+    return float(0.0 - _forward(model, [traversal], keep=False)[0])
 
 
-def _pad_batch(seqs, bos):
-    B = len(seqs)
-    T = max(len(s) for s in seqs)
-    inputs = np.full((T, B), bos, dtype=np.int64)
-    targets = np.zeros((T, B), dtype=np.int64)
-    mask = np.zeros((T, B))
-    for b, s in enumerate(seqs):
-        for t, idx in enumerate(s):
-            if t > 0:
-                inputs[t, b] = s[t - 1]
-            targets[t, b] = idx
-            mask[t, b] = 1.0
-    return inputs, targets, mask
+def _forward(model, seqs, keep):
+    """Summed next-token cross-entropy of a batch, stepping each row from BOS.
+
+    Rows are sorted longest first, so the rows still inside their sequence
+    at step t are the prefix ``[:n_t]`` and no padded slot is computed.
+    Returns (nll, tokens, steps); with ``keep``, steps lists each step's
+    (inputs, targets, h, probs, cache) for backpropagation, else it is None.
+    """
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    order = np.argsort(-lens, kind="stable")
+    lens = lens[order]
+    tokens = int(lens.sum())
+    live = lens[:, None] > np.arange(lens[0])
+    rows = np.zeros(live.shape, dtype=np.int64)
+    rows[live] = np.fromiter(chain.from_iterable(seqs[i] for i in order),
+                             dtype=np.int64, count=tokens)
+    targets = rows.T
+    inputs = np.vstack((np.full(len(seqs), model.bos), targets[:-1]))
+    h = model.initial_state(len(seqs))
+    nll, steps = 0.0, [] if keep else None
+    for t, n in enumerate(live.sum(axis=0)):
+        x_idx, y = inputs[t, :n], targets[t, :n]
+        h, cache = model.cell.forward(model.E[x_idx], h[:n])
+        logits = h @ model.W_out + model.b_out
+        nll -= log_softmax(logits)[np.arange(n), y].sum()
+        if keep:
+            steps.append((x_idx, y, h, softmax(logits), cache))
+    return nll, tokens, steps
 
 
 def loss_and_gradients(model, seqs):
-    """Masked mean per-token cross-entropy and its exact gradients."""
+    """Mean per-token cross-entropy of a batch and its exact gradients."""
     if not seqs:
         raise EmptyCorpus("empty batch")
-    inputs, targets, mask = _pad_batch(seqs, model.bos)
-    T, B = inputs.shape
-    n_tokens = mask.sum()
-    state = model.initial_state(B)
-    caches, hs, probs = [], [], []
-    loss = 0.0
-    for t in range(T):
-        x = model.E[inputs[t]]
-        h, cache = model.cell.forward(x, state)
-        logits = h @ model.W_out + model.b_out
-        logp = log_softmax(logits)
-        p = softmax(logits)
-        loss -= (logp[np.arange(B), targets[t]] * mask[t]).sum()
-        caches.append(cache)
-        hs.append(h)
-        probs.append(p)
-        state = h
-    loss /= n_tokens
-
+    nll, tokens, steps = _forward(model, seqs, keep=True)
     grads = model.zero_grads()
     cell_grads = {k[len("cell."):]: v for k, v in grads.items()
                   if k.startswith("cell.")}
-    dh_next = np.zeros((B, model.hidden))
-    for t in range(T - 1, -1, -1):
-        dlogits = probs[t].copy()
-        dlogits[np.arange(B), targets[t]] -= 1.0
-        dlogits *= mask[t][:, None] / n_tokens
-        grads["W_out"] += hs[t].T @ dlogits
+    scale = 1.0 / tokens
+    dh_next = np.zeros((0, model.hidden))
+    for x_idx, y, h, dlogits, cache in reversed(steps):
+        dlogits[np.arange(len(y)), y] -= 1.0
+        dlogits *= scale
+        grads["W_out"] += h.T @ dlogits
         grads["b_out"] += dlogits.sum(axis=0)
-        dh = dlogits @ model.W_out.T + dh_next
-        dx, dh_next = model.cell.backward(dh, caches[t], cell_grads)
-        np.add.at(grads["E"], inputs[t], dx)
-    return float(loss), grads
-
-
-def gradients(model, seqs):
-    return loss_and_gradients(model, seqs)[1]
+        dh = dlogits @ model.W_out.T
+        dh[:len(dh_next)] += dh_next
+        dx, dh_next = model.cell.backward(dh, cache, cell_grads)
+        np.add.at(grads["E"], x_idx, dx)
+    return float(nll / tokens), grads
 
 
 def corpus_loss(model, seqs, batch=256):
-    total, n = 0.0, 0
+    """Mean per-token cross-entropy over a corpus, forward only."""
+    nll, n = 0.0, 0
     for i in range(0, len(seqs), batch):
-        chunk = seqs[i:i + batch]
-        tokens = sum(len(s) for s in chunk)
-        loss, _ = loss_and_gradients(model, chunk)
-        total += loss * tokens
+        chunk_nll, tokens, _ = _forward(model, seqs[i:i + batch], keep=False)
+        nll += chunk_nll
         n += tokens
-    return total / n
+    return float(nll / n)
 
 
 def train(model, seqs, epochs, lr, batch=64, seed=0, momentum=0.9):

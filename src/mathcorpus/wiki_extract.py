@@ -50,7 +50,7 @@ class RawExpression:
     page_id: int
     page_title: str
     latex: str
-    byte_offset: int
+    char_offset: int
 
 
 @dataclass
@@ -153,7 +153,7 @@ def extract_math(page, tally=None):
             out.append(RawExpression(page_id=page.page_id,
                                      page_title=page.title,
                                      latex=body,
-                                     byte_offset=m.start()))
+                                     char_offset=m.start()))
         pos = close.end()
     return out
 

@@ -15,7 +15,7 @@ from mathcorpus.expr_core import (
     default_library,
     is_complete,
 )
-from mathcorpus.recurrent import log_softmax, softmax
+from mathcorpus.recurrent import GRUCell, log_softmax, softmax
 
 
 def tiny5():
@@ -163,6 +163,140 @@ class TestGradients:
         model = mlm.init(tiny5(), 6, 8, seed=0)
         with pytest.raises(mlm.EmptyCorpus):
             mlm.loss_and_gradients(model, [])
+
+
+def padded_loss_and_gradients(model, seqs):
+    """Reference: every row runs to the longest length in the batch, and a
+    mask takes the padded slots out of the loss and the gradients."""
+    B = len(seqs)
+    T = max(len(s) for s in seqs)
+    inputs = np.full((T, B), model.bos, dtype=np.int64)
+    targets = np.zeros((T, B), dtype=np.int64)
+    mask = np.zeros((T, B))
+    for b, s in enumerate(seqs):
+        for t, idx in enumerate(s):
+            if t > 0:
+                inputs[t, b] = s[t - 1]
+            targets[t, b] = idx
+            mask[t, b] = 1.0
+    n_tokens = mask.sum()
+    state = model.initial_state(B)
+    caches, hs, probs = [], [], []
+    loss = 0.0
+    for t in range(T):
+        h, cache = model.cell.forward(model.E[inputs[t]], state)
+        logits = h @ model.W_out + model.b_out
+        loss -= (log_softmax(logits)[np.arange(B), targets[t]] * mask[t]).sum()
+        caches.append(cache)
+        hs.append(h)
+        probs.append(softmax(logits))
+        state = h
+    loss /= n_tokens
+
+    grads = model.zero_grads()
+    cell_grads = {k[len("cell."):]: v for k, v in grads.items()
+                  if k.startswith("cell.")}
+    dh_next = np.zeros((B, model.hidden))
+    for t in range(T - 1, -1, -1):
+        dlogits = probs[t].copy()
+        dlogits[np.arange(B), targets[t]] -= 1.0
+        dlogits *= mask[t][:, None] / n_tokens
+        grads["W_out"] += hs[t].T @ dlogits
+        grads["b_out"] += dlogits.sum(axis=0)
+        dh = dlogits @ model.W_out.T + dh_next
+        dx, dh_next = model.cell.backward(dh, caches[t], cell_grads)
+        np.add.at(grads["E"], inputs[t], dx)
+    return float(loss), grads
+
+
+def nudged_model(d_emb, hidden, seed):
+    # a random output layer, so that every gradient is generic
+    model = mlm.init(tiny5(), d_emb, hidden, seed=seed)
+    rng = np.random.default_rng(seed)
+    model.W_out += rng.uniform(-0.3, 0.3, model.W_out.shape)
+    model.b_out += rng.uniform(-0.3, 0.3, model.b_out.shape)
+    return model
+
+
+def oracle_batches():
+    rng = np.random.default_rng(17)
+    mixed = random_seqs(tiny5(), rng, 12) + [[2], [4]]
+    return {
+        "mixed": mixed,
+        "one_row": [[0, 1, 2, 4, 3]],
+        "equal_lengths": [[0, 2, 4], [1, 1, 3], [0, 4, 4], [1, 0, 2]],
+        "shortest_first": sorted(mixed, key=len),
+    }
+
+
+def assert_rel_close(got, want, tol=1e-12):
+    scale = max(np.max(np.abs(want)), np.finfo(float).tiny)
+    assert np.max(np.abs(np.asarray(got) - want)) <= tol * scale
+
+
+class TestPackedMatchesPadded:
+    """The length-sorted packed batch against the padded reference."""
+
+    @pytest.mark.parametrize("d_emb,hidden", [(6, 8), (16, 32)])
+    @pytest.mark.parametrize("case", sorted(oracle_batches()))
+    def test_loss_and_gradients(self, d_emb, hidden, case):
+        seqs = oracle_batches()[case]
+        model = nudged_model(d_emb, hidden, seed=hidden + len(case))
+        loss, grads = mlm.loss_and_gradients(model, seqs)
+        want_loss, want_grads = padded_loss_and_gradients(model, seqs)
+        assert math.isclose(loss, want_loss, rel_tol=1e-12)
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert_rel_close(grads[name], want)
+
+    def test_corpus_loss_across_batch_boundary(self):
+        seqs = random_seqs(tiny5(), np.random.default_rng(23), 300)
+        model = nudged_model(6, 8, seed=5)
+        total, tokens = 0.0, 0
+        for chunk in (seqs[:256], seqs[256:]):
+            n = sum(len(s) for s in chunk)
+            total += padded_loss_and_gradients(model, chunk)[0] * n
+            tokens += n
+        assert math.isclose(mlm.corpus_loss(model, seqs), total / tokens,
+                            rel_tol=1e-12)
+
+    def test_score_is_stepwise_log_probability(self):
+        model = nudged_model(6, 8, seed=3)
+        for seq in random_seqs(tiny5(), np.random.default_rng(29), 20):
+            state, prev, total = model.initial_state(), model.bos, 0.0
+            for idx in seq:
+                logits, state = mlm.step(model, prev, state)
+                total += log_softmax(logits)[idx]
+                prev = idx
+            assert mlm.score(model, Traversal(seq)) == total
+        empty = mlm.score(model, Traversal([]))
+        assert empty == 0.0 and math.copysign(1.0, empty) == 1.0
+
+
+class TestWorkGuard:
+    """Counts of the recurrent work, independent of timing."""
+
+    def test_gru_rows_equal_tokens(self, monkeypatch):
+        rows = []
+        forward = GRUCell.forward
+
+        def counting(cell, x, h):
+            rows.append(x.shape[0])
+            return forward(cell, x, h)
+
+        monkeypatch.setattr(GRUCell, "forward", counting)
+        seqs = oracle_batches()["mixed"]
+        mlm.loss_and_gradients(nudged_model(6, 8, seed=0), seqs)
+        assert sum(rows) == sum(len(s) for s in seqs)
+
+    def test_corpus_loss_is_forward_only(self, monkeypatch):
+        def backward(*args):
+            raise AssertionError("corpus_loss ran a backward pass")
+
+        monkeypatch.setattr(GRUCell, "backward", backward)
+        seqs = oracle_batches()["mixed"]
+        assert math.isfinite(mlm.corpus_loss(nudged_model(6, 8, seed=0),
+                                             seqs))
 
 
 class TestTraining:

@@ -125,7 +125,7 @@ class TestExtractMath:
         (rec,) = extract_math(page)
         assert rec.page_id == 7
         assert rec.page_title == "T"
-        assert rec.byte_offset == page.text.index("<math>")
+        assert rec.char_offset == page.text.index("<math>")
 
     def test_no_math(self):
         assert extract_math(PageRecord(1, "T", 0, "no math here")) == []
