@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from . import dsr, mlm, wiki_extract
 from .expr_core import default_library
@@ -23,28 +21,28 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(args):
-    """Merge a JSON config file under the flags (flags win)."""
-    path = getattr(args, "config", None)
-    if not path:
-        return args
-    with open(path) as f:
+def _with_config(args, argv):
+    """``argv`` with the JSON config file's values inserted as flags right
+    after the subcommand, so that argparse checks them like flags and those
+    given on the command line, which come later, win."""
+    with open(args.config) as f:
         cfg = json.load(f)
-    sub = args.sub_parser
-    valid = {a.dest for a in sub._actions}
+    if not isinstance(cfg, dict):
+        raise UsageError("config file must hold a JSON object")
+    actions = {a.dest: a for a in args.sub_parser._actions if a.option_strings}
+    flags = []
     for key, value in cfg.items():
-        if key not in valid:
+        if key not in actions:
             raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key) == sub.get_default(key):
-            setattr(args, key, value)
-    # the file may set a flag that excludes one given on the command line
-    for group in sub._mutually_exclusive_groups:
-        given = [a.option_strings[0] for a in group._group_actions
-                 if getattr(args, a.dest) != sub.get_default(a.dest)]
-        if len(given) > 1:
-            raise UsageError(f"argument {given[1]}: not allowed with "
-                             f"argument {given[0]}")
-    return args
+        flag = actions[key].option_strings[0]
+        if actions[key].nargs == 0:  # store_true
+            flags += [flag] if value else []
+        elif isinstance(value, list):
+            flags += [flag, *map(str, value)]
+        else:  # one token, so a value may start with "-"
+            flags.append(f"{flag}={value}")
+    at = argv.index(args.command) + 1
+    return argv[:at] + flags + argv[at:]
 
 
 def _library_by_name(name):
@@ -361,18 +359,16 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args(_with_config(args, argv))
+        return args.fn(args)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        args = _load_config(args)
-        return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, json.JSONDecodeError) as e:
+    except (UsageError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal error contract

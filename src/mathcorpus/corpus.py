@@ -16,6 +16,7 @@ from .expr_core import ExprTree, Traversal, VARIABLE, node, tree_to_traversal
 from .latex_parser import is_unsupported_marker
 
 POLICIES = ("drop", "replace", "split", "replace_and_split")
+PLACEHOLDER = "1"  # the library token an unsupported subtree becomes
 
 FORMAT_HEADER = "#mathcorpus v1"
 
@@ -54,7 +55,6 @@ class CorpusSample:
     traversal: Traversal
     page_id: int
     augmentation: str = "none"  # none | replaced | split
-    parent_sample: int | None = None
 
 
 @dataclass
@@ -141,13 +141,12 @@ def canonicalize_variables(tree, max_vars):
     return out
 
 
-def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2,
-                 placeholder_name="1"):
+def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
     """Turn (page_id, ParseOutcome) pairs into a deduplicated sample list
     plus statistics.  Per-sample failures are dropped, never raised."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
-    placeholder = lib.get(placeholder_name)
+    placeholder = lib.get(PLACEHOLDER)
     stats = CorpusStats()
     samples = []
     seen = {}

@@ -29,7 +29,7 @@ from .expr_core import (
     traversal_to_tree,
 )
 from .latex_parser import normalize, parse_plain
-from .recurrent import Adam, GRUCell, log_softmax, softmax
+from .recurrent import Adam, GRUReadout, draw, log_softmax, softmax
 
 NEG_INF = float("-inf")
 
@@ -220,14 +220,10 @@ def constraint_logits(cs, lib, partial, min_length=4, max_length=30):
 
 def combine_and_sample(l_dsr, l_mlm, l_mask, lam, rng):
     """Draw a token from Softmax(l_dsr + lam * l_mlm + l_mask)."""
-    s = l_dsr + lam * l_mlm + l_mask
-    p = softmax(s)
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(p), u))
-    return min(idx, len(p) - 1)
+    return int(draw(softmax(l_dsr + lam * l_mlm + l_mask), rng.random()))
 
 
-class Controller:
+class Controller(GRUReadout):
     """Recurrent policy over the library, conditioned on parent and sibling.
 
     Input is the concatenation of two one-hots of size V+1 (the extra slot
@@ -236,22 +232,9 @@ class Controller:
     """
 
     def __init__(self, lib, hidden, seed):
-        self.lib = lib
         self.V = len(lib)
-        self.hidden = hidden
-        rng = np.random.default_rng(seed)
-        self.cell = GRUCell(2 * (self.V + 1), hidden, rng)
-        self.W_out = np.zeros((hidden, self.V))
-        self.b_out = np.zeros(self.V)
-
-    def params(self):
-        out = {"W_out": self.W_out, "b_out": self.b_out}
-        for name, p in self.cell.params().items():
-            out["cell." + name] = p
-        return out
-
-    def zero_grads(self):
-        return {name: np.zeros_like(p) for name, p in self.params().items()}
+        super().__init__(2 * (self.V + 1), hidden, self.V,
+                         np.random.default_rng(seed))
 
     def input_batch(self, parent, sibling):
         """One-hot inputs for arrays of parents and siblings; -1 is empty."""
@@ -262,13 +245,7 @@ class Controller:
         x[rows, V + 1 + np.where(sibling < 0, V, sibling)] = 1.0
         return x
 
-    def initial_state(self, batch=1):
-        return np.zeros((batch, self.hidden))
-
-    def step_batch(self, x, state):
-        h, cache = self.cell.forward(x, state)
-        logits = h @ self.W_out + self.b_out
-        return logits, h, cache
+    step_batch = GRUReadout.forward
 
 
 def _mlm_inputs(parent, sibling, bos):
@@ -287,7 +264,6 @@ def sample_batch(controller, mlm_model, cs, config, rng, batch_size=None):
     """
     lib = config.library
     B = batch_size if batch_size is not None else config.batch_size
-    V = len(lib)
     st = _SlotState(lib, B, config.max_length)
     h_dsr = controller.initial_state(B)
     h_mlm = mlm_model.initial_state(B) if mlm_model is not None else None
@@ -310,11 +286,7 @@ def sample_batch(controller, mlm_model, cs, config, rng, batch_size=None):
             combined = l_dsr + config.lam * l_mlm + masks
         else:
             combined = l_dsr + masks
-        p = softmax(combined, axis=1)
-        u = rng.random(B)
-        cum = np.cumsum(p, axis=1)
-        picks = (cum < u[:, None]).sum(axis=1)
-        np.clip(picks, 0, V - 1, out=picks)
+        picks = draw(softmax(combined, axis=1), rng.random(B))
         live_rows = rows[live]
         st.push(live_rows, picks[live_rows])
     return [Traversal(s[:k]) for s, k in zip(st.seq.tolist(), st.n)]
@@ -389,10 +361,13 @@ def objective_and_gradients(controller, traversals, advantages, config,
             mlm_inputs[t, rows] = _mlm_inputs(parent, sibling, mlm_model.bos)
         st.push(rows, seqs[rows, t])
 
-    # forward
+    # forward, with each step's share of J and its logit gradients
+    adv = np.asarray(advantages, dtype=float)
+    w_ent = config.entropy_weight
     h = controller.initial_state(k)
     h_mlm = mlm_model.initial_state(k) if mlm_model is not None else None
-    caches, hs, probs, logps = [], [], [], []
+    J = 0.0
+    steps = []
     for t in range(T):
         l_dsr, h, cache = controller.step_batch(xs[t], h)
         if mlm_model is not None:
@@ -400,18 +375,8 @@ def objective_and_gradients(controller, traversals, advantages, config,
             combined = l_dsr + config.lam * l_mlm + masks[t]
         else:
             combined = l_dsr + masks[t]
-        caches.append(cache)
-        hs.append(h)
-        probs.append(softmax(combined, axis=1))
-        logps.append(log_softmax(combined, axis=1))
-
-    adv = np.asarray(advantages, dtype=float)
-    J = 0.0
-    w_ent = config.entropy_weight
-    dlogits_list = []
-    for t in range(T):
-        p = probs[t]
-        lp = logps[t]
+        p = softmax(combined, axis=1)
+        lp = log_softmax(combined, axis=1)
         sel = lp[np.arange(k), targets[t]]
         J += float(np.sum(adv * sel * step_mask[t])) / k
         onehot = np.zeros_like(p)
@@ -423,18 +388,10 @@ def objective_and_gradients(controller, traversals, advantages, config,
             J += w_ent * float(np.sum(H * step_mask[t])) / k
             dH = -p * (safe_lp + H[:, None])
             dlogits += w_ent * step_mask[t][:, None] * dH / k
-        dlogits_list.append(dlogits)
+        steps.append((h, dlogits, cache))
 
     grads = controller.zero_grads()
-    cell_grads = {n[len("cell."):]: g for n, g in grads.items()
-                  if n.startswith("cell.")}
-    dh_next = np.zeros((k, controller.hidden))
-    for t in range(T - 1, -1, -1):
-        dlogits = dlogits_list[t]
-        grads["W_out"] += hs[t].T @ dlogits
-        grads["b_out"] += dlogits.sum(axis=0)
-        dh = dlogits @ controller.W_out.T + dh_next
-        _, dh_next = controller.cell.backward(dh, caches[t], cell_grads)
+    controller.backward(steps, grads)
     return J, grads
 
 
@@ -572,7 +529,7 @@ def recovered(candidate, spec, grid_points=1000):
     return bool(np.max(np.abs(yhat - y)) < 1e-10)
 
 
-def run_search(spec, config, rng_seed, mlm_model=None, check_every=1):
+def run_search(spec, config, rng_seed, mlm_model=None):
     """One search run; returns RunMetrics."""
     lib = spec.library()
     cfg = dc_replace(config, library=lib)
@@ -637,12 +594,10 @@ CSV_HEADER = ["benchmark", "run", "seed", "lambda", "with_mlm", "recovered",
               "steps", "invalid_fraction", "best_expression"]
 
 
-def write_metrics_csv(path, rows, append=False):
-    mode = "a" if append else "w"
-    with open(path, mode, newline="", encoding="utf-8") as f:
+def write_metrics_csv(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        if not append:
-            w.writerow(CSV_HEADER)
+        w.writerow(CSV_HEADER)
         for row in rows:
             w.writerow(row)
 

@@ -87,10 +87,6 @@ class Token:
                 f"token {self.name!r}: arity 0 iff kind is variable/constant/placeholder"
             )
 
-    @property
-    def is_terminal(self):
-        return self.arity == 0
-
 
 class Library:
     """Ordered token collection with name lookup.
@@ -136,9 +132,6 @@ class Library:
     def arities(self):
         return [t.arity for t in self.tokens]
 
-    def terminal_indices(self):
-        return [i for i, t in enumerate(self.tokens) if t.arity == 0]
-
 
 @dataclass
 class ExprTree:
@@ -164,11 +157,6 @@ class ExprTree:
 
     def size(self):
         return 1 + sum(c.size() for c in self.children)
-
-    def depth(self):
-        if not self.children:
-            return 1
-        return 1 + max(c.depth() for c in self.children)
 
     def iter_nodes(self):
         yield self

@@ -18,11 +18,13 @@ from itertools import chain
 
 import numpy as np
 
-from .expr_core import Traversal, is_complete
-from .recurrent import GRUCell, MomentumSGD, log_softmax, softmax
+from .expr_core import Traversal
+from .recurrent import GRUReadout, MomentumSGD, draw, log_softmax, softmax
 
 MAGIC = b"MLM1"
 FORMAT_VERSION = 1
+MOMENTUM = 0.9
+LOSS_CHUNK = 256  # rows per forward pass in corpus_loss
 
 
 class MLMError(Exception):
@@ -41,7 +43,7 @@ class VocabAlignmentError(MLMError):
     pass
 
 
-class MLMModel:
+class MLMModel(GRUReadout):
     """Embedding -> gated recurrent cell -> linear projection to V logits.
 
     The BOS marker lives at embedding row V; it is an input-only symbol and
@@ -53,13 +55,10 @@ class MLMModel:
             raise ValueError("d_emb and hidden must be >= 1")
         self.vocab_names = list(vocab_names)
         self.d_emb = d_emb
-        self.hidden = hidden
         V = len(self.vocab_names)
         self.E = rng.uniform(-0.5 / np.sqrt(d_emb), 0.5 / np.sqrt(d_emb),
                              (V + 1, d_emb))
-        self.cell = GRUCell(d_emb, hidden, rng)
-        self.W_out = np.zeros((hidden, V))
-        self.b_out = np.zeros(V)
+        super().__init__(d_emb, hidden, V, rng)
 
     @property
     def V(self):
@@ -70,21 +69,10 @@ class MLMModel:
         return self.V
 
     def params(self):
-        out = {"E": self.E, "W_out": self.W_out, "b_out": self.b_out}
-        for name, p in self.cell.params().items():
-            out["cell." + name] = p
-        return out
-
-    def zero_grads(self):
-        return {name: np.zeros_like(p) for name, p in self.params().items()}
-
-    def initial_state(self, batch=1):
-        return np.zeros((batch, self.hidden))
+        return {"E": self.E, **super().params()}
 
     def step_batch(self, token_indices, state):
-        x = self.E[np.asarray(token_indices)]
-        h, _ = self.cell.forward(x, state)
-        logits = h @ self.W_out + self.b_out
+        logits, h, _ = self.forward(self.E[np.asarray(token_indices)], state)
         return logits, h
 
     def equal(self, other):
@@ -124,7 +112,8 @@ def _forward(model, seqs, keep):
     Rows are sorted longest first, so the rows still inside their sequence
     at step t are the prefix ``[:n_t]`` and no padded slot is computed.
     Returns (nll, tokens, steps); with ``keep``, steps lists each step's
-    (inputs, targets, h, probs, cache) for backpropagation, else it is None.
+    (inputs, h, dlogits, cache), dlogits being the gradient of the mean
+    per-token loss, else it is None.
     """
     lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     order = np.argsort(-lens, kind="stable")
@@ -140,11 +129,13 @@ def _forward(model, seqs, keep):
     nll, steps = 0.0, [] if keep else None
     for t, n in enumerate(live.sum(axis=0)):
         x_idx, y = inputs[t, :n], targets[t, :n]
-        h, cache = model.cell.forward(model.E[x_idx], h[:n])
-        logits = h @ model.W_out + model.b_out
+        logits, h, cache = model.forward(model.E[x_idx], h[:n])
         nll -= log_softmax(logits)[np.arange(n), y].sum()
         if keep:
-            steps.append((x_idx, y, h, softmax(logits), cache))
+            dlogits = softmax(logits)
+            dlogits[np.arange(n), y] -= 1.0
+            dlogits *= 1.0 / tokens
+            steps.append((x_idx, h, dlogits, cache))
     return nll, tokens, steps
 
 
@@ -154,33 +145,25 @@ def loss_and_gradients(model, seqs):
         raise EmptyCorpus("empty batch")
     nll, tokens, steps = _forward(model, seqs, keep=True)
     grads = model.zero_grads()
-    cell_grads = {k[len("cell."):]: v for k, v in grads.items()
-                  if k.startswith("cell.")}
-    scale = 1.0 / tokens
-    dh_next = np.zeros((0, model.hidden))
-    for x_idx, y, h, dlogits, cache in reversed(steps):
-        dlogits[np.arange(len(y)), y] -= 1.0
-        dlogits *= scale
-        grads["W_out"] += h.T @ dlogits
-        grads["b_out"] += dlogits.sum(axis=0)
-        dh = dlogits @ model.W_out.T
-        dh[:len(dh_next)] += dh_next
-        dx, dh_next = model.cell.backward(dh, cache, cell_grads)
+    dxs = model.backward([s[1:] for s in steps], grads)
+    # last step first, the order backward visits the steps in
+    for (x_idx, *_), dx in zip(reversed(steps), reversed(dxs)):
         np.add.at(grads["E"], x_idx, dx)
     return float(nll / tokens), grads
 
 
-def corpus_loss(model, seqs, batch=256):
+def corpus_loss(model, seqs):
     """Mean per-token cross-entropy over a corpus, forward only."""
     nll, n = 0.0, 0
-    for i in range(0, len(seqs), batch):
-        chunk_nll, tokens, _ = _forward(model, seqs[i:i + batch], keep=False)
+    for i in range(0, len(seqs), LOSS_CHUNK):
+        chunk_nll, tokens, _ = _forward(model, seqs[i:i + LOSS_CHUNK],
+                                        keep=False)
         nll += chunk_nll
         n += tokens
     return float(nll / n)
 
 
-def train(model, seqs, epochs, lr, batch=64, seed=0, momentum=0.9):
+def train(model, seqs, epochs, lr, batch=64, seed=0):
     """Full-sequence BPTT with momentum SGD; deterministic given seed.
 
     Returns per-epoch mean per-token cross-entropy, with the pre-update
@@ -190,7 +173,7 @@ def train(model, seqs, epochs, lr, batch=64, seed=0, momentum=0.9):
     if not seqs:
         raise EmptyCorpus("corpus is empty")
     rng = np.random.default_rng(seed)
-    opt = MomentumSGD(lr, momentum)
+    opt = MomentumSGD(lr, MOMENTUM)
     params = model.params()
     history = [corpus_loss(model, seqs)]
     order = np.arange(len(seqs))
@@ -215,17 +198,16 @@ def sample(model, lib, max_len, rng):
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    arities = lib.arities()
     state = model.initial_state(1)
     prev = model.bos
-    seq = []
+    seq, open_slots = [], 1
     for _ in range(max_len):
         logits, state = model.step_batch([prev], state)
-        p = softmax(logits[0])
-        idx = int(np.searchsorted(np.cumsum(p), rng.random()))
-        idx = min(idx, model.V - 1)
-        seq.append(idx)
-        prev = idx
-        if is_complete(Traversal(seq), lib):
+        prev = int(draw(softmax(logits[0]), rng.random()))
+        seq.append(prev)
+        open_slots += arities[prev] - 1
+        if open_slots == 0:
             return Traversal(seq), True
     return Traversal(seq), False
 

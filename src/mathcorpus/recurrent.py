@@ -1,4 +1,4 @@
-"""Gated recurrent cell in float64 numpy with hand-derived gradients.
+"""Gated recurrent network in float64 numpy with hand-derived gradients.
 
 Shared by the math language model and the search controller; both are tiny,
 so exactness and determinism matter more than speed.  All arrays are
@@ -36,9 +36,6 @@ class GRUCell:
     def params(self):
         return {name: getattr(self, name) for name in self.PARAM_NAMES}
 
-    def zero_grads(self):
-        return {name: np.zeros_like(getattr(self, name)) for name in self.PARAM_NAMES}
-
     def forward(self, x, h):
         z = sigmoid(x @ self.Wz + h @ self.Uz + self.bz)
         r = sigmoid(x @ self.Wr + h @ self.Ur + self.br)
@@ -75,6 +72,52 @@ class GRUCell:
 
         dx = dz_pre @ self.Wz.T + dr_pre @ self.Wr.T + dg_pre @ self.Wh.T
         return dx, dh
+
+
+class GRUReadout:
+    """Gated recurrent cell plus a zero-initialised linear read-out to V
+    logits, so the first distribution is uniform.  Subclasses supply the
+    input encoding."""
+
+    def __init__(self, d_in, hidden, V, rng):
+        self.hidden = hidden
+        self.cell = GRUCell(d_in, hidden, rng)
+        self.W_out = np.zeros((hidden, V))
+        self.b_out = np.zeros(V)
+
+    def params(self):
+        out = {"W_out": self.W_out, "b_out": self.b_out}
+        for name, p in self.cell.params().items():
+            out["cell." + name] = p
+        return out
+
+    def zero_grads(self):
+        return {name: np.zeros_like(p) for name, p in self.params().items()}
+
+    def initial_state(self, batch=1):
+        return np.zeros((batch, self.hidden))
+
+    def forward(self, x, h):
+        """One step: returns (logits, new state, cache for ``backward``)."""
+        h, cache = self.cell.forward(x, h)
+        return h @ self.W_out + self.b_out, h, cache
+
+    def backward(self, steps, grads):
+        """BPTT over (h, dlogits, cache) steps of ``forward``, each step's
+        rows a prefix of the previous step's.  Adds into ``grads`` (keyed as
+        ``zero_grads``) and returns each step's input gradient."""
+        cell_grads = {name[len("cell."):]: g for name, g in grads.items()
+                      if name.startswith("cell.")}
+        dxs = [None] * len(steps)
+        dh_next = np.zeros((0, self.hidden))
+        for t in range(len(steps) - 1, -1, -1):
+            h, dlogits, cache = steps[t]
+            grads["W_out"] += h.T @ dlogits
+            grads["b_out"] += dlogits.sum(axis=0)
+            dh = dlogits @ self.W_out.T
+            dh[:len(dh_next)] += dh_next
+            dxs[t], dh_next = self.cell.backward(dh, cache, cell_grads)
+        return dxs
 
 
 class MomentumSGD:
@@ -118,6 +161,14 @@ class Adam:
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def draw(p, u):
+    """Inverse-CDF categorical draw: per row of ``p``, the first index whose
+    cumulative probability reaches ``u``, or the last index when rounding
+    leaves the total below ``u``.  ``u`` has one value per row."""
+    picks = (np.cumsum(p, axis=-1) < np.asarray(u)[..., None]).sum(axis=-1)
+    return np.minimum(picks, p.shape[-1] - 1)
 
 
 def softmax(logits, axis=-1):

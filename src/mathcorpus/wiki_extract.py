@@ -87,7 +87,9 @@ def stream_pages(source):
     elif isinstance(source, (bytearray,)):
         source = io.BytesIO(bytes(source))
     try:
-        context = ET.iterparse(source, events=("end",))
+        # finished pages stay children of the root unless the root is cleared
+        context = ET.iterparse(source, events=("start", "end"))
+        root = None
         while True:
             try:
                 event, elem = next(context)
@@ -98,7 +100,9 @@ def stream_pages(source):
                     raise TruncatedDump(f"dump truncated: {e}") from e
                 offset = getattr(e, "position", (None, None))
                 raise MalformedXml(str(e), offset=offset[1]) from e
-            if _localname(elem.tag) != "page":
+            if root is None:
+                root = elem
+            if event != "end" or _localname(elem.tag) != "page":
                 continue
             page_id, title, ns, text = None, "", 0, ""
             for child in elem:
@@ -115,7 +119,7 @@ def stream_pages(source):
                             text = sub.text or ""
             yield PageRecord(page_id=page_id or 0, title=title, namespace=ns,
                              text=text)
-            elem.clear()
+            root.clear()
     finally:
         if close:
             source.close()

@@ -254,3 +254,42 @@ class TestConfigFile:
         code = main(["mlm-train", "--corpus", str(corpus),
                      "--out", str(tmp_path / "m.mlm"), "--config", str(cfg)])
         assert code == 2
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        code = main(["report", "--out", str(tmp_path / "r.tsv"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_flag_equal_to_its_default_still_wins(self, tmp_path, capsys):
+        corpus = tmp_path / "c.corpus"
+        write_tiny_corpus(corpus)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 3, "hidden": 4, "emb": 4}))
+        code = main(["mlm-train", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "m.mlm"), "--config", str(cfg),
+                     "--epochs", "200"])
+        assert code == 0
+        assert capsys.readouterr().out.count("epoch=") == 201
+
+    def test_config_value_is_type_checked_like_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"runs": "2", "max_steps": 1,
+                                   "batch_size": 10, "no_mlm": True}))
+        out = tmp_path / "metrics.csv"
+        code = main(["sr", "--benchmark", "nguyen-1", "--config", str(cfg),
+                     "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 3  # header + 2 runs
+
+    def test_config_choice_is_a_usage_error(self, tmp_path, dump, capsys):
+        jsonl = tmp_path / "exprs.jsonl"
+        assert main(["extract", "--dump", str(dump), "--out", str(jsonl)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": "bogus"}))
+        code = main(["corpus", "--in", str(jsonl),
+                     "--out", str(tmp_path / "c.corpus"), "--config", str(cfg)])
+        assert code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -108,6 +108,23 @@ class TestStreamPages:
         small, large = peak(50), peak(2000)
         assert large < 2 * small + 1_000_000
 
+    def test_memory_ceiling_at_20k_pages(self):
+        # finished pages must not stay behind as children of the root
+        import tracemalloc
+
+        body = "lorem <math>x^2 + 1</math> " * 20
+        dump = io.BytesIO(b"<mediawiki>" + b"".join(
+            page_xml(i, f"P{i}", body).encode() for i in range(20_000))
+            + b"</mediawiki>")
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in stream_pages(dump))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 20_000
+        assert peak < 1_000_000
+
 
 class TestExtractMath:
     def test_fixture_yields_five_records_one_diagnostic(self):
