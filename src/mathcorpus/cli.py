@@ -14,7 +14,7 @@ import sys
 from . import corpus as corpus_mod
 from . import dsr, mlm, wiki_extract
 from .expr_core import default_library
-from .latex_parser import EmptyInput, LatexError, TotallyUnparseable, parse_latex
+from .latex_parser import LatexError, parse_latex
 
 
 class UsageError(Exception):
@@ -111,7 +111,7 @@ def cmd_corpus(args):
                 rec = json.loads(line)
                 try:
                     outcome = parse_latex(rec["latex"])
-                except (EmptyInput, TotallyUnparseable, LatexError):
+                except LatexError:
                     n_parse_failures += 1
                     continue
                 parsed.append((rec["page_id"], outcome))
@@ -177,6 +177,8 @@ def _load_spec(args):
         )
     except KeyError as e:
         raise UsageError(f"spec missing field {e}")
+    except dsr.DsrError as e:
+        raise UsageError(f"{args.spec}: {e}")
 
 
 def cmd_sr(args):

@@ -12,7 +12,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace as dc_replace
 
-from .expr_core import ExprTree, Traversal, VARIABLE, node, tree_to_traversal
+from .expr_core import (
+    ExprError,
+    ExprTree,
+    Traversal,
+    VARIABLE,
+    node,
+    tree_to_traversal,
+)
 from .latex_parser import is_unsupported_marker
 
 POLICIES = ("drop", "replace", "split", "replace_and_split")
@@ -159,7 +166,7 @@ def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
             return
         try:
             trav = tree_to_traversal(canon, lib)
-        except Exception:
+        except ExprError:  # a token outside the library
             stats.n_dropped += 1
             return
         key = trav.seq
@@ -179,21 +186,23 @@ def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
 
     for page_id, outcome in parsed:
         for tree in outcome.trees:
-            if not has_markers(tree):
-                admit(tree, page_id, "none")
-                continue
-            if policy == "drop":
+            try:
+                if not has_markers(tree):
+                    admit(tree, page_id, "none")
+                elif policy == "drop":
+                    stats.n_dropped += 1
+                elif policy == "replace":
+                    admit(augment_replace(tree, placeholder), page_id, "replaced")
+                elif policy == "split":
+                    for frag in split_fragments(tree):
+                        admit(frag, page_id, "split")
+                else:  # replace_and_split
+                    pieces = augment_split(tree, placeholder)
+                    admit(pieces[0], page_id, "replaced")
+                    for frag in pieces[1:]:
+                        admit(frag, page_id, "split")
+            except RecursionError:  # too deep for the recursive rewrites
                 stats.n_dropped += 1
-            elif policy == "replace":
-                admit(augment_replace(tree, placeholder), page_id, "replaced")
-            elif policy == "split":
-                for frag in split_fragments(tree):
-                    admit(frag, page_id, "split")
-            else:  # replace_and_split
-                pieces = augment_split(tree, placeholder)
-                admit(pieces[0], page_id, "replaced")
-                for frag in pieces[1:]:
-                    admit(frag, page_id, "split")
 
     stats.n_samples = len(samples)
     stats.n_pages = len(pages)

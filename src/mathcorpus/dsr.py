@@ -17,12 +17,14 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .expr_core import (
+    CONSTANT,
     OPS,
     ExprTree,
     Library,
     Token,
     Traversal,
     VARIABLE,
+    constant_value,
     evaluate_batch,
     evaluate_prefix,
     render_infix,
@@ -301,17 +303,16 @@ def reward(expr, X, y):
     """1 / (1 + NRMSE); 0 for expressions that evaluate Invalid anywhere.
 
     ``expr`` is an ExprTree or a pre-order list of Tokens.  Returns
-    (reward, invalid flag).  X maps variable name -> sample array.
+    (reward, invalid flag).  X maps variable name -> sample array.  An
+    expression that cannot be evaluated at all, such as one with a variable
+    X does not bind, raises its ExprError.
     """
     y = np.asarray(y, dtype=float)
     sd = float(np.std(y))
     if sd == 0.0:
         raise DegenerateTarget("target values are constant")
     evaluate = evaluate_batch if isinstance(expr, ExprTree) else evaluate_prefix
-    try:
-        yhat, ok = evaluate(expr, X)
-    except Exception:
-        return 0.0, True
+    yhat, ok = evaluate(expr, X)
     if not ok:
         return 0.0, True
     with np.errstate(over="ignore"):
@@ -428,6 +429,13 @@ class BenchmarkSpec:
     ranges: dict = field(default_factory=dict)  # var -> (lo, hi)
     library_tokens: list = field(default_factory=list)
 
+    def __post_init__(self):
+        for name in self.library_tokens:
+            if not (name in OPS or name in self.variables
+                    or constant_value(Token(name, 0, CONSTANT)) is not None):
+                raise DsrError(f"library token {name!r} is not an operator, "
+                               f"a declared variable or a numeric constant")
+
     def library(self):
         toks = []
         for name in self.library_tokens:
@@ -436,7 +444,7 @@ class BenchmarkSpec:
             elif name in self.variables:
                 toks.append(Token(name, 0, VARIABLE))
             else:
-                toks.append(Token(name, 0, "constant"))
+                toks.append(Token(name, 0, CONSTANT))
         return Library(toks, name=f"bench:{self.name}")
 
     def target_tree(self, lib):

@@ -10,7 +10,7 @@ replace and split augmentations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .expr_core import (
     CONSTANT,
@@ -51,6 +51,24 @@ _LEX_DROP = {"left", "right", "displaystyle", "limits", "nolimits", "quad",
              "qquad", "big", "Big", "bigg", "Bigg", "bigl", "bigr", "Bigl",
              "Bigr"}
 
+# Lexeme kind of each one-character token.
+_CHAR_KINDS = {"^": "superscript", "_": "subscript", "(": "lparen",
+               ")": "rparen", "[": "lbracket", "]": "rbracket",
+               **dict.fromkeys("=<>", "relation"), **dict.fromkeys("+-*/", "op")}
+
+# (kind, value) of the commands the lexer rewrites; None drops the command.
+_COMMAND_LEXEMES = {**{name: ("relation", name) for name in _RELATIONS},
+                    "cdot": ("op", "*"), "times": ("op", "*"),
+                    **dict.fromkeys(_LEX_DROP)}
+
+# Escaped spacing forms (\, \; \! \: and "\ "), dropped by the lexer.
+_SPACE_ESCAPES = set(",;!: ")
+
+# Unsupported constructs that keep an operand as the marker's child.
+_INTEGRALS = ("int", "iint", "iiint", "oint")
+_BIG_OPERATORS = ("sum", "prod", "lim", "max", "min")
+_ACCENTS = ("vec", "hat", "bar", "dot", "ddot", "tilde", "binom")
+
 
 class LatexError(Exception):
     def __init__(self, message, offset=None):
@@ -85,9 +103,9 @@ class Lexeme:
 @dataclass
 class LatexTokenStream:
     lexemes: list
-    errors: list = field(default_factory=list)
 
 
+_COMMAND_RE = re.compile(r"\\([a-zA-Z]+)")
 _NUMBER_RE = re.compile(r"\d+(\.\d+)?")
 
 
@@ -98,77 +116,37 @@ def lex(text):
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "{":
-            grp = Lexeme("group", [], i)
-            out.append(grp)
+        end = i + 1
+        if kind := _CHAR_KINDS.get(ch):
+            out.append(Lexeme(kind, ch, i))
+        elif ch.isspace():
+            pass
+        elif ch == "{":
             stack.append(out)
-            out = grp.value
-            i += 1
+            out.append(Lexeme("group", [], i))
+            out = out[-1].value
         elif ch == "}":
             if not stack:
                 raise UnbalancedBraces("unmatched '}'", i)
             out = stack.pop()
-            i += 1
         elif ch == "\\":
-            m = re.match(r"\\([a-zA-Z]+)", text[i:])
-            if m:
-                name = m.group(1)
-                if name in _LEX_DROP:
-                    pass
-                elif name in _RELATIONS:
-                    out.append(Lexeme("relation", name, i))
-                elif name in ("cdot", "times"):
-                    out.append(Lexeme("op", "*", i))
-                else:
-                    out.append(Lexeme("command", name, i))
-                i += m.end()
-            else:
-                # escaped single char, e.g. \{ \% \\; spacing forms dropped
-                if i + 1 < n:
-                    if text[i + 1] not in ",;!: ":
-                        out.append(Lexeme("other", text[i:i + 2], i))
-                    i += 2
-                else:
-                    out.append(Lexeme("other", "\\", i))
-                    i += 1
-        elif ch == "^":
-            out.append(Lexeme("superscript", "^", i))
-            i += 1
-        elif ch == "_":
-            out.append(Lexeme("subscript", "_", i))
-            i += 1
-        elif ch in "=<>":
-            out.append(Lexeme("relation", ch, i))
-            i += 1
-        elif ch in "+-*/":
-            out.append(Lexeme("op", ch, i))
-            i += 1
-        elif ch == "(":
-            out.append(Lexeme("lparen", ch, i))
-            i += 1
-        elif ch == ")":
-            out.append(Lexeme("rparen", ch, i))
-            i += 1
-        elif ch == "[":
-            out.append(Lexeme("lbracket", ch, i))
-            i += 1
-        elif ch == "]":
-            out.append(Lexeme("rbracket", ch, i))
-            i += 1
-        elif (m := _NUMBER_RE.match(text, i)) is not None:
-            out.append(Lexeme("number", m.group(0), i))
-            i = m.end()
-        elif ch.isalpha():
-            out.append(Lexeme("symbol", ch, i))
-            i += 1
+            if m := _COMMAND_RE.match(text, i):
+                lexeme = _COMMAND_LEXEMES.get(m[1], ("command", m[1]))
+                end = m.end()
+            else:  # an escaped character such as \{ or \%, or a lone "\"
+                end = i + 2
+                lexeme = (None if text[i + 1:end] in _SPACE_ESCAPES
+                          else ("other", text[i:end]))
+            if lexeme:
+                out.append(Lexeme(*lexeme, i))
+        elif m := _NUMBER_RE.match(text, i):
+            out.append(Lexeme("number", m[0], i))
+            end = m.end()
         else:
-            out.append(Lexeme("other", ch, i))
-            i += 1
+            out.append(Lexeme("symbol" if ch.isalpha() else "other", ch, i))
+        i = end
     if stack:
-        raise UnbalancedBraces("unclosed '{'", lexemes[-1].offset if lexemes else 0)
+        raise UnbalancedBraces("unclosed '{'", lexemes[-1].offset)
     return LatexTokenStream(lexemes)
 
 
@@ -204,188 +182,158 @@ def constant_token(text):
     return Token(text, 0, CONSTANT)
 
 
+def _text(lexemes):
+    return "".join(str(lx.value) for lx in lexemes)
+
+
+# Ends every segment, so the parser always has a lexeme to look at; its
+# offset is None, like that of the errors raised at the end of input.
+_EOF = Lexeme("eof", None, None)
+
+
 class _SegmentParser:
     """Recursive-descent parser over one relation-free lexeme segment."""
 
     def __init__(self, lexemes, unsupported):
-        self.lx = lexemes
+        self.lx = [*lexemes, _EOF]
         self.pos = 0
         self.unsupported = unsupported
 
     def peek(self):
-        return self.lx[self.pos] if self.pos < len(self.lx) else None
+        return self.lx[self.pos]
 
     def advance(self):
+        """The next lexeme, consumed unless it is the end sentinel."""
         lx = self.lx[self.pos]
-        self.pos += 1
+        if lx is not _EOF:
+            self.pos += 1
         return lx
 
-    def at_end(self):
-        return self.pos >= len(self.lx)
+    def _accept(self, *kinds):
+        """Consume and return the next lexeme if it is of one of ``kinds``."""
+        lx = self.lx[self.pos]
+        if lx.kind in kinds:
+            self.pos += 1
+            return lx
+        return None
 
     def parse(self):
         tree = self.expr()
         # trailing junk (unlexable leftovers) is tolerated but flagged
-        while not self.at_end():
-            lx = self.advance()
+        while (lx := self.advance()) is not _EOF:
             self.unsupported.append((f"trailing:{lx.kind}", lx.offset))
         return tree
 
     def expr(self, stop=()):
         left = self.term(stop)
-        while True:
-            lx = self.peek()
-            if lx is None or lx.kind != "op" or lx.value not in "+-":
-                break
+        while (lx := self.peek()).kind == "op" and lx.value in "+-":
             self.advance()
-            right = self.term(stop)
-            left = node(T_ADD if lx.value == "+" else T_SUB, left, right)
+            left = node(T_ADD if lx.value == "+" else T_SUB, left, self.term(stop))
         return left
 
     def _starts_atom(self, lx):
-        if lx is None:
-            return False
-        if lx.kind in ("number", "symbol", "group", "lparen"):
-            return True
         if lx.kind == "command":
             return lx.value not in _SPACING
-        return False
+        return lx.kind in ("number", "symbol", "group", "lparen")
 
-    def term(self, stop=()):
+    def term(self, stop):
         left = self.unary(stop)
         while True:
             lx = self.peek()
-            if lx is None:
-                break
             if lx.kind == "op" and lx.value in "*/":
                 self.advance()
-                right = self.unary(stop)
-                left = node(T_MUL if lx.value == "*" else T_DIV, left, right)
+                left = node(T_MUL if lx.value == "*" else T_DIV, left, self.unary(stop))
             elif self._starts_atom(lx) and not self._at_stop(stop):
-                right = self.unary(stop)
-                left = node(T_MUL, left, right)
+                left = node(T_MUL, left, self.unary(stop))
             else:
-                break
-        return left
+                return left
 
     def _at_stop(self, stop):
-        lx = self.peek()
-        if lx is None:
-            return True
-        for s in stop:
-            if lx.kind == s:
-                return True
-        # differential "dx" terminates integrand collection
-        if "differential" in stop and lx.kind == "symbol" and lx.value == "d":
-            nxt = self.lx[self.pos + 1] if self.pos + 1 < len(self.lx) else None
-            if nxt is not None and nxt.kind == "symbol":
-                return True
-        return False
+        # a differential "dx" terminates integrand collection
+        return self.peek().kind in stop or ("differential" in stop
+                                            and self._at_differential())
 
-    def unary(self, stop=()):
+    def _at_differential(self):
+        """At the letter d followed by another letter."""
+        lx = self.peek()
+        return (lx.kind == "symbol" and lx.value == "d"
+                and self.lx[self.pos + 1].kind == "symbol")
+
+    def unary(self, stop):
         signs = 0
-        while True:
-            lx = self.peek()
-            if lx is not None and lx.kind == "op" and lx.value in "+-":
-                if lx.value == "-":
-                    signs += 1
-                self.advance()
-            else:
-                break
+        while (lx := self.peek()).kind == "op" and lx.value in "+-":
+            self.advance()
+            signs += lx.value == "-"
         tree = self.power(stop)
         for _ in range(signs):
             tree = node(T_NEG, tree)
         return tree
 
-    def power(self, stop=()):
+    def power(self, stop):
         base = self.atom(stop)
-        lx = self.peek()
-        if lx is not None and lx.kind == "superscript":
-            self.advance()
-            expo = self.exponent(stop)
-            if base.root.kind == VARIABLE and base.root.name == "e":
-                return node(_FUNCTIONS["exp"], expo)
-            return node(T_POW, base, expo)
-        return base
+        if not self._accept("superscript"):
+            return base
+        expo = self.exponent(stop)
+        if base.root.kind == VARIABLE and base.root.name == "e":
+            return node(_FUNCTIONS["exp"], expo)
+        return node(T_POW, base, expo)
 
-    def exponent(self, stop=()):
-        lx = self.peek()
-        if lx is None:
-            raise LatexError("dangling '^'")
-        if lx.kind == "group":
-            self.advance()
-            return _SegmentParser(lx.value, self.unsupported).parse()
-        # single-lexeme exponent, itself possibly powered (x^2^3 is rare)
-        return self.power(stop) if lx.kind not in ("number", "symbol") else self._single_atom()
+    def exponent(self, stop):
+        # one lexeme or brace group; anything else, itself possibly powered
+        # (x^2^3 is rare)
+        if lx := self._accept("number", "symbol", "group"):
+            return self._operand(lx)
+        return self.power(stop)
 
-    def _single_atom(self):
-        lx = self.advance()
+    def _operand(self, lx):
+        """The tree of a consumed number, bare letter or brace group."""
         if lx.kind == "number":
-            return node(constant_token(lx.value))
-        return node(variable_token(lx.value))
-
-    def atom(self, stop=()):
-        lx = self.peek()
-        if lx is None:
-            raise LatexError("expected an operand")
-        if lx.kind == "number":
-            self.advance()
             return node(constant_token(lx.value))
         if lx.kind == "symbol":
-            self.advance()
-            return self._decorated_variable(lx.value)
-        if lx.kind == "group":
-            self.advance()
-            return _SegmentParser(lx.value, self.unsupported).parse()
-        if lx.kind == "lparen":
-            self.advance()
-            inner = self.expr(stop=("rparen",))
-            if self.peek() is not None and self.peek().kind == "rparen":
-                self.advance()
-            return inner
-        if lx.kind == "command":
-            return self.command_atom(stop)
-        raise LatexError(f"unexpected {lx.kind}", lx.offset)
+            return node(variable_token(lx.value))
+        return _SegmentParser(lx.value, self.unsupported).parse()
 
-    def _decorated_variable(self, base_name):
-        name = base_name
+    def _bracketed(self, close):
+        inner = self.expr(stop=(close,))
+        self._accept(close)
+        return inner
+
+    def atom(self, stop):
         lx = self.peek()
-        if lx is not None and lx.kind == "subscript":
-            self.advance()
-            sub = self.peek()
-            if sub is None:
+        if lx.kind not in ("number", "symbol", "group", "lparen", "command"):
+            raise LatexError(f"unexpected {lx.kind}", lx.offset)
+        self.advance()
+        if lx.kind == "symbol":
+            return self._decorated_variable(lx.value)
+        if lx.kind == "lparen":
+            return self._bracketed("rparen")
+        if lx.kind == "command":
+            return self.command_atom(lx, stop)
+        return self._operand(lx)
+
+    def _decorated_variable(self, name):
+        if self._accept("subscript"):
+            sub = self.advance()
+            if sub is _EOF:
                 raise LatexError("dangling '_'")
-            self.advance()
-            if sub.kind == "group":
-                text = "".join(str(l.value) for l in sub.value)
-            else:
-                text = str(sub.value)
-            name = f"{name}_{text}"
+            name += "_" + (_text(sub.value) if sub.kind == "group" else str(sub.value))
         return node(variable_token(name))
 
-    def command_atom(self, stop=()):
-        lx = self.advance()
+    def command_atom(self, lx, stop):
         name = lx.value
         if name in _SPACING:
-            grp = self.peek()
-            if grp is not None and grp.kind == "group":
-                self.advance()
-                text = "".join(str(l.value) for l in grp.value)
-                if text in _FUNCTIONS:
-                    return self._apply_function(_FUNCTIONS[text], stop)
-                return node(variable_token(text or "empty"))
-            return self.atom(stop)
+            grp = self._accept("group")
+            if grp is None:
+                return self.atom(stop)
+            text = _text(grp.value)
+            if text in _FUNCTIONS:
+                return self._apply_function(_FUNCTIONS[text], stop)
+            return node(variable_token(text or "empty"))
         if name == "frac":
-            num = self._required_group("frac")
-            den = self._required_group("frac")
-            return node(T_DIV, num, den)
+            return node(T_DIV, self._required_group("frac"),
+                        self._required_group("frac"))
         if name == "sqrt":
-            idx = None
-            if self.peek() is not None and self.peek().kind == "lbracket":
-                self.advance()
-                idx = self.expr(stop=("rbracket",))
-                if self.peek() is not None and self.peek().kind == "rbracket":
-                    self.advance()
+            idx = self._bracketed("rbracket") if self._accept("lbracket") else None
             arg = self._required_group("sqrt")
             if idx is None:
                 return node(T_SQRT, arg)
@@ -395,148 +343,88 @@ class _SegmentParser:
         if name in _GREEK:
             return self._decorated_variable(name)
         if name == "pi":
-            return node(Token("pi", 0, CONSTANT))
+            return node(constant_token("pi"))
         # any other command is outside the grammar: keep it as a marker
         return self._unsupported_atom(name, lx.offset, stop)
 
     def _required_group(self, ctx):
-        lx = self.peek()
-        if lx is None:
-            raise LatexError(f"\\{ctx} missing argument")
-        self.advance()
-        if lx.kind == "group":
-            return _SegmentParser(lx.value, self.unsupported).parse()
-        if lx.kind == "number":
-            return node(constant_token(lx.value))
-        if lx.kind == "symbol":
-            return node(variable_token(lx.value))
-        raise LatexError(f"\\{ctx} argument must be a group", lx.offset)
+        lx = self.advance()
+        if lx.kind in ("number", "symbol", "group"):
+            return self._operand(lx)
+        raise LatexError(f"\\{ctx} needs a group, a number or a letter", lx.offset)
 
     def _apply_function(self, tok, stop):
         # optional base/exponent decoration on the function name itself:
         # \log_2 keeps log (base dropped), \sin^2 x becomes pow(sin(x), 2)
         power_expo = None
-        while True:
-            lx = self.peek()
-            if lx is not None and lx.kind == "subscript":
-                self.advance()
-                if self.peek() is not None:
-                    self.advance()  # base ignored
-            elif lx is not None and lx.kind == "superscript":
-                self.advance()
-                power_expo = self.exponent(stop)
+        while lx := self._accept("subscript", "superscript"):
+            if lx.kind == "subscript":
+                self.advance()  # base ignored
             else:
-                break
-        lx = self.peek()
-        if lx is None:
-            raise LatexError(f"{tok.name} missing argument")
-        if lx.kind == "lparen":
-            self.advance()
-            arg = self.expr(stop=("rparen",))
-            if self.peek() is not None and self.peek().kind == "rparen":
-                self.advance()
-        elif lx.kind == "group":
-            self.advance()
-            arg = _SegmentParser(lx.value, self.unsupported).parse()
+                power_expo = self.exponent(stop)
+        if self.peek().kind in ("lparen", "group"):
+            out = node(tok, self.atom(stop))
         else:
-            arg = self.power(stop)
-        out = node(tok, arg)
-        if power_expo is not None:
-            out = node(T_POW, out, power_expo)
-        return out
+            out = node(tok, self.power(stop))
+        return out if power_expo is None else node(T_POW, out, power_expo)
 
     def _unsupported_atom(self, name, offset, stop):
         self.unsupported.append((name, offset))
         if name == "begin":
-            # swallow the whole environment
+            # swallow the whole environment, up to its \end{name}
             depth = 1
-            if self.peek() is not None and self.peek().kind == "group":
-                self.advance()
-            while not self.at_end() and depth > 0:
-                lx = self.advance()
-                if lx.kind == "command" and lx.value == "begin":
-                    depth += 1
-                elif lx.kind == "command" and lx.value == "end":
-                    depth -= 1
-                    if self.peek() is not None and self.peek().kind == "group":
-                        self.advance()
+            while depth and (lx := self.advance()) is not _EOF:
+                if lx.kind == "command" and lx.value in ("begin", "end"):
+                    depth += 1 if lx.value == "begin" else -1
+            self._accept("group")
             return unsupported_marker(name, [])
-        if name in ("int", "iint", "iiint", "oint"):
-            self._skip_bounds()
-            inner = self._collect_integrand()
-            self._skip_differential()
-            return unsupported_marker(name, [] if inner is None else [inner])
-        if name in ("sum", "prod", "lim", "max", "min"):
-            self._skip_bounds()
-            if self._starts_atom(self.peek()) and not self._at_stop(stop):
+        children = []
+        if name in _INTEGRALS or name in _BIG_OPERATORS:
+            while self._accept("subscript", "superscript"):
+                self.advance()  # bounds dropped
+            integral = name in _INTEGRALS
+            body = self._optional_term(("differential",) if integral else stop)
+            if integral and self._at_differential():
+                self.pos += 2
+            children = [] if body is None else [body]
+        elif name in _ACCENTS:
+            while grp := self._accept("group"):
                 try:
-                    body = self.term(stop)
-                except LatexError:
-                    body = None
-            else:
-                body = None
-            return unsupported_marker(name, [] if body is None else [body])
-        if name in ("vec", "hat", "bar", "dot", "ddot", "tilde", "binom"):
-            children = []
-            while self.peek() is not None and self.peek().kind == "group":
-                grp = self.advance()
-                try:
-                    children.append(_SegmentParser(grp.value, self.unsupported).parse())
+                    children.append(self._operand(grp))
                 except LatexError:
                     pass
                 if name != "binom" or len(children) == 2:
                     break
-            return unsupported_marker(name, children)
-        # bare unsupported symbol (\partial, \infty, \nabla, ...)
-        return unsupported_marker(name, [])
+        # otherwise a bare unsupported symbol (\partial, \infty, \nabla, ...)
+        return unsupported_marker(name, children)
 
-    def _skip_bounds(self):
-        while True:
-            lx = self.peek()
-            if lx is not None and lx.kind in ("subscript", "superscript"):
-                self.advance()
-                if self.peek() is not None:
-                    self.advance()
-            else:
-                break
-
-    def _collect_integrand(self):
-        if not self._starts_atom(self.peek()) or self._at_stop(("differential",)):
+    def _optional_term(self, stop):
+        if not self._starts_atom(self.peek()) or self._at_stop(stop):
             return None
         try:
-            return self.term(stop=("differential",))
+            return self.term(stop)
         except LatexError:
             return None
 
-    def _skip_differential(self):
-        lx = self.peek()
-        if lx is not None and lx.kind == "symbol" and lx.value == "d":
-            nxt = self.lx[self.pos + 1] if self.pos + 1 < len(self.lx) else None
-            if nxt is not None and nxt.kind == "symbol":
-                self.advance()
-                self.advance()
-
 
 def _split_on_relations(lexemes):
-    segments, current = [], []
-    count = 0
+    segments = [[]]
     for lx in lexemes:
         if lx.kind == "relation":
-            segments.append(current)
-            current = []
-            count += 1
+            segments.append([])
         else:
-            current.append(lx)
-    segments.append(current)
-    return segments, count
+            segments[-1].append(lx)
+    return segments, len(segments) - 1
 
 
 def parse_latex(text, lib=None):
-    """Parse LaTeX math into one normalized tree per relation-free segment."""
+    """Parse LaTeX math into one normalized tree per relation-free segment.
+
+    A segment that fails to parse, or is nested too deeply to parse or to
+    normalize, is skipped; only when every segment fails is it an error."""
     if not text or not text.strip():
         raise EmptyInput("empty input")
-    stream = lex(text)
-    segments, nrel = _split_on_relations(stream.lexemes)
+    segments, nrel = _split_on_relations(lex(text).lexemes)
     trees, unsupported = [], []
     first_failure = None
     for seg in segments:
@@ -544,16 +432,13 @@ def parse_latex(text, lib=None):
             continue
         seg_unsup = []
         try:
-            tree = _SegmentParser(seg, seg_unsup).parse()
-        except LatexError as e:
+            tree = normalize(_SegmentParser(seg, seg_unsup).parse())
+        except (LatexError, RecursionError) as e:
+            offset = getattr(e, "offset", None)  # a RecursionError has none
             if first_failure is None:
-                first_failure = e.offset if e.offset is not None else seg[0].offset
+                first_failure = seg[0].offset if offset is None else offset
             continue
-        except RecursionError:
-            if first_failure is None:
-                first_failure = seg[0].offset
-            continue
-        trees.append(normalize(tree))
+        trees.append(tree)
         unsupported.extend(seg_unsup)
     if not trees:
         raise TotallyUnparseable("no parseable segment", first_failure or 0)
@@ -566,43 +451,34 @@ def _is_const(tree, value):
     return v is not None and v == value and not tree.children
 
 
-def _normalize_once(tree):
-    children = [_normalize_once(c) for c in tree.children]
-    t = ExprTree(tree.root, children)
-    name = t.root.name
+# The unit of each operator whose chains are left-folded.
+_UNITS = {"add": 0.0, "mul": 1.0}
+
+
+def _fold(root, children):
+    """The normal form of ``root(*children)`` when every child is already
+    in normal form."""
+    name = root.name
     if name == "neg" and children[0].root.name == "neg":
         return children[0].children[0]
-    if name == "add":
-        a, b = children
-        if _is_const(a, 0.0):
-            return b
-        if _is_const(b, 0.0):
-            return a
-        if b.root.name == "add":  # left-fold chains
-            ba, bb = b.children
-            return ExprTree(t.root, [ExprTree(t.root, [a, ba]), bb])
     if name == "sub" and _is_const(children[1], 0.0):
         return children[0]
-    if name == "mul":
+    if name in _UNITS:
         a, b = children
-        if _is_const(a, 1.0):
+        if _is_const(a, _UNITS[name]):
             return b
-        if _is_const(b, 1.0):
+        if _is_const(b, _UNITS[name]):
             return a
-        if b.root.name == "mul":
-            ba, bb = b.children
-            return ExprTree(t.root, [ExprTree(t.root, [a, ba]), bb])
-    return t
+        if b.root.name == name:  # a + (c + d) -> (a + c) + d
+            c, d = b.children
+            return _fold(root, [_fold(root, [a, c]), d])
+    return ExprTree(root, children)
 
 
 def normalize(tree):
-    """Idempotent cleanup: double negation, +0 / *1 folding, left-folded chains."""
-    for _ in range(tree.size() + 1):
-        new = _normalize_once(tree)
-        if new == tree:
-            return new
-        tree = new
-    return tree
+    """Cleanup in one bottom-up pass: double negation, +0 / -0 / *1 folding
+    and left-folded + and * chains.  Idempotent."""
+    return _fold(tree.root, [normalize(c) for c in tree.children])
 
 
 # ---------------------------------------------------------------------------

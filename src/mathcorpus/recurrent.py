@@ -165,10 +165,13 @@ class Adam:
 
 def draw(p, u):
     """Inverse-CDF categorical draw: per row of ``p``, the first index whose
-    cumulative probability reaches ``u``, or the last index when rounding
-    leaves the total below ``u``.  ``u`` has one value per row."""
-    picks = (np.cumsum(p, axis=-1) < np.asarray(u)[..., None]).sum(axis=-1)
-    return np.minimum(picks, p.shape[-1] - 1)
+    cumulative probability reaches ``u``.  ``u`` has one value per row and
+    is clamped into (0, total], so a zero-probability column is never
+    drawn, not at ``u == 0`` and not when rounding leaves the total below
+    ``u``."""
+    cum = np.cumsum(p, axis=-1)
+    u = np.clip(u, np.nextafter(0.0, 1.0), cum[..., -1])
+    return (cum < u[..., None]).sum(axis=-1)
 
 
 def softmax(logits, axis=-1):

@@ -88,6 +88,23 @@ class TestCorpus:
                      "--out", str(tmp_path / "c.corpus")])
         assert code == 2
 
+    def test_too_deep_to_normalize_is_dropped(self, tmp_path, capsys):
+        # sums of 600 and 5,000 terms nest too deeply to normalize; they
+        # count as parse failures instead of ending the stage
+        latex = ["x^2+1"] + ["+".join(["x"] * n) for n in (300, 600, 5000)]
+        jsonl = tmp_path / "deep.jsonl"
+        jsonl.write_text("".join(
+            json.dumps({"page_id": i, "page_title": "P", "offset": 0,
+                        "latex": text}) + "\n"
+            for i, text in enumerate(latex, 1)))
+        out = tmp_path / "deep.corpus"
+        assert main(["corpus", "--in", str(jsonl), "--out", str(out)]) == 0
+        rows = [row.split("\t") for row in out.read_text().splitlines()[1:]]
+        assert [(page, len(seq.split())) for page, _, seq in rows] == [
+            ("1", 5), ("2", 599)]
+        stats = json.loads((tmp_path / "deep.corpus.stats.json").read_text())
+        assert stats["n_dropped"] == 2
+
 
 def write_tiny_corpus(path, lines=("1\tnone\tadd x1 1", "2\tnone\tsin x1")):
     path.write_text("#mathcorpus v1 vocab=std2\n"
@@ -187,6 +204,18 @@ class TestSr:
                      "--max-steps", "2", "--batch-size", "30"])
         assert code == 0
         assert "lin" in capsys.readouterr().out
+
+    def test_spec_library_token_must_have_a_meaning(self, tmp_path, capsys):
+        # "z" is neither a declared variable nor a number
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "lin", "expression": "x + x", "variables": ["x"],
+            "library": ["add", "mul", "x", "1", "z"],
+        }))
+        code = main(["sr", "--spec", str(spec), "--runs", "1", "--no-mlm",
+                     "--max-steps", "2", "--batch-size", "30"])
+        assert code == 2
+        assert "'z'" in capsys.readouterr().err
 
 
 class TestReport:

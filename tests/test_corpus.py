@@ -224,6 +224,20 @@ class TestBuildCorpus:
         with pytest.raises(ValueError):
             build_corpus([], lib, policy="maybe")
 
+    @pytest.mark.parametrize("policy", ["drop", "replace_and_split"])
+    def test_too_deep_tree_dropped_not_raised(self, lib, policy):
+        deep = node(lib.get("x1"))
+        for _ in range(5000):
+            deep = node(lib.get("add"), deep, node(lib.get("1")))
+        marked = node(lib.get("add"), deep, unsupported_marker("int", []))
+        trees = [deep, marked, parse_latex("x + 1").trees[0]]
+        parsed = [(1, ParseOutcome(trees=trees, unsupported=[],
+                                   relation_split_count=0))]
+        samples, stats = build_corpus(parsed, lib, policy=policy)
+        assert [s.traversal.token_names(lib) for s in samples] == [
+            ["add", "x1", "1"]]
+        assert stats.n_dropped == 2
+
 
 class TestCorpusFile:
     def _random_samples(self, lib, rng, n):

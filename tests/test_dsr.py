@@ -29,6 +29,7 @@ from mathcorpus.expr_core import (
     OPERATOR,
     Token,
     Traversal,
+    UnboundVariable,
     VARIABLE,
     default_library,
     is_complete,
@@ -376,6 +377,14 @@ class TestReward:
         tree = parse_plain("x1", slib)
         with pytest.raises(DegenerateTarget):
             reward(tree, {"x1": np.ones(5)}, np.ones(5))
+
+    def test_unbound_variable_raises(self):
+        # an evaluation error is a failure, not an invalid expression
+        tokens = [OPS["add"].token, Token("x1", 0, VARIABLE),
+                  Token("x2", 0, VARIABLE)]
+        X = {"x1": np.linspace(-1, 1, 20)}
+        with pytest.raises(UnboundVariable):
+            reward(tokens, X, X["x1"])
 
 
 class TestTrainStep:

@@ -31,3 +31,40 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def broad_handlers(source):
+    """Enclosing function names (None at module level) of the except
+    clauses that catch everything: bare, Exception or BaseException."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type
+                types = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+                if any(t is None or isinstance(t, ast.Name)
+                       and t.id in ("Exception", "BaseException")
+                       for t in types):
+                    found.append(func)
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_func else func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_checker_flags_a_broad_except():
+    source = ("def f():\n    try: pass\n    except: pass\n"
+              "def g():\n    try: pass\n    except ValueError: pass\n"
+              "    def h():\n        try: pass\n"
+              "        except (KeyError, BaseException): pass\n"
+              "try: pass\nexcept Exception as e: pass\n")
+    assert broad_handlers(source) == ["f", "h", None]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_failures_are_typed(path):
+    # the one catch-all is main's internal-error contract: exit code 1
+    allowed = ["main"] if path.name == "cli.py" else []
+    assert broad_handlers(path.read_text(encoding="utf-8")) == allowed

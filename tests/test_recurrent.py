@@ -18,8 +18,16 @@ def test_draw_matches_searchsorted_row_by_row():
     for u in us:
         picks = draw(p, u)
         for b in range(B):
-            want = min(int(np.searchsorted(cum[b], u[b])), V - 1)
-            assert picks[b] == want
-            assert draw(p[b], u[b]) == want
+            assert draw(p[b], u[b]) == picks[b]
+            assert p[b, picks[b]] > 0.0  # a zero column is never drawn
             if 0.0 < u[b] <= cum[b, -1]:
-                assert p[b, picks[b]] > 0.0  # a zero column is never drawn
+                assert picks[b] == int(np.searchsorted(cum[b], u[b]))
+
+
+def test_draw_skips_zero_columns_at_the_ends():
+    p = np.array([0.0, 0.5, 0.5, 0.0])
+    assert draw(p, 0.0) == 1
+    assert draw(p, 1.0) == 2
+    assert draw(p, 2.0) == 2
+    rows = np.array([p, [0.0, 0.0, 1.0, 0.0]])
+    assert list(draw(rows, np.zeros(2))) == [1, 2]
