@@ -66,8 +66,6 @@ def cmd_extract(args):
             if page.namespace != wiki_extract.NS_MAIN:
                 continue
             expressions.extend(wiki_extract.extract_math(page, tally))
-    except FileNotFoundError as e:
-        raise UsageError(f"cannot read dump: {e.filename}")
     except wiki_extract.WikiError as e:
         raise UsageError(f"malformed dump: {e}")
 
@@ -81,8 +79,6 @@ def cmd_extract(args):
                      for p in wiki_extract.parse_sql_dump(args.sql_page, "page")}
             tree = wiki_extract.build_category_tree(args.category, links, pages,
                                                     args.depth)
-        except FileNotFoundError as e:
-            raise UsageError(f"cannot read SQL dump: {e.filename}")
         except wiki_extract.WikiError as e:
             raise UsageError(str(e))
         expressions = wiki_extract.filter_pages_by_category(tree, expressions)
@@ -103,20 +99,17 @@ def cmd_corpus(args):
     lib = _library_by_name(args.library)
     parsed = []
     n_parse_failures = 0
-    try:
-        with open(args.infile, encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                try:
-                    outcome = parse_latex(rec["latex"])
-                except LatexError:
-                    n_parse_failures += 1
-                    continue
-                parsed.append((rec["page_id"], outcome))
-    except FileNotFoundError as e:
-        raise UsageError(f"cannot read input: {e.filename}")
+    with open(args.infile, encoding="utf-8") as f:
+        for line in f:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            try:
+                outcome = parse_latex(rec["latex"])
+            except LatexError:
+                n_parse_failures += 1
+                continue
+            parsed.append((rec["page_id"], outcome))
 
     try:
         samples, stats = corpus_mod.build_corpus(
@@ -137,8 +130,6 @@ def cmd_mlm_train(args):
     lib = _library_by_name(args.library)
     try:
         samples = corpus_mod.read_corpus(args.corpus, lib)
-    except FileNotFoundError as e:
-        raise UsageError(f"cannot read corpus: {e.filename}")
     except corpus_mod.CorpusError as e:
         raise UsageError(str(e))
     if not samples:
@@ -162,11 +153,8 @@ def _load_spec(args):
         return specs[args.benchmark]
     if not args.spec:
         raise UsageError("need --benchmark or --spec")
-    try:
-        with open(args.spec) as f:
-            raw = json.load(f)
-    except FileNotFoundError as e:
-        raise UsageError(f"cannot read spec: {e.filename}")
+    with open(args.spec) as f:
+        raw = json.load(f)
     try:
         return dsr.BenchmarkSpec(
             name=raw["name"], expression=raw["expression"],
@@ -190,8 +178,6 @@ def cmd_sr(args):
     if args.with_mlm:
         try:
             model = mlm.load(args.with_mlm, lib)
-        except FileNotFoundError as e:
-            raise UsageError(f"cannot read MLM weights: {e.filename}")
         except mlm.MLMError as e:
             raise UsageError(str(e))
     lambdas = ([round(0.1 * k, 1) for k in range(1, 11)]
@@ -203,9 +189,12 @@ def cmd_sr(args):
     for lam in lambdas:
         config = dsr.SRConfig(library=lib, lam=lam, max_steps=args.max_steps,
                               batch_size=args.batch_size)
-        metrics = dsr.run_benchmark(spec, config, args.runs,
-                                    with_mlm=model is not None,
-                                    mlm_model=model, base_seed=args.seed)
+        try:
+            metrics = dsr.run_benchmark(spec, config, args.runs,
+                                        with_mlm=model is not None,
+                                        mlm_model=model, base_seed=args.seed)
+        except dsr.DegenerateTarget as e:
+            raise UsageError(f"{args.spec or spec.name}: {e}")
         summary = dsr.summarize(metrics)
         print(f"{spec.name} lambda={lam} with_mlm={model is not None} "
               f"recovery={100 * summary['recovery_rate']:.1f}% "
@@ -247,11 +236,8 @@ def _aggregate(rows):
 def cmd_report(args):
     if not args.metrics:
         raise UsageError("need at least one metrics CSV")
-    try:
-        columns = [(path, _aggregate(_read_metrics(path)))
-                   for path in args.metrics]
-    except FileNotFoundError as e:
-        raise UsageError(f"cannot read metrics: {e.filename}")
+    columns = [(path, _aggregate(_read_metrics(path)))
+               for path in args.metrics]
     benches = sorted({b for _, agg in columns for b in agg})
 
     lines = []
@@ -370,7 +356,10 @@ def main(argv=None):
         return args.fn(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError) as e:
+    except FileNotFoundError as e:
+        print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
+        return 2
+    except (UsageError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal error contract

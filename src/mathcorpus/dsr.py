@@ -250,47 +250,66 @@ class Controller(GRUReadout):
     step_batch = GRUReadout.forward
 
 
-def _mlm_inputs(parent, sibling, bos):
-    # the sibling (the most recently completed elder subtree's root) is the
-    # closest thing to "the previous token" for a model trained on flat
-    # sequences; fall back to the parent, then BOS
-    return np.where(sibling >= 0, sibling, np.where(parent >= 0, parent, bos))
+class _Policy:
+    """The per-step policy of B sequences: controller logits, plus lambda
+    times the prior's, plus the constraint mask, all read from one slot
+    state.  Sampling pushes its draws and the training replay the sampled
+    tokens, so the replay scores exactly the distribution that drew them.
+    A finished row sees the inputs of an empty prefix."""
+
+    def __init__(self, controller, mlm_model, cs, config, B, max_len):
+        self.controller, self.mlm, self.cs = controller, mlm_model, cs
+        self.config = config
+        self.st = _SlotState(config.library, B, max_len)
+        self.rows = np.arange(B)
+        self.h = controller.initial_state(B)
+        if mlm_model is not None:
+            self.h_mlm = mlm_model.initial_state(B)
+            self.mlm_prev = np.full(B, mlm_model.bos, dtype=np.int64)
+
+    def step(self):
+        """Combined logits of every row, the new controller state and the
+        controller cache for ``backward``."""
+        st, cfg = self.st, self.config
+        live = ~st.done
+        parent, sibling = st.parent_sibling(self.rows)  # -1 on finished rows
+        masks = self.cs.mask_batch(cfg.library, np.where(live, st.n, 0),
+                                   np.where(live, st.open, 1), st.trig, parent,
+                                   cfg.min_length, cfg.max_length)
+        logits, self.h, cache = self.controller.step_batch(
+            self.controller.input_batch(parent, sibling), self.h)
+        if self.mlm is not None:
+            # the sibling (the most recently completed elder subtree's root)
+            # is the closest thing to "the previous token" for a model
+            # trained on flat sequences; fall back to the parent, then BOS
+            prev = np.where(sibling >= 0, sibling,
+                            np.where(parent >= 0, parent, self.mlm.bos))
+            self.mlm_prev[live] = prev[live]
+            l_mlm, self.h_mlm = self.mlm.step_batch(self.mlm_prev, self.h_mlm)
+            logits = logits + cfg.lam * l_mlm
+        return logits + masks, self.h, cache
+
+    def push(self, picks, live):
+        """Append picks[b] to each row b where live[b]."""
+        rows = self.rows[live]
+        self.st.push(rows, picks[rows])
 
 
 def sample_batch(controller, mlm_model, cs, config, rng, batch_size=None):
     """Vectorized draw of a batch of COMPLETE traversals.
 
-    Implements the per-step recurrence of the sampling algorithm for all
-    sequences at once; inactive (already complete) rows keep consuming their
-    lane with the inputs of an empty prefix, but their draws are discarded.
+    Steps the policy for all sequences at once; finished rows keep consuming
+    their lane, but their draws are discarded.
     """
-    lib = config.library
     B = batch_size if batch_size is not None else config.batch_size
-    st = _SlotState(lib, B, config.max_length)
-    h_dsr = controller.initial_state(B)
-    h_mlm = mlm_model.initial_state(B) if mlm_model is not None else None
-    mlm_prev = np.full(B, mlm_model.bos if mlm_model is not None else 0,
-                       dtype=np.int64)
-    rows = np.arange(B)
+    policy = _Policy(controller, mlm_model, cs, config, B, config.max_length)
+    st = policy.st
     for _ in range(config.max_length):
         live = ~st.done
         if not live.any():
             break
-        parent, sibling = st.parent_sibling(rows)  # -1 on finished rows
-        masks = cs.mask_batch(lib, np.where(live, st.n, 0),
-                              np.where(live, st.open, 1), st.trig, parent,
-                              config.min_length, config.max_length)
-        l_dsr, h_dsr, _ = controller.step_batch(
-            controller.input_batch(parent, sibling), h_dsr)
-        if mlm_model is not None:
-            mlm_prev[live] = _mlm_inputs(parent, sibling, mlm_model.bos)[live]
-            l_mlm, h_mlm = mlm_model.step_batch(mlm_prev, h_mlm)
-            combined = l_dsr + config.lam * l_mlm + masks
-        else:
-            combined = l_dsr + masks
-        picks = draw(softmax(combined, axis=1), rng.random(B))
-        live_rows = rows[live]
-        st.push(live_rows, picks[live_rows])
+        logits, _, _ = policy.step()
+        policy.push(draw(softmax(logits, axis=1), rng.random(B)), live)
     return [Traversal(s[:k]) for s, k in zip(st.seq.tolist(), st.n)]
 
 
@@ -332,64 +351,43 @@ def objective_and_gradients(controller, traversals, advantages, config,
     must be the constraint set the traversals were sampled under (default:
     ConstraintSet()).
     """
-    lib = config.library
     if cs is None:
         cs = ConstraintSet()
     k = len(traversals)
-    V = len(lib)
     lengths = np.array([len(t) for t in traversals])
     T = int(lengths.max())
-
-    # teacher-forced inputs, masks and targets; padded steps stay zero
-    seqs = np.zeros((k, T), dtype=np.int64)
+    seqs = np.zeros((k, T), dtype=np.int64)  # padded with token 0
     for i, trav in enumerate(traversals):
         seqs[i, :lengths[i]] = tuple(trav)
-    targets = seqs.T
-    step_mask = (np.arange(T)[:, None] < lengths[None, :]).astype(float)
-    xs = np.zeros((T, k, 2 * (V + 1)))
-    masks = np.zeros((T, k, V))
-    mlm_inputs = np.full((T, k), mlm_model.bos if mlm_model is not None else 0,
-                         dtype=np.int64)
-    st = _SlotState(lib, k, T)
-    for t in range(T):
-        rows = np.flatnonzero(lengths > t)
-        parent, sibling = st.parent_sibling(rows)
-        xs[t, rows] = controller.input_batch(parent, sibling)
-        masks[t, rows] = cs.mask_batch(lib, st.n[rows], st.open[rows],
-                                       st.trig[rows], parent,
-                                       config.min_length, config.max_length)
-        if mlm_model is not None:
-            mlm_inputs[t, rows] = _mlm_inputs(parent, sibling, mlm_model.bos)
-        st.push(rows, seqs[rows, t])
 
-    # forward, with each step's share of J and its logit gradients
+    # teacher-forced steps, with each step's share of J and its logit
+    # gradients; padded steps add nothing
     adv = np.asarray(advantages, dtype=float)
     w_ent = config.entropy_weight
-    h = controller.initial_state(k)
-    h_mlm = mlm_model.initial_state(k) if mlm_model is not None else None
+    policy = _Policy(controller, mlm_model, cs, config, k, T)
+    rows = np.arange(k)
     J = 0.0
     steps = []
     for t in range(T):
-        l_dsr, h, cache = controller.step_batch(xs[t], h)
-        if mlm_model is not None:
-            l_mlm, h_mlm = mlm_model.step_batch(mlm_inputs[t], h_mlm)
-            combined = l_dsr + config.lam * l_mlm + masks[t]
-        else:
-            combined = l_dsr + masks[t]
-        p = softmax(combined, axis=1)
-        lp = log_softmax(combined, axis=1)
-        sel = lp[np.arange(k), targets[t]]
-        J += float(np.sum(adv * sel * step_mask[t])) / k
+        live = lengths > t
+        on = live.astype(float)
+        target = seqs[:, t]
+        logits, h, cache = policy.step()
+        p = softmax(logits, axis=1)
+        lp = log_softmax(logits, axis=1)
+        # a select, not a product: the pad may be masked to -inf
+        J += float(np.sum(adv * np.where(live, lp[rows, target], 0.0))) / k
         onehot = np.zeros_like(p)
-        onehot[np.arange(k), targets[t]] = 1.0
-        dlogits = (adv * step_mask[t])[:, None] * (onehot - p) / k
+        onehot[rows, target] = 1.0
+        dlogits = (adv * on)[:, None] * (onehot - p) / k
         if w_ent:
             safe_lp = np.where(p > 0, lp, 0.0)
             H = -(p * safe_lp).sum(axis=1)
-            J += w_ent * float(np.sum(H * step_mask[t])) / k
+            J += w_ent * float(np.sum(H * on)) / k
             dH = -p * (safe_lp + H[:, None])
-            dlogits += w_ent * step_mask[t][:, None] * dH / k
+            dlogits += w_ent * on[:, None] * dH / k
         steps.append((h, dlogits, cache))
+        policy.push(target, live)
 
     grads = controller.zero_grads()
     controller.backward(steps, grads)
@@ -406,9 +404,8 @@ def train_step(controller, batch, config, optimizer, mlm_model=None, cs=None):
     baseline = float(np.quantile(rewards, 1.0 - config.risk_fraction))
     k = max(1, int(round(config.risk_fraction * len(batch))))
     order = np.argsort(-rewards, kind="stable")
-    kept = [i for i in order[:k]]
-    traversals = [batch[i][0] for i in kept]
-    advantages = [rewards[i] - baseline for i in kept]
+    traversals = [batch[i][0] for i in order[:k]]
+    advantages = [rewards[i] - baseline for i in order[:k]]
     if all(a == 0.0 for a in advantages) and config.entropy_weight == 0.0:
         return 0.0
     J, grads = objective_and_gradients(controller, traversals, advantages,
@@ -519,11 +516,10 @@ def recovered(candidate, spec, grid_points=1000):
     if cand == target:
         return True
     X = {}
-    per_dim = grid_points
     for v in spec.variables:
         lo, hi = spec.ranges.get(v, (-1.0, 1.0))
         pad = (hi - lo) * 1e-6
-        X[v] = np.linspace(lo + pad, hi - pad, per_dim)
+        X[v] = np.linspace(lo + pad, hi - pad, grid_points)
     if len(spec.variables) == 2:
         a, b = spec.variables
         ga, gb = np.meshgrid(X[a], X[b], indexing="ij")
@@ -591,11 +587,9 @@ def run_benchmark(spec, config, n_runs, with_mlm=False, mlm_model=None,
         raise ValueError("n_runs must be >= 1")
     if with_mlm and mlm_model is None:
         raise ValueError("with_mlm requires a model")
-    out = []
-    for run in range(n_runs):
-        out.append(run_search(spec, config, base_seed + run,
-                              mlm_model=mlm_model if with_mlm else None))
-    return out
+    return [run_search(spec, config, base_seed + run,
+                       mlm_model=mlm_model if with_mlm else None)
+            for run in range(n_runs)]
 
 
 CSV_HEADER = ["benchmark", "run", "seed", "lambda", "with_mlm", "recovered",
@@ -606,8 +600,7 @@ def write_metrics_csv(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(CSV_HEADER)
-        for row in rows:
-            w.writerow(row)
+        w.writerows(rows)
 
 
 def metrics_rows(benchmark_name, metrics, lam, with_mlm):

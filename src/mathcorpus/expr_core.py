@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -188,34 +189,24 @@ class Traversal:
         return [lib[i].name for i in self.seq]
 
 
+def _open_slots(t, lib):
+    """Running open-slot counts: 1 before the first token, then
+    1 + sum(arity - 1) after each."""
+    return list(accumulate((lib[idx].arity - 1 for idx in t), initial=1))
+
+
 def dangling_slots(t, lib):
     """Running slot count after consuming every token; negative means overrun."""
-    d = 1
-    for idx in t:
-        d += lib[idx].arity - 1
-    return d
+    return _open_slots(t, lib)[-1]
 
 
 def is_valid_prefix(t, lib):
-    d = 1
-    for idx in t:
-        if d <= 0:
-            return False
-        d += lib[idx].arity - 1
-    return True
+    return all(d > 0 for d in _open_slots(t, lib)[:-1])
 
 
 def is_complete(t, lib):
-    if len(t) == 0:
-        return False
-    d = 1
-    for k, idx in enumerate(t):
-        d += lib[idx].arity - 1
-        if d == 0:
-            return k == len(t) - 1
-        if d < 0:
-            return False
-    return False
+    *head, last = _open_slots(t, lib)
+    return last == 0 and all(d > 0 for d in head)
 
 
 def tree_to_traversal(tree, lib):
@@ -236,25 +227,19 @@ def traversal_to_tree(t, lib):
     seq = list(t)
     if not seq:
         raise IncompleteTraversal("empty traversal")
-    pos = 0
-    d = 1
-
-    def build():
-        nonlocal pos, d
-        if pos >= len(seq):
-            raise IncompleteTraversal(f"traversal ends with {d} open slot(s)")
-        if d <= 0:
-            raise InvalidPrefix(f"no open slot at position {pos}")
-        tok = lib[seq[pos]]
-        pos += 1
-        d += tok.arity - 1
-        children = [build() for _ in range(tok.arity)]
-        return ExprTree(tok, children)
-
-    tree = build()
-    if pos != len(seq):
-        raise InvalidPrefix(f"traversal complete at position {pos}, trailing tokens remain")
-    return tree
+    counts = _open_slots(seq, lib)
+    if 0 in counts[1:-1]:
+        raise InvalidPrefix(f"traversal complete at position "
+                            f"{counts.index(0)}, trailing tokens remain")
+    if counts[-1] != 0:
+        raise IncompleteTraversal(f"traversal ends with {counts[-1]} open slot(s)")
+    # right to left on a stack, as evaluate_prefix: the children are the
+    # top arity entries, the first child on top
+    stack = []
+    for idx in reversed(seq):
+        cut = len(stack) - lib[idx].arity
+        stack[cut:] = [ExprTree(lib[idx], stack[cut:][::-1])]
+    return stack[0]
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,8 @@ def constant_token(text):
 
 
 def _text(lexemes):
-    return "".join(str(lx.value) for lx in lexemes)
+    return "".join(_text(lx.value) if lx.kind == "group" else str(lx.value)
+                   for lx in lexemes)
 
 
 # Ends every segment, so the parser always has a lexeme to look at; its
@@ -316,7 +317,7 @@ class _SegmentParser:
             sub = self.advance()
             if sub is _EOF:
                 raise LatexError("dangling '_'")
-            name += "_" + (_text(sub.value) if sub.kind == "group" else str(sub.value))
+            name += "_" + _text([sub])
         return node(variable_token(name))
 
     def command_atom(self, lx, stop):
@@ -417,7 +418,7 @@ def _split_on_relations(lexemes):
     return segments, len(segments) - 1
 
 
-def parse_latex(text, lib=None):
+def parse_latex(text):
     """Parse LaTeX math into one normalized tree per relation-free segment.
 
     A segment that fails to parse, or is nested too deeply to parse or to

@@ -11,7 +11,7 @@ Compression is the caller's problem: pipe bunzip2/zstd output in.
 from __future__ import annotations
 
 import html
-import io
+import os
 import re
 import xml.etree.ElementTree as ET
 from collections import deque
@@ -80,12 +80,9 @@ def stream_pages(source):
     TruncatedDump after yielding all complete pages; other XML problems
     raise MalformedXml with a byte offset.
     """
-    close = False
-    if isinstance(source, (str, bytes)):
+    close = isinstance(source, (str, bytes, os.PathLike))
+    if close:
         source = open(source, "rb")
-        close = True
-    elif isinstance(source, (bytearray,)):
-        source = io.BytesIO(bytes(source))
     try:
         # finished pages stay children of the root unless the root is cleared
         context = ET.iterparse(source, events=("start", "end"))
@@ -171,18 +168,13 @@ def iter_insert_tuples(source, table):
     """Yield raw value tuples from INSERT INTO `table` VALUES (...),(...);
     statements, handling quoted strings with escapes and NULL.
 
-    Dumps put one INSERT statement per line; memory stays bounded by the
-    longest statement, not the file.
+    ``source`` is a path or a text file object.  Dumps put one INSERT
+    statement per line; memory stays bounded by the longest statement, not
+    the file.
     """
-    close = False
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
-    if isinstance(source, str):
-        if "INSERT" in source or "\n" in source:
-            source = io.StringIO(source)
-        else:
-            source = open(source, "r", encoding="utf-8", errors="replace")
-            close = True
+    close = isinstance(source, (str, bytes, os.PathLike))
+    if close:
+        source = open(source, "r", encoding="utf-8", errors="replace")
     try:
         marker = f"INSERT INTO `{table}` VALUES "
         for line in source:

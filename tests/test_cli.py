@@ -52,6 +52,14 @@ class TestExtract:
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert {r["page_id"] for r in records} == {1}
 
+    def test_missing_sql_dump_exit_2(self, tmp_path, dump, capsys):
+        code = main(["extract", "--dump", str(dump),
+                     "--out", str(tmp_path / "o.jsonl"),
+                     "--category", "Physics", "--sql-categorylinks",
+                     str(tmp_path / "nocl.sql"), "--sql-page", str(dump)])
+        assert code == 2
+        assert "nocl.sql" in capsys.readouterr().err
+
     def test_category_without_sql_is_usage_error(self, tmp_path, dump, capsys):
         code, _, _ = run_extract(tmp_path, dump, capsys,
                                  extra=["--category", "Physics"])
@@ -217,6 +225,19 @@ class TestSr:
         assert code == 2
         assert "'z'" in capsys.readouterr().err
 
+    def test_constant_target_spec_exit_2(self, tmp_path, capsys):
+        # x - x + 1 is 1 everywhere, so NRMSE has no scale
+        spec = tmp_path / "const.json"
+        spec.write_text(json.dumps({
+            "name": "const", "expression": "x - x + 1", "variables": ["x"],
+            "library": ["add", "mul", "x", "1"],
+        }))
+        code = main(["sr", "--spec", str(spec), "--runs", "1", "--no-mlm",
+                     "--max-steps", "2", "--batch-size", "30"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "const.json" in err and "constant" in err
+
 
 class TestReport:
     def _csv(self, path, rows):
@@ -322,3 +343,19 @@ class TestConfigFile:
                      "--out", str(tmp_path / "c.corpus"), "--config", str(cfg)])
         assert code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--dump", "{missing}", "--out", "{tmp}/o.jsonl"],
+    ["corpus", "--in", "{missing}", "--out", "{tmp}/c.corpus"],
+    ["mlm-train", "--corpus", "{missing}", "--out", "{tmp}/m.mlm"],
+    ["sr", "--spec", "{missing}", "--no-mlm"],
+    ["sr", "--benchmark", "nguyen-1", "--with-mlm", "{missing}"],
+    ["report", "--metrics", "{missing}", "--out", "{tmp}/r.tsv"],
+    ["sr", "--config", "{missing}"],
+], ids=lambda argv: argv[0] + argv[1])
+def test_missing_file_exit_2_names_it(tmp_path, capsys, argv):
+    missing = str(tmp_path / "absent")
+    code = main([a.format(missing=missing, tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}:")

@@ -334,6 +334,145 @@ class TestSampleBatchOracle:
         assert [t.seq for t in got] == want
 
 
+
+# The training replay as it stood before sampling and training shared one
+# policy step, verbatim apart from the names; it recomputes parent, sibling,
+# constraint mask and language-model input in a loop of its own.
+_SlotState = dsr._SlotState
+log_softmax = dsr.log_softmax
+
+
+def _mlm_inputs(parent, sibling, bos):
+    # the sibling (the most recently completed elder subtree's root) is the
+    # closest thing to "the previous token" for a model trained on flat
+    # sequences; fall back to the parent, then BOS
+    return np.where(sibling >= 0, sibling, np.where(parent >= 0, parent, bos))
+
+
+def reference_objective_and_gradients(controller, traversals, advantages,
+                                      config, mlm_model=None, cs=None):
+    lib = config.library
+    if cs is None:
+        cs = ConstraintSet()
+    k = len(traversals)
+    V = len(lib)
+    lengths = np.array([len(t) for t in traversals])
+    T = int(lengths.max())
+
+    # teacher-forced inputs, masks and targets; padded steps stay zero
+    seqs = np.zeros((k, T), dtype=np.int64)
+    for i, trav in enumerate(traversals):
+        seqs[i, :lengths[i]] = tuple(trav)
+    targets = seqs.T
+    step_mask = (np.arange(T)[:, None] < lengths[None, :]).astype(float)
+    xs = np.zeros((T, k, 2 * (V + 1)))
+    masks = np.zeros((T, k, V))
+    mlm_inputs = np.full((T, k), mlm_model.bos if mlm_model is not None else 0,
+                         dtype=np.int64)
+    st = _SlotState(lib, k, T)
+    for t in range(T):
+        rows = np.flatnonzero(lengths > t)
+        parent, sibling = st.parent_sibling(rows)
+        xs[t, rows] = controller.input_batch(parent, sibling)
+        masks[t, rows] = cs.mask_batch(lib, st.n[rows], st.open[rows],
+                                       st.trig[rows], parent,
+                                       config.min_length, config.max_length)
+        if mlm_model is not None:
+            mlm_inputs[t, rows] = _mlm_inputs(parent, sibling, mlm_model.bos)
+        st.push(rows, seqs[rows, t])
+
+    # forward, with each step's share of J and its logit gradients
+    adv = np.asarray(advantages, dtype=float)
+    w_ent = config.entropy_weight
+    h = controller.initial_state(k)
+    h_mlm = mlm_model.initial_state(k) if mlm_model is not None else None
+    J = 0.0
+    steps = []
+    for t in range(T):
+        l_dsr, h, cache = controller.step_batch(xs[t], h)
+        if mlm_model is not None:
+            l_mlm, h_mlm = mlm_model.step_batch(mlm_inputs[t], h_mlm)
+            combined = l_dsr + config.lam * l_mlm + masks[t]
+        else:
+            combined = l_dsr + masks[t]
+        p = softmax(combined, axis=1)
+        lp = log_softmax(combined, axis=1)
+        sel = lp[np.arange(k), targets[t]]
+        J += float(np.sum(adv * sel * step_mask[t])) / k
+        onehot = np.zeros_like(p)
+        onehot[np.arange(k), targets[t]] = 1.0
+        dlogits = (adv * step_mask[t])[:, None] * (onehot - p) / k
+        if w_ent:
+            safe_lp = np.where(p > 0, lp, 0.0)
+            H = -(p * safe_lp).sum(axis=1)
+            J += w_ent * float(np.sum(H * step_mask[t])) / k
+            dH = -p * (safe_lp + H[:, None])
+            dlogits += w_ent * step_mask[t][:, None] * dH / k
+        steps.append((h, dlogits, cache))
+
+    grads = controller.zero_grads()
+    controller.backward(steps, grads)
+    return J, grads
+
+
+class TestReplayOracle:
+    def _models(self, lib, config, with_mlm):
+        rng = np.random.default_rng(11)
+        controller = Controller(lib, config.hidden_size, seed=2)
+        controller.W_out += rng.normal(size=controller.W_out.shape)
+        controller.b_out += rng.normal(size=controller.b_out.shape)
+        model = None
+        if with_mlm:
+            model = mlm.init(lib, 4, 8, seed=0)
+            model.W_out += rng.normal(size=model.W_out.shape)
+            model.b_out += rng.normal(size=model.b_out.shape)
+        return controller, model
+
+    def _check(self, controller, model, travs, config, seed):
+        adv = np.random.default_rng(seed).normal(size=len(travs))
+        cs = ConstraintSet()
+        J, grads = dsr.objective_and_gradients(controller, travs, adv, config,
+                                               model, cs)
+        want_J, want = reference_objective_and_gradients(
+            controller, travs, adv, config, model, cs)
+        assert math.isfinite(J) and J == want_J
+        assert grads.keys() == want.keys()
+        assert all(np.array_equal(grads[n], want[n]) for n in want)
+
+    @pytest.mark.parametrize("with_mlm", [False, True])
+    @pytest.mark.parametrize("entropy_weight", [0.0, SRConfig.entropy_weight])
+    def test_matches_reference_on_sampled_batches(self, with_mlm,
+                                                   entropy_weight):
+        lib = builtin_benchmarks()["nguyen-5"].library()
+        config = cfg(lib, lam=0.5 if with_mlm else 0.0,
+                     entropy_weight=entropy_weight)
+        controller, model = self._models(lib, config, with_mlm)
+        rng = np.random.default_rng(5)
+        for seed in range(3):
+            travs = sample_batch(controller, model, ConstraintSet(), config,
+                                 rng, batch_size=40)
+            self._check(controller, model, travs, config, seed)
+
+    @pytest.mark.parametrize("with_mlm", [False, True])
+    def test_padding_token_masked_at_the_empty_prefix(self, with_mlm):
+        # token 0 is the terminal x, which the length rule masks at the
+        # empty prefix a finished row sees; the padded steps of the short
+        # row must still add nothing
+        lib = Library([Token("x", 0, VARIABLE), OPS["add"].token,
+                       OPS["mul"].token, OPS["sin"].token])
+        config = cfg(lib, lam=0.5 if with_mlm else 0.0)
+        assert constraint_logits(ConstraintSet(), lib, Traversal([]))[0] \
+            == NEG_INF
+        x, add, mul, sin = range(4)
+        short = Traversal([add, x, sin, x])
+        long = Traversal([add, x] * 14 + [sin, x])
+        assert (len(short), len(long)) == (4, 30)
+        controller, model = self._models(lib, config, with_mlm)
+        sampled = sample_batch(controller, model, ConstraintSet(), config,
+                               np.random.default_rng(6), batch_size=20)
+        self._check(controller, model, [short, long, *sampled], config, 7)
+
+
 class TestReward:
     def test_tokens_and_tree_agree(self, slib, rng):
         from conftest import random_tree

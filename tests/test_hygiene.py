@@ -68,3 +68,34 @@ def test_failures_are_typed(path):
     # the one catch-all is main's internal-error contract: exit code 1
     allowed = ["main"] if path.name == "cli.py" else []
     assert broad_handlers(path.read_text(encoding="utf-8")) == allowed
+
+
+def unused_parameters(source):
+    """``function.parameter`` for each parameter a function body never
+    reads, nested functions included; ``self`` and ``cls`` are exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                  + [a.vararg, a.kwarg] if p is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}.{p}" for p in params
+                  if p not in read and p not in ("self", "cls")]
+    return found
+
+
+def test_checker_flags_an_unused_parameter():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a + kw['x']\n"
+              "class K:\n    def m(self, x):\n        def g(y):\n"
+              "            return x\n        return g\n"
+              "    @classmethod\n    def n(cls, z):\n        z = 1\n")
+    assert sorted(unused_parameters(source)) == ["f.args", "f.b", "f.c",
+                                                 "g.y", "n.z"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []

@@ -107,6 +107,15 @@ class TestParseLatex:
         out = parse_latex("x_0 + x")
         assert shape(out.trees[0]) == "add(x_0,x)"
 
+    @pytest.mark.parametrize("nested, flat", [
+        ("x_{{a}}", "x_{a}"),
+        (r"\mathrm{{d}}x", r"\mathrm{d}x"),
+        (r"\mathrm{{\sin}}x", r"\mathrm{\sin}x"),
+    ])
+    def test_nested_group_reads_as_its_text(self, nested, flat):
+        a, b = parse_latex(nested), parse_latex(flat)
+        assert a.trees == b.trees and a.unsupported == b.unsupported
+
     def test_greek(self):
         assert shape(parse_latex(r"\alpha \beta").trees[0]) == "mul(alpha,beta)"
 

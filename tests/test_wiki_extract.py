@@ -167,27 +167,27 @@ CL_SQL = ("INSERT INTO `categorylinks` VALUES "
 
 class TestSqlParsing:
     def test_categorylinks_fixture(self):
-        rows = list(parse_sql_dump(CL_SQL, "categorylinks"))
+        rows = list(parse_sql_dump(io.StringIO(CL_SQL), "categorylinks"))
         assert rows[0] == CategoryLink(12, "Physics", "subcat")
         assert rows[1] == CategoryLink(34, "Physics", "page")
 
     def test_escaped_quote(self):
         sql = ("INSERT INTO `page` VALUES "
                "(1,0,'O\\'Brien'),(2,0,'It''s');\n")
-        rows = list(parse_sql_dump(sql, "page"))
+        rows = list(parse_sql_dump(io.StringIO(sql), "page"))
         assert rows[0].title == "O'Brien"
         assert rows[1].title == "It's"
 
     def test_null_and_numbers(self):
         sql = "INSERT INTO `category` VALUES (3,'Math',10,NULL,2.5);\n"
-        (row,) = parse_sql_dump(sql, "category")
+        (row,) = parse_sql_dump(io.StringIO(sql), "category")
         assert row == {"cat_id": 3, "cat_title": "Math", "cat_pages": 10,
                        "cat_subcats": None, "cat_files": 2.5}
 
     def test_column_count_mismatch(self):
         sql = "INSERT INTO `categorylinks` VALUES (1,'X','page');\n"
         with pytest.raises(SqlSyntax) as exc:
-            list(parse_sql_dump(sql, "categorylinks"))
+            list(parse_sql_dump(io.StringIO(sql), "categorylinks"))
         assert "3" in str(exc.value) and "7" in str(exc.value)
 
     def test_unknown_table(self):
@@ -197,20 +197,31 @@ class TestSqlParsing:
     def test_ten_thousand_row_insert(self):
         rows_in = [(i, 0, f"Page {i}") for i in range(10_000)]
         sql = serialize_rows(rows_in, "page") + "\n"
-        rows_out = list(iter_insert_tuples(sql, "page"))
+        rows_out = list(iter_insert_tuples(io.StringIO(sql), "page"))
         assert rows_out == rows_in
 
     def test_roundtrip_tricky_strings(self):
         rows_in = [(1, "a'b"), (2, "back\\slash"), (3, None), (4, "tab\there")]
         sql = serialize_rows(rows_in, "t")
-        assert list(iter_insert_tuples(sql, "t")) == rows_in
+        assert list(iter_insert_tuples(io.StringIO(sql), "t")) == rows_in
 
     def test_other_statements_ignored(self):
         sql = ("DROP TABLE IF EXISTS `page`;\n"
                "CREATE TABLE `page` (id int);\n"
                "INSERT INTO `other` VALUES (9,9,'x');\n"
                + CL_SQL)
-        assert len(list(parse_sql_dump(sql, "categorylinks"))) == 2
+        assert len(list(parse_sql_dump(io.StringIO(sql), "categorylinks"))) == 2
+
+    def test_path_is_never_read_as_sql_text(self, tmp_path):
+        # a path that contains "INSERT" is still a path
+        rows_in = [(i, 0, f"Page {i}") for i in range(50)]
+        d = tmp_path / "INSERTS"
+        d.mkdir()
+        f = d / "page.sql"
+        f.write_text(serialize_rows(rows_in, "page") + "\n", encoding="utf-8")
+        for source in (str(f), f):
+            rows = list(parse_sql_dump(source, "page"))
+            assert [(r.page_id, r.namespace, r.title) for r in rows] == rows_in
 
 
 def category_fixture():
