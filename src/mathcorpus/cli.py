@@ -57,19 +57,7 @@ def _library_by_name(name):
 
 def cmd_extract(args):
     source = sys.stdin.buffer if args.dump in (None, "-") else args.dump
-    tally = {}
-    expressions = []
-    n_pages = 0
-    try:
-        for page in wiki_extract.stream_pages(source):
-            n_pages += 1
-            if page.namespace != wiki_extract.NS_MAIN:
-                continue
-            expressions.extend(wiki_extract.extract_math(page, tally))
-    except wiki_extract.WikiError as e:
-        raise UsageError(f"malformed dump: {e}")
-
-    if args.category:
+    if args.category:  # before the dump is read, so bad flags fail fast
         if not (args.sql_categorylinks and args.sql_page):
             raise UsageError("--category requires --sql-categorylinks and --sql-page")
         try:
@@ -81,6 +69,19 @@ def cmd_extract(args):
                                                     args.depth)
         except wiki_extract.WikiError as e:
             raise UsageError(str(e))
+
+    tally = {}
+    expressions = []
+    n_pages = 0
+    try:
+        for page in wiki_extract.stream_pages(source):
+            n_pages += 1
+            if page.namespace != wiki_extract.NS_MAIN:
+                continue
+            expressions.extend(wiki_extract.extract_math(page, tally))
+    except wiki_extract.WikiError as e:
+        raise UsageError(f"malformed dump: {e}")
+    if args.category:
         expressions = wiki_extract.filter_pages_by_category(tree, expressions)
 
     with open(args.out, "w", encoding="utf-8") as f:
@@ -96,14 +97,25 @@ def cmd_extract(args):
 
 
 def cmd_corpus(args):
+    if args.max_vars < 1:
+        raise UsageError("--max-vars must be >= 1")
     lib = _library_by_name(args.library)
     parsed = []
     n_parse_failures = 0
     with open(args.infile, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+                ok = (type(rec["page_id"]) is int  # not a JSON true/false
+                      and isinstance(rec["latex"], str))
+            except (ValueError, KeyError, TypeError):
+                ok = False
+            if not ok:
+                raise UsageError(f"{args.infile}, line {lineno}: not a JSON "
+                                 f"object with an integer page_id and a "
+                                 f"string latex")
             try:
                 outcome = parse_latex(rec["latex"])
             except LatexError:
@@ -356,13 +368,15 @@ def main(argv=None):
         return args.fn(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except FileNotFoundError as e:
-        print(f"error: cannot read {e.filename}: {e.strerror}", file=sys.stderr)
-        return 2
     except (UsageError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # internal error contract
+        if isinstance(e, OSError) and e.filename is not None:
+            # a file that cannot be opened is bad input, read or write
+            print(f"error: cannot open {e.filename}: {e.strerror}",
+                  file=sys.stderr)
+            return 2
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 

@@ -10,16 +10,9 @@ samples, or both.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 
-from .expr_core import (
-    ExprError,
-    ExprTree,
-    Traversal,
-    VARIABLE,
-    node,
-    tree_to_traversal,
-)
+from .expr_core import ExprError, ExprTree, Traversal, VARIABLE, node
 from .latex_parser import is_unsupported_marker
 
 POLICIES = ("drop", "replace", "split", "replace_and_split")
@@ -40,21 +33,6 @@ class VocabMismatch(CorpusError):
     def __init__(self, token_name):
         super().__init__(f"token {token_name!r} not in library")
         self.token_name = token_name
-
-
-class _Dropped:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Dropped"
-
-
-DROPPED = _Dropped()
 
 
 @dataclass(frozen=True)
@@ -100,21 +78,11 @@ def augment_replace(tree, placeholder):
 def augment_split(tree, placeholder):
     """Replaced tree plus each marker's supported operand subtrees,
     recursively; no output contains a marker."""
-    out = [augment_replace(tree, placeholder)]
-
-    def collect(n):
-        if is_unsupported_marker(n.root):
-            for c in n.children:
-                if has_markers(c):
-                    out.extend(augment_split(c, placeholder))
-                else:
-                    out.append(c)
-        else:
-            for c in n.children:
-                collect(c)
-
-    collect(tree)
-    return out
+    parts = [augment_split(c, placeholder) for c in tree.children]
+    if is_unsupported_marker(tree.root):  # every child goes in whole
+        return [node(placeholder)] + [p for part in parts for p in part]
+    return ([ExprTree(tree.root, [part[0] for part in parts])]
+            + [p for part in parts for p in part[1:]])
 
 
 def split_fragments(tree):
@@ -127,25 +95,25 @@ def split_fragments(tree):
     return out
 
 
-def canonicalize_variables(tree, max_vars):
-    """Rename distinct variables to x1..xk in first-appearance (pre-order)
-    order; DROPPED when more than max_vars distinct variables occur."""
-    if max_vars < 1:
-        raise ValueError("max_vars must be >= 1")
-    mapping = {}
+def _encode(tree, lib, max_vars):
+    """Library indices of the tree in pre-order, its variables renamed
+    x1..xk in order of first appearance; None when more than max_vars
+    distinct variables occur or a token is not in the library."""
+    renamed, seq = {}, []
 
-    def walk(n):
-        tok = n.root
-        if tok.kind == VARIABLE:
-            if tok.name not in mapping:
-                mapping[tok.name] = f"x{len(mapping) + 1}"
-            tok = dc_replace(tok, name=mapping[tok.name])
-        return ExprTree(tok, [walk(c) for c in n.children])
+    def visit(n):
+        name = n.root.name
+        if n.root.kind == VARIABLE:
+            name = renamed.setdefault(name, f"x{len(renamed) + 1}")
+        seq.append(lib.index_of(name))
+        for c in n.children:
+            visit(c)
 
-    out = walk(tree)
-    if len(mapping) > max_vars:
-        return DROPPED
-    return out
+    try:
+        visit(tree)
+    except ExprError:  # a token outside the library
+        return None
+    return Traversal(seq) if len(renamed) <= max_vars else None
 
 
 def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
@@ -153,59 +121,45 @@ def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
     plus statistics.  Per-sample failures are dropped, never raised."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
+    if max_vars < 1:
+        raise ValueError("max_vars must be >= 1")
     placeholder = lib.get(PLACEHOLDER)
-    stats = CorpusStats()
-    samples = []
-    seen = {}
-    pages = set()
-
-    def admit(tree, page_id, augmentation):
-        canon = canonicalize_variables(tree, max_vars)
-        if canon is DROPPED:
-            stats.n_dropped += 1
-            return
-        try:
-            trav = tree_to_traversal(canon, lib)
-        except ExprError:  # a token outside the library
-            stats.n_dropped += 1
-            return
-        key = trav.seq
-        if key in seen:
-            return
-        seen[key] = len(samples)
-        samples.append(CorpusSample(traversal=trav, page_id=page_id,
-                                    augmentation=augmentation))
-        pages.add(page_id)
-        if augmentation == "replaced":
-            stats.n_replaced += 1
-        elif augmentation == "split":
-            stats.n_split += 1
-        stats.length_histogram[len(trav)] = stats.length_histogram.get(len(trav), 0) + 1
-        for name in trav.token_names(lib):
-            stats.token_histogram[name] = stats.token_histogram.get(name, 0) + 1
-
+    samples, seen, n_dropped = [], set(), 0
     for page_id, outcome in parsed:
         for tree in outcome.trees:
             try:
                 if not has_markers(tree):
-                    admit(tree, page_id, "none")
+                    pieces = [(tree, "none")]
                 elif policy == "drop":
-                    stats.n_dropped += 1
+                    n_dropped += 1
+                    continue
                 elif policy == "replace":
-                    admit(augment_replace(tree, placeholder), page_id, "replaced")
+                    pieces = [(augment_replace(tree, placeholder), "replaced")]
                 elif policy == "split":
-                    for frag in split_fragments(tree):
-                        admit(frag, page_id, "split")
+                    pieces = [(f, "split") for f in split_fragments(tree)]
                 else:  # replace_and_split
-                    pieces = augment_split(tree, placeholder)
-                    admit(pieces[0], page_id, "replaced")
-                    for frag in pieces[1:]:
-                        admit(frag, page_id, "split")
-            except RecursionError:  # too deep for the recursive rewrites
-                stats.n_dropped += 1
+                    first, *rest = augment_split(tree, placeholder)
+                    pieces = ([(first, "replaced")]
+                              + [(f, "split") for f in rest])
+                for piece, augmentation in pieces:
+                    trav = _encode(piece, lib, max_vars)
+                    if trav is None:
+                        n_dropped += 1
+                    elif trav.seq not in seen:
+                        seen.add(trav.seq)
+                        samples.append(CorpusSample(trav, page_id, augmentation))
+            except RecursionError:  # too deep for the recursive walks
+                n_dropped += 1
 
-    stats.n_samples = len(samples)
-    stats.n_pages = len(pages)
+    augmentations = Counter(s.augmentation for s in samples)
+    stats = CorpusStats(
+        n_samples=len(samples),
+        n_pages=len({s.page_id for s in samples}),
+        n_replaced=augmentations["replaced"],
+        n_split=augmentations["split"],
+        n_dropped=n_dropped,
+        token_histogram=token_frequencies(samples, lib),
+        length_histogram=dict(Counter(len(s.traversal) for s in samples)))
     return samples, stats
 
 
@@ -223,18 +177,24 @@ def read_corpus(path, lib):
         header = f.readline().rstrip("\n")
         if not header.startswith(FORMAT_HEADER):
             raise FormatVersionMismatch(f"bad header {header!r}")
-        for line in f:
+        for lineno, line in enumerate(f, 2):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            page_id, augmentation, names = line.split("\t")
+            try:
+                page_id, augmentation, names = line.split("\t")
+                page_id = int(page_id)
+            except ValueError:
+                raise CorpusError(f"{path}, line {lineno}: expected an integer "
+                                  f"page id, an augmentation and the tokens, "
+                                  f"separated by tabs") from None
             idxs = []
             for name in names.split():
                 if name not in lib:
                     raise VocabMismatch(name)
                 idxs.append(lib.index_of(name))
             samples.append(CorpusSample(traversal=Traversal(idxs),
-                                        page_id=int(page_id),
+                                        page_id=page_id,
                                         augmentation=augmentation))
     return samples
 

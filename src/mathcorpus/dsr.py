@@ -64,7 +64,6 @@ class SRConfig:
     min_length: int = 4
     max_length: int = 30
     hidden_size: int = 32
-    seed: int = 0
 
     def __post_init__(self):
         if self.lam < 0:

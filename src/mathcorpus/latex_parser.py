@@ -100,17 +100,12 @@ class Lexeme:
     offset: int
 
 
-@dataclass
-class LatexTokenStream:
-    lexemes: list
-
-
 _COMMAND_RE = re.compile(r"\\([a-zA-Z]+)")
 _NUMBER_RE = re.compile(r"\d+(\.\d+)?")
 
 
 def lex(text):
-    """Lex LaTeX source into a stream with nested brace groups."""
+    """Lex LaTeX source into lexemes, brace groups nested as group values."""
     lexemes, stack = [], []
     out = lexemes
     i, n = 0, len(text)
@@ -147,7 +142,7 @@ def lex(text):
         i = end
     if stack:
         raise UnbalancedBraces("unclosed '{'", lexemes[-1].offset)
-    return LatexTokenStream(lexemes)
+    return lexemes
 
 
 @dataclass
@@ -425,7 +420,7 @@ def parse_latex(text):
     normalize, is skipped; only when every segment fails is it an error."""
     if not text or not text.strip():
         raise EmptyInput("empty input")
-    segments, nrel = _split_on_relations(lex(text).lexemes)
+    segments, nrel = _split_on_relations(lex(text))
     trees, unsupported = [], []
     first_failure = None
     for seg in segments:

@@ -2,8 +2,8 @@
 
 Covers the three inputs the corpus pipeline needs: pages-articles XML
 (streamed page by page with bounded memory), <math> tag extraction with
-page provenance, and the MediaWiki SQL dump tables (categorylinks, page,
-category) used to build a depth-bounded category tree.
+page provenance, and the MediaWiki SQL dump tables (categorylinks, page)
+used to build a depth-bounded category tree.
 
 Compression is the caller's problem: pipe bunzip2/zstd output in.
 """
@@ -83,20 +83,10 @@ def stream_pages(source):
     close = isinstance(source, (str, bytes, os.PathLike))
     if close:
         source = open(source, "rb")
+    # finished pages stay children of the root unless the root is cleared
+    root = None
     try:
-        # finished pages stay children of the root unless the root is cleared
-        context = ET.iterparse(source, events=("start", "end"))
-        root = None
-        while True:
-            try:
-                event, elem = next(context)
-            except StopIteration:
-                break
-            except ET.ParseError as e:
-                if "no element found" in str(e):
-                    raise TruncatedDump(f"dump truncated: {e}") from e
-                offset = getattr(e, "position", (None, None))
-                raise MalformedXml(str(e), offset=offset[1]) from e
+        for event, elem in ET.iterparse(source, events=("start", "end")):
             if root is None:
                 root = elem
             if event != "end" or _localname(elem.tag) != "page":
@@ -117,6 +107,11 @@ def stream_pages(source):
             yield PageRecord(page_id=page_id or 0, title=title, namespace=ns,
                              text=text)
             root.clear()
+    except ET.ParseError as e:
+        if "no element found" in str(e):
+            raise TruncatedDump(f"dump truncated: {e}") from e
+        offset = getattr(e, "position", (None, None))
+        raise MalformedXml(str(e), offset=offset[1]) from e
     finally:
         if close:
             source.close()
@@ -161,9 +156,6 @@ def extract_math(page, tally=None):
 
 # --- MediaWiki SQL dump parsing -------------------------------------------
 
-_TABLE_COLUMNS = {"categorylinks": 7, "category": 5, "page": None}
-
-
 def iter_insert_tuples(source, table):
     """Yield raw value tuples from INSERT INTO `table` VALUES (...),(...);
     statements, handling quoted strings with escapes and NULL.
@@ -190,6 +182,20 @@ def iter_insert_tuples(source, table):
             source.close()
 
 
+# one VALUES cell: unquoted text, an optional quoted string, then "," or ")".
+# The string body is atomic (a lookahead plus backreference, as `*+` needs
+# Python 3.11), so an unclosed string is no match rather than a shorter one;
+# the separator is optional, so what follows a bad cell tells what went wrong.
+_CELL_RE = re.compile(r"([^',)]*)(?:'(?=((?:[^'\\]|\\.|'')*))\2')?([,)]?)",
+                      re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)|''", re.DOTALL)
+_SQL_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", "0": "\0"}
+
+
+def _unescape(m):
+    return "'" if m[1] is None else _SQL_ESCAPES.get(m[1], m[1])
+
+
 def _parse_values(buf, pos):
     n = len(buf)
     while pos < n:
@@ -200,50 +206,21 @@ def _parse_values(buf, pos):
         if pos >= n or buf[pos] != "(":
             raise SqlSyntax("expected '(' in VALUES list", pos)
         pos += 1
-        row, cell = [], []
+        row = []
         while True:
-            if pos >= n:
-                raise SqlSyntax("unterminated VALUES tuple", pos)
-            ch = buf[pos]
-            if ch == "'":
-                pos += 1
-                out = []
-                while True:
-                    if pos >= n:
-                        raise SqlSyntax("unterminated string literal", pos)
-                    c = buf[pos]
-                    if c == "\\" and pos + 1 < n:
-                        esc = buf[pos + 1]
-                        out.append({"n": "\n", "t": "\t", "r": "\r",
-                                    "0": "\0"}.get(esc, esc))
-                        pos += 2
-                    elif c == "'":
-                        if pos + 1 < n and buf[pos + 1] == "'":
-                            out.append("'")
-                            pos += 2
-                        else:
-                            pos += 1
-                            break
-                    else:
-                        out.append(c)
-                        pos += 1
-                row.append("".join(out))
-                cell = None
-            elif ch == "," :
-                if cell is not None:
-                    row.append(_sql_scalar("".join(cell)))
-                cell = []
-                pos += 1
-            elif ch == ")":
-                if cell is not None:
-                    row.append(_sql_scalar("".join(cell)))
-                pos += 1
+            m = _CELL_RE.match(buf, pos)
+            text, quoted, sep = m.groups()
+            if not sep:
+                if m.end() == n:
+                    raise SqlSyntax("unterminated VALUES tuple", n)
+                if quoted is not None:
+                    raise SqlSyntax("unexpected character after string", m.end())
+                raise SqlSyntax("unterminated string literal", n)  # at a "'"
+            row.append(_sql_scalar(text) if quoted is None
+                       else _ESCAPE_RE.sub(_unescape, quoted))
+            pos = m.end()
+            if sep == ")":
                 break
-            else:
-                if cell is None:
-                    raise SqlSyntax("unexpected character after string", pos)
-                cell.append(ch)
-                pos += 1
         yield tuple(row)
     return pos
 
@@ -262,6 +239,10 @@ def _sql_scalar(text):
         return text
 
 
+_SQL_QUOTE = str.maketrans({"\\": "\\\\", "'": "\\'", "\n": "\\n",
+                            "\r": "\\r", "\0": "\\0"})
+
+
 def serialize_rows(rows, table):
     """Re-serialize parsed tuples as a single INSERT statement (round-trip aid)."""
     def cell(v):
@@ -269,34 +250,30 @@ def serialize_rows(rows, table):
             return "NULL"
         if isinstance(v, (int, float)):
             return repr(v)
-        return "'" + str(v).replace("\\", "\\\\").replace("'", "\\'") + "'"
+        return "'" + str(v).translate(_SQL_QUOTE) + "'"
 
     values = ",".join("(" + ",".join(cell(v) for v in row) + ")" for row in rows)
     return f"INSERT INTO `{table}` VALUES {values};"
 
 
 def parse_sql_dump(source, table):
-    """Yield typed rows for one of the three MediaWiki tables."""
-    expected = _TABLE_COLUMNS.get(table)
-    if table not in _TABLE_COLUMNS:
+    """Yield typed rows of the categorylinks or the page table."""
+    if table not in ("categorylinks", "page"):
         raise ValueError(f"unsupported table {table!r}")
     for row in iter_insert_tuples(source, table):
-        if expected is not None and len(row) != expected:
-            raise SqlSyntax(
-                f"{table} row has {len(row)} columns, expected {expected}")
         if table == "categorylinks":
+            if len(row) != 7:
+                raise SqlSyntax(
+                    f"categorylinks row has {len(row)} columns, expected 7")
             yield CategoryLink(from_page_id=int(row[0]),
                                to_category_name=str(row[1]),
                                link_type=str(row[6]) or "page")
-        elif table == "page":
+        else:
             if len(row) < 3:
                 raise SqlSyntax(
                     f"page row has {len(row)} columns, expected at least 3")
             yield PageRecord(page_id=int(row[0]), namespace=int(row[1]),
                              title=str(row[2]), text="")
-        else:  # category
-            yield {"cat_id": row[0], "cat_title": row[1], "cat_pages": row[2],
-                   "cat_subcats": row[3], "cat_files": row[4]}
 
 
 # --- category tree ---------------------------------------------------------

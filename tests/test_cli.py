@@ -65,6 +65,16 @@ class TestExtract:
                                  extra=["--category", "Physics"])
         assert code == 2
 
+    def test_category_flags_checked_before_the_dump_is_read(self, tmp_path,
+                                                            capsys):
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b"<mediawiki><page></mediawiki>")
+        code = main(["extract", "--dump", str(bad), "--out",
+                     str(tmp_path / "o.jsonl"), "--category", "Physics"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--sql-categorylinks" in err and "malformed" not in err
+
 
 class TestCorpus:
     def _extract(self, tmp_path, dump):
@@ -95,6 +105,24 @@ class TestCorpus:
         code = main(["corpus", "--in", str(tmp_path / "no.jsonl"),
                      "--out", str(tmp_path / "c.corpus")])
         assert code == 2
+
+    @pytest.mark.parametrize("record", [
+        '{"page_id": 2}', '{"page_id": "2", "latex": "x"}',
+        '{"page_id": 2, "latex": 5}', '{"page_id": true, "latex": "x"}',
+        '[2, "x"]', '{"page_id": 2,'])
+    def test_bad_record_names_the_line(self, tmp_path, capsys, record):
+        jsonl = tmp_path / "exprs.jsonl"
+        jsonl.write_text('{"page_id": 1, "latex": "x"}\n\n' + record + "\n")
+        code = main(["corpus", "--in", str(jsonl),
+                     "--out", str(tmp_path / "c.corpus")])
+        assert code == 2
+        assert f"{jsonl}, line 3:" in capsys.readouterr().err
+
+    def test_max_vars_zero_rejected_before_reading(self, tmp_path, capsys):
+        code = main(["corpus", "--in", str(tmp_path / "absent.jsonl"),
+                     "--out", str(tmp_path / "c.corpus"), "--max-vars", "0"])
+        assert code == 2
+        assert "--max-vars" in capsys.readouterr().err
 
     def test_too_deep_to_normalize_is_dropped(self, tmp_path, capsys):
         # sums of 600 and 5,000 terms nest too deeply to normalize; they
@@ -147,6 +175,15 @@ class TestMlmTrain:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("line", ["1\tadd x1 1", "one\tnone\tadd x1 1"])
+    def test_malformed_corpus_line_names_it(self, tmp_path, capsys, line):
+        corpus = tmp_path / "c.corpus"
+        write_tiny_corpus(corpus, lines=("2\tnone\tsin x1", line))
+        code = main(["mlm-train", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "m.mlm")])
+        assert code == 2
+        assert f"{corpus}, line 3:" in capsys.readouterr().err
 
     def test_empty_corpus_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "c.corpus"
@@ -358,4 +395,21 @@ def test_missing_file_exit_2_names_it(tmp_path, capsys, argv):
     missing = str(tmp_path / "absent")
     code = main([a.format(missing=missing, tmp=tmp_path) for a in argv])
     assert code == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}:")
+    assert capsys.readouterr().err.startswith(f"error: cannot open {missing}:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", "--in", "{tmp}", "--out", "{tmp}/c.corpus"],
+    ["sr", "--spec", "{tmp}", "--no-mlm"],
+], ids=lambda argv: argv[0] + argv[1])
+def test_directory_input_exit_2_names_it(tmp_path, capsys, argv):
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot open {tmp_path}:")
+
+
+def test_unwritable_output_exit_2_names_it(tmp_path, dump, capsys):
+    out = tmp_path / "no-such-dir" / "o.jsonl"
+    code = main(["extract", "--dump", str(dump), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot open {out}:")

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from mathcorpus.corpus import (
-    DROPPED,
     CorpusSample,
     FormatVersionMismatch,
     VocabMismatch,
     augment_replace,
     augment_split,
     build_corpus,
-    canonicalize_variables,
     has_markers,
     read_corpus,
     split_fragments,
@@ -130,28 +128,28 @@ class TestSplitFragments:
 
 class TestCanonicalize:
     def test_first_appearance_order(self, lib):
-        out = parse_latex("m c^2")
-        t = canonicalize_variables(out.trees[0], max_vars=2)
-        assert repr(t) == "mul(x1, pow(x2, 2))"
+        samples, _ = build_corpus([(1, outcome("m c^2"))], lib)
+        assert samples[0].traversal.token_names(lib) == [
+            "mul", "x1", "pow", "x2", "2"]
 
-    def test_too_many_vars_dropped(self):
-        out = parse_latex("a + b + c + d")
-        assert canonicalize_variables(out.trees[0], max_vars=2) is DROPPED
+    def test_too_many_vars_dropped(self, lib):
+        samples, stats = build_corpus([(1, outcome("a + b + c + d"))], lib)
+        assert samples == [] and stats.n_dropped == 1
 
     def test_repeated_variable(self, lib):
-        out = parse_latex("y + y x")
-        t = canonicalize_variables(out.trees[0], max_vars=2)
-        assert repr(t) == "add(x1, mul(x1, x2))"
+        samples, _ = build_corpus([(1, outcome("y + y x"))], lib)
+        assert samples[0].traversal.token_names(lib) == [
+            "add", "x1", "mul", "x1", "x2"]
 
-    def test_deterministic(self):
-        out = parse_latex(r"\alpha \beta + \beta")
-        a = canonicalize_variables(out.trees[0], 2)
-        b = canonicalize_variables(out.trees[0], 2)
-        assert a == b
+    def test_deterministic(self, lib):
+        parsed = [(1, outcome(r"\alpha \beta + \beta"))]
+        (sa, ta), (sb, tb) = build_corpus(parsed, lib), build_corpus(parsed, lib)
+        assert sa == sb and len(sa) == 1
+        assert ta.to_dict() == tb.to_dict()
 
     def test_max_vars_validation(self, lib):
         with pytest.raises(ValueError):
-            canonicalize_variables(node(lib.get("x1")), 0)
+            build_corpus([], lib, max_vars=0)
 
 
 def outcome(*latex):

@@ -222,7 +222,7 @@ class TestCombineAndSample:
 
 class TestSampling:
     def test_complete_and_in_bounds(self, slib):
-        config = cfg(slib, seed=0)
+        config = cfg(slib)
         controller = Controller(slib, config.hidden_size, seed=0)
         rng = np.random.default_rng(0)
         travs = sample_batch(controller, None, ConstraintSet(), config, rng,

@@ -1,7 +1,10 @@
 """Source checks that need no tool beyond the standard library."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
+from re import _parser  # sre_parse, under its Python 3.11+ name
 
 import pytest
 
@@ -99,3 +102,35 @@ def test_checker_flags_an_unused_parameter():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_parameters(path):
     assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def _opcodes(node):
+    if isinstance(node, _parser.SubPattern):
+        for op, av in node:
+            yield op
+            yield from _opcodes(av)
+    elif isinstance(node, (tuple, list)):
+        for item in node:
+            yield from _opcodes(item)
+
+
+def needs_python_311(pattern, flags=0):
+    """Whether a regex uses possessive quantifiers or atomic groups, which
+    Python 3.10's ``re`` rejects as ``multiple repeat``/unknown extension."""
+    newer = {_parser.POSSESSIVE_REPEAT, _parser.ATOMIC_GROUP}
+    return not newer.isdisjoint(_opcodes(_parser.parse(pattern, flags)))
+
+
+def test_checker_flags_python_311_regex_syntax():
+    assert needs_python_311(r"a(?:b|c*+)")
+    assert needs_python_311(r"x(?>[ab]+)")
+    assert not needs_python_311(r"'(?=((?:[^'\\]|'')*))\1'")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_regexes_compile_on_python_310(path):
+    # pyproject.toml promises Python >= 3.10
+    module = importlib.import_module(f"mathcorpus.{path.stem}")
+    assert [name for name, value in vars(module).items()
+            if isinstance(value, re.Pattern)
+            and needs_python_311(value.pattern, value.flags)] == []

@@ -1,0 +1,307 @@
+"""The regex SQL cell scanner and the one-walk corpus build against the
+previous implementations, kept here verbatim as references: the
+character-at-a-time VALUES state machine, and canonicalize_variables,
+admit and augment_split."""
+
+import random
+from dataclasses import replace as dc_replace
+
+import numpy as np
+import pytest
+
+from mathcorpus.corpus import (
+    CorpusSample,
+    CorpusStats,
+    PLACEHOLDER,
+    POLICIES,
+    augment_replace,
+    augment_split,
+    build_corpus,
+    has_markers,
+    split_fragments,
+)
+from mathcorpus.expr_core import (
+    ExprError,
+    ExprTree,
+    Library,
+    OPERATOR,
+    Token,
+    VARIABLE,
+    tree_to_traversal,
+)
+from mathcorpus.latex_parser import ParseOutcome, is_unsupported_marker
+from mathcorpus.wiki_extract import (
+    SqlSyntax,
+    _parse_values,
+    _sql_scalar,
+    serialize_rows,
+)
+
+from conftest import random_tree
+from test_corpus import inject_markers
+
+
+# --- SQL VALUES -------------------------------------------------------------
+
+def reference_parse_values(buf, pos):
+    n = len(buf)
+    while pos < n:
+        while pos < n and buf[pos] in " ,\n":
+            pos += 1
+        if pos < n and buf[pos] == ";":
+            return pos + 1
+        if pos >= n or buf[pos] != "(":
+            raise SqlSyntax("expected '(' in VALUES list", pos)
+        pos += 1
+        row, cell = [], []
+        while True:
+            if pos >= n:
+                raise SqlSyntax("unterminated VALUES tuple", pos)
+            ch = buf[pos]
+            if ch == "'":
+                pos += 1
+                out = []
+                while True:
+                    if pos >= n:
+                        raise SqlSyntax("unterminated string literal", pos)
+                    c = buf[pos]
+                    if c == "\\" and pos + 1 < n:
+                        esc = buf[pos + 1]
+                        out.append({"n": "\n", "t": "\t", "r": "\r",
+                                    "0": "\0"}.get(esc, esc))
+                        pos += 2
+                    elif c == "'":
+                        if pos + 1 < n and buf[pos + 1] == "'":
+                            out.append("'")
+                            pos += 2
+                        else:
+                            pos += 1
+                            break
+                    else:
+                        out.append(c)
+                        pos += 1
+                row.append("".join(out))
+                cell = None
+            elif ch == "," :
+                if cell is not None:
+                    row.append(_sql_scalar("".join(cell)))
+                cell = []
+                pos += 1
+            elif ch == ")":
+                if cell is not None:
+                    row.append(_sql_scalar("".join(cell)))
+                pos += 1
+                break
+            else:
+                if cell is None:
+                    raise SqlSyntax("unexpected character after string", pos)
+                cell.append(ch)
+                pos += 1
+        yield tuple(row)
+    return pos
+
+
+def values_outcome(parse, buf):
+    """Rows yielded, then the returned offset or the error raised."""
+    rows = []
+    gen = parse(buf, 0)
+    try:
+        while True:
+            rows.append(next(gen))
+    except StopIteration as stop:
+        return rows, stop.value
+    except SqlSyntax as e:
+        return rows, ("SqlSyntax", str(e), e.offset)
+
+
+SQL_PIECES = ["(", ")", ",", "'", "''", "\\", "\\'", "\\n", "\\\\", "a", "1",
+              "2.5", "NULL", " ", "\n", "\r", ";", "x y", "é"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_values_match_reference_on_random_text(seed):
+    rng = random.Random(seed)
+    for _ in range(5000):
+        buf = "".join(rng.choice(SQL_PIECES) for _ in range(rng.randint(0, 25)))
+        if rng.random() < 0.5:
+            buf = "(" + buf
+        assert (values_outcome(_parse_values, buf)
+                == values_outcome(reference_parse_values, buf)), buf
+
+
+@pytest.mark.parametrize("buf", [
+    "(1,'a'')", "('')", "('''')", "(''')", "('a\\", "('a' ,1)", "('a'",
+    "(ab'c',2);", "()", "(1),\n", "(1)", "(NULL, 2 ,'x\\ny');rest",
+])
+def test_values_match_reference_on_edge_cases(buf):
+    assert (values_outcome(_parse_values, buf)
+            == values_outcome(reference_parse_values, buf))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_values_match_reference_on_round_trips(seed):
+    rng = random.Random(seed)
+    chars = ["a", "'", "\\", "\t", "\n", "\r", "\0", " ", "é", ",", ")", "("]
+
+    def value():
+        return rng.choice([
+            None, rng.randint(-99, 99), rng.random(),
+            "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))])
+
+    for _ in range(1000):
+        rows = [tuple(value() for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 4))]
+        sql = serialize_rows(rows, "t")
+        buf = sql[len("INSERT INTO `t` VALUES "):]
+        got = values_outcome(_parse_values, buf)
+        assert got == values_outcome(reference_parse_values, buf), buf
+        assert got == (rows, len(buf))
+
+
+# --- corpus build -----------------------------------------------------------
+
+class _Dropped:
+    def __repr__(self):
+        return "Dropped"
+
+
+DROPPED = _Dropped()
+
+
+def canonicalize_variables(tree, max_vars):
+    """Rename distinct variables to x1..xk in first-appearance (pre-order)
+    order; DROPPED when more than max_vars distinct variables occur."""
+    if max_vars < 1:
+        raise ValueError("max_vars must be >= 1")
+    mapping = {}
+
+    def walk(n):
+        tok = n.root
+        if tok.kind == VARIABLE:
+            if tok.name not in mapping:
+                mapping[tok.name] = f"x{len(mapping) + 1}"
+            tok = dc_replace(tok, name=mapping[tok.name])
+        return ExprTree(tok, [walk(c) for c in n.children])
+
+    out = walk(tree)
+    if len(mapping) > max_vars:
+        return DROPPED
+    return out
+
+
+def reference_augment_split(tree, placeholder):
+    out = [augment_replace(tree, placeholder)]
+
+    def collect(n):
+        if is_unsupported_marker(n.root):
+            for c in n.children:
+                if has_markers(c):
+                    out.extend(reference_augment_split(c, placeholder))
+                else:
+                    out.append(c)
+        else:
+            for c in n.children:
+                collect(c)
+
+    collect(tree)
+    return out
+
+
+def reference_build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
+    placeholder = lib.get(PLACEHOLDER)
+    stats = CorpusStats()
+    samples = []
+    seen = {}
+    pages = set()
+
+    def admit(tree, page_id, augmentation):
+        canon = canonicalize_variables(tree, max_vars)
+        if canon is DROPPED:
+            stats.n_dropped += 1
+            return
+        try:
+            trav = tree_to_traversal(canon, lib)
+        except ExprError:  # a token outside the library
+            stats.n_dropped += 1
+            return
+        key = trav.seq
+        if key in seen:
+            return
+        seen[key] = len(samples)
+        samples.append(CorpusSample(traversal=trav, page_id=page_id,
+                                    augmentation=augmentation))
+        pages.add(page_id)
+        if augmentation == "replaced":
+            stats.n_replaced += 1
+        elif augmentation == "split":
+            stats.n_split += 1
+        stats.length_histogram[len(trav)] = stats.length_histogram.get(len(trav), 0) + 1
+        for name in trav.token_names(lib):
+            stats.token_histogram[name] = stats.token_histogram.get(name, 0) + 1
+
+    for page_id, outcome in parsed:
+        for tree in outcome.trees:
+            try:
+                if not has_markers(tree):
+                    admit(tree, page_id, "none")
+                elif policy == "drop":
+                    stats.n_dropped += 1
+                elif policy == "replace":
+                    admit(augment_replace(tree, placeholder), page_id, "replaced")
+                elif policy == "split":
+                    for frag in split_fragments(tree):
+                        admit(frag, page_id, "split")
+                else:  # replace_and_split
+                    pieces = reference_augment_split(tree, placeholder)
+                    admit(pieces[0], page_id, "replaced")
+                    for frag in pieces[1:]:
+                        admit(frag, page_id, "split")
+            except RecursionError:  # too deep for the recursive rewrites
+                stats.n_dropped += 1
+
+    stats.n_samples = len(samples)
+    stats.n_pages = len(pages)
+    return samples, stats
+
+
+def foreign_library(lib):
+    """The corpus library plus variables it lacks and an operator outside
+    it, so that renaming, the max_vars limit and the vocabulary drop all
+    occur."""
+    return Library(list(lib) + [Token("a", 0, VARIABLE),
+                                Token("b", 0, VARIABLE),
+                                Token("c", 0, VARIABLE),
+                                Token("foo", 1, OPERATOR)], name="foreign")
+
+
+@pytest.fixture
+def parsed(lib):
+    rng = np.random.default_rng(7)
+    ext = foreign_library(lib)
+    out = []
+    for _ in range(150):
+        trees = [inject_markers(random_tree(ext, rng, max_depth=5), rng)
+                 for _ in range(int(rng.integers(1, 4)))]
+        out.append((int(rng.integers(1, 40)),
+                    ParseOutcome(trees=trees, unsupported=[],
+                                 relation_split_count=0)))
+    return out
+
+
+def test_augment_split_matches_reference(lib, parsed):
+    placeholder = lib.get(PLACEHOLDER)
+    for _, outcome in parsed:
+        for tree in outcome.trees:
+            assert (augment_split(tree, placeholder)
+                    == reference_augment_split(tree, placeholder))
+
+
+@pytest.mark.parametrize("max_vars", [1, 2, 3])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_build_corpus_matches_reference(lib, parsed, policy, max_vars):
+    samples, stats = build_corpus(parsed, lib, policy, max_vars)
+    ref_samples, ref_stats = reference_build_corpus(parsed, lib, policy,
+                                                    max_vars)
+    assert samples == ref_samples
+    assert stats.to_dict() == ref_stats.to_dict()
+    assert stats.n_dropped > 0 and stats.n_samples > 0

@@ -35,21 +35,21 @@ def shape(tree):
 
 class TestLexer:
     def test_power(self):
-        stream = lex("x^2")
-        kinds = [(l.kind, l.value) for l in stream.lexemes]
+        lexemes = lex("x^2")
+        kinds = [(l.kind, l.value) for l in lexemes]
         assert kinds == [("symbol", "x"), ("superscript", "^"), ("number", "2")]
 
     def test_frac_groups(self):
-        stream = lex(r"\frac{1}{2}")
-        assert stream.lexemes[0].kind == "command"
-        assert stream.lexemes[0].value == "frac"
-        g1, g2 = stream.lexemes[1], stream.lexemes[2]
+        lexemes = lex(r"\frac{1}{2}")
+        assert lexemes[0].kind == "command"
+        assert lexemes[0].value == "frac"
+        g1, g2 = lexemes[1], lexemes[2]
         assert g1.kind == "group" and g1.value[0].value == "1"
         assert g2.kind == "group" and g2.value[0].value == "2"
 
     def test_unmatched_paren_is_not_a_lex_error(self):
-        stream = lex(r"\sin(x")
-        kinds = [l.kind for l in stream.lexemes]
+        lexemes = lex(r"\sin(x")
+        kinds = [l.kind for l in lexemes]
         assert kinds == ["command", "lparen", "symbol"]
 
     def test_unbalanced_braces(self):
@@ -59,8 +59,8 @@ class TestLexer:
             lex("x}")
 
     def test_offsets_increase(self):
-        stream = lex("a + b * c^2")
-        offs = [l.offset for l in stream.lexemes]
+        lexemes = lex("a + b * c^2")
+        offs = [l.offset for l in lexemes]
         assert offs == sorted(offs)
         assert len(set(offs)) == len(offs)
 

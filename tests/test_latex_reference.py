@@ -170,7 +170,7 @@ def lex_outcome(lexer, text):
 
 
 def assert_lex_matches(text):
-    assert lex_outcome(lambda t: lex(t).lexemes, text) == lex_outcome(reference_lex, text)
+    assert lex_outcome(lex, text) == lex_outcome(reference_lex, text)
 
 
 LATEXISH = st.lists(st.sampled_from([

@@ -180,9 +180,8 @@ class TestSqlParsing:
 
     def test_null_and_numbers(self):
         sql = "INSERT INTO `category` VALUES (3,'Math',10,NULL,2.5);\n"
-        (row,) = parse_sql_dump(io.StringIO(sql), "category")
-        assert row == {"cat_id": 3, "cat_title": "Math", "cat_pages": 10,
-                       "cat_subcats": None, "cat_files": 2.5}
+        (row,) = iter_insert_tuples(io.StringIO(sql), "category")
+        assert row == (3, "Math", 10, None, 2.5)
 
     def test_column_count_mismatch(self):
         sql = "INSERT INTO `categorylinks` VALUES (1,'X','page');\n"
@@ -201,7 +200,8 @@ class TestSqlParsing:
         assert rows_out == rows_in
 
     def test_roundtrip_tricky_strings(self):
-        rows_in = [(1, "a'b"), (2, "back\\slash"), (3, None), (4, "tab\there")]
+        rows_in = [(1, "a'b"), (2, "back\\slash"), (3, None), (4, "tab\there"),
+                   (5, "new\nline"), (6, "carriage\rreturn"), (7, "nul\0byte")]
         sql = serialize_rows(rows_in, "t")
         assert list(iter_insert_tuples(io.StringIO(sql), "t")) == rows_in
 
