@@ -73,18 +73,19 @@ def cmd_extract(args):
     tally = {}
     expressions = []
     n_pages = 0
-    try:
-        for page in wiki_extract.stream_pages(source):
-            n_pages += 1
-            if page.namespace != wiki_extract.NS_MAIN:
-                continue
-            expressions.extend(wiki_extract.extract_math(page, tally))
-    except wiki_extract.WikiError as e:
-        raise UsageError(f"malformed dump: {e}")
-    if args.category:
-        expressions = wiki_extract.filter_pages_by_category(tree, expressions)
-
+    # opened before the dump is read, so an unwritable output fails fast
     with open(args.out, "w", encoding="utf-8") as f:
+        try:
+            for page in wiki_extract.stream_pages(source):
+                n_pages += 1
+                if page.namespace != wiki_extract.NS_MAIN:
+                    continue
+                expressions.extend(wiki_extract.extract_math(page, tally))
+        except wiki_extract.WikiError as e:
+            raise UsageError(f"malformed dump: {e}")
+        if args.category:
+            expressions = wiki_extract.filter_pages_by_category(tree,
+                                                                expressions)
         for e in expressions:
             f.write(json.dumps({"page_id": e.page_id,
                                 "page_title": e.page_title,
@@ -203,7 +204,6 @@ def cmd_sr(args):
                               batch_size=args.batch_size)
         try:
             metrics = dsr.run_benchmark(spec, config, args.runs,
-                                        with_mlm=model is not None,
                                         mlm_model=model, base_seed=args.seed)
         except dsr.DegenerateTarget as e:
             raise UsageError(f"{args.spec or spec.name}: {e}")

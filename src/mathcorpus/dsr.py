@@ -19,7 +19,6 @@ import numpy as np
 from .expr_core import (
     CONSTANT,
     OPS,
-    ExprTree,
     Library,
     Token,
     Traversal,
@@ -82,12 +81,21 @@ class _SlotState:
     most recently completed child, -1 for none); column 0 stands for the
     empty stack, with no parent and no sibling.  n is the length so far,
     open the dangling slot count d_k, trig the trig operators among the
-    open ancestors.
+    open ancestors.  The library's arity, trig and inverse tables, which
+    ``mask`` reads, are built once per state.
     """
 
     def __init__(self, lib, B, max_len):
-        tb = _lib_tables(lib)
-        self.arities, self.is_trig = tb["arities"], tb["is_trig"]
+        self.arities = np.array(lib.arities())
+        ops = [OPS.get(t.name) for t in lib.tokens]
+        self.is_trig = np.array([op is not None and op.trig for op in ops],
+                                dtype=np.int64)
+        self.terminals = np.flatnonzero(self.arities == 0)
+        self.trig_tokens = np.flatnonzero(self.is_trig)
+        # (parent, child) index pairs where the child inverts the parent
+        self.inverse_pairs = [(i, lib.index[op.inverse])
+                              for i, op in enumerate(ops)
+                              if op is not None and op.inverse in lib.index]
         self.seq = np.zeros((B, max_len), dtype=np.int64)
         self.tok = np.full((B, max_len + 1), -1, dtype=np.int64)
         self.rem = np.zeros((B, max_len + 1), dtype=np.int64)
@@ -135,6 +143,23 @@ class _SlotState:
             self.trig[r] -= self.is_trig[root]
             self.depth[r] -= 1
 
+    def mask(self, n, d, trig, parent, min_length, max_length):
+        """Constraint logits, 0 or -inf, of rows at length n with d open
+        slots, trig open trig ancestors and parent (-1 for empty): the
+        length bounds, no trig operator below another and no operator
+        directly below its inverse."""
+        masks = np.zeros((len(n), len(self.arities)))
+        over = (n[:, None] + d[:, None] + self.arities[None, :]) > max_length
+        masks[over] = NEG_INF
+        short = np.flatnonzero((d == 1) & (n + 1 < min_length))
+        masks[np.ix_(short, self.terminals)] = NEG_INF
+        masks[np.ix_(np.flatnonzero(trig > 0), self.trig_tokens)] = NEG_INF
+        for p, c in self.inverse_pairs:
+            masks[parent == p, c] = NEG_INF
+        if not (masks == 0.0).any(axis=1).all():
+            raise Infeasible("the constraints mask every token")
+        return masks
+
 
 def _replay(partial, lib):
     st = _SlotState(lib, 1, len(partial))
@@ -156,72 +181,11 @@ def parent_sibling(partial, lib):
             int(sibling) if sibling >= 0 else None)
 
 
-def _lib_tables(lib):
-    tables = getattr(lib, "_constraint_tables", None)
-    if tables is None:
-        arities = np.array(lib.arities())
-        ops = [OPS.get(t.name) for t in lib.tokens]
-        is_trig = np.array([op is not None and op.trig for op in ops],
-                           dtype=np.int64)
-        tables = {
-            "arities": arities,
-            "terminals": np.flatnonzero(arities == 0),
-            "is_trig": is_trig,
-            "trig": np.flatnonzero(is_trig),
-            # (parent, child) index pairs where the child inverts the parent
-            "inverse_pairs": [(i, lib.index[op.inverse])
-                              for i, op in enumerate(ops)
-                              if op is not None and op.inverse in lib.index],
-        }
-        lib._constraint_tables = tables
-    return tables
-
-
-@dataclass
-class ConstraintSet:
-    """The standard in-situ constraint rules, individually switchable."""
-
-    length_bounds: bool = True
-    no_nested_trig: bool = True
-    no_inverse_pairs: bool = True
-
-    def mask_batch(self, lib, n, d, trig, parent, min_length, max_length):
-        """Masks for many partial sequences at once.
-
-        n, d, trig, parent are int arrays (B,); parent is -1 for empty.
-        """
-        tb = _lib_tables(lib)
-        B = len(n)
-        masks = np.zeros((B, len(lib)))
-        if self.length_bounds:
-            over = (n[:, None] + d[:, None] + tb["arities"][None, :]) > max_length
-            masks[over] = NEG_INF
-            short = np.flatnonzero((d == 1) & (n + 1 < min_length))
-            if short.size:
-                masks[np.ix_(short, tb["terminals"])] = NEG_INF
-        if self.no_nested_trig and tb["trig"].size:
-            rows = np.flatnonzero(trig > 0)
-            if rows.size:
-                masks[np.ix_(rows, tb["trig"])] = NEG_INF
-        if self.no_inverse_pairs:
-            for p, c in tb["inverse_pairs"]:
-                masks[parent == p, c] = NEG_INF
-        if not (masks == 0.0).any(axis=1).all():
-            raise Infeasible("constraint set masks every token")
-        return masks
-
-
-def constraint_logits(cs, lib, partial, min_length=4, max_length=30):
+def constraint_logits(lib, partial, min_length=4, max_length=30):
     """Public form of the per-step mask; recomputes state from the prefix."""
     st = _replay(partial, lib)
     parent, _ = st.parent_sibling(np.zeros(1, dtype=np.int64))
-    return cs.mask_batch(lib, st.n, st.open, st.trig, parent,
-                         min_length, max_length)[0]
-
-
-def combine_and_sample(l_dsr, l_mlm, l_mask, lam, rng):
-    """Draw a token from Softmax(l_dsr + lam * l_mlm + l_mask)."""
-    return int(draw(softmax(l_dsr + lam * l_mlm + l_mask), rng.random()))
+    return st.mask(st.n, st.open, st.trig, parent, min_length, max_length)[0]
 
 
 class Controller(GRUReadout):
@@ -246,18 +210,18 @@ class Controller(GRUReadout):
         x[rows, V + 1 + np.where(sibling < 0, V, sibling)] = 1.0
         return x
 
-    step_batch = GRUReadout.forward
-
 
 class _Policy:
     """The per-step policy of B sequences: controller logits, plus lambda
     times the prior's, plus the constraint mask, all read from one slot
     state.  Sampling pushes its draws and the training replay the sampled
     tokens, so the replay scores exactly the distribution that drew them.
-    A finished row sees the inputs of an empty prefix."""
+    The prior reads the token pushed last (BOS first), as in its training,
+    so its share is the prior's own sequence log-probability.  A finished
+    row sees the controller inputs of an empty prefix."""
 
-    def __init__(self, controller, mlm_model, cs, config, B, max_len):
-        self.controller, self.mlm, self.cs = controller, mlm_model, cs
+    def __init__(self, controller, mlm_model, config, B, max_len):
+        self.controller, self.mlm = controller, mlm_model
         self.config = config
         self.st = _SlotState(config.library, B, max_len)
         self.rows = np.arange(B)
@@ -272,18 +236,11 @@ class _Policy:
         st, cfg = self.st, self.config
         live = ~st.done
         parent, sibling = st.parent_sibling(self.rows)  # -1 on finished rows
-        masks = self.cs.mask_batch(cfg.library, np.where(live, st.n, 0),
-                                   np.where(live, st.open, 1), st.trig, parent,
-                                   cfg.min_length, cfg.max_length)
-        logits, self.h, cache = self.controller.step_batch(
+        masks = st.mask(np.where(live, st.n, 0), np.where(live, st.open, 1),
+                        st.trig, parent, cfg.min_length, cfg.max_length)
+        logits, self.h, cache = self.controller.forward(
             self.controller.input_batch(parent, sibling), self.h)
         if self.mlm is not None:
-            # the sibling (the most recently completed elder subtree's root)
-            # is the closest thing to "the previous token" for a model
-            # trained on flat sequences; fall back to the parent, then BOS
-            prev = np.where(sibling >= 0, sibling,
-                            np.where(parent >= 0, parent, self.mlm.bos))
-            self.mlm_prev[live] = prev[live]
             l_mlm, self.h_mlm = self.mlm.step_batch(self.mlm_prev, self.h_mlm)
             logits = logits + cfg.lam * l_mlm
         return logits + masks, self.h, cache
@@ -292,16 +249,18 @@ class _Policy:
         """Append picks[b] to each row b where live[b]."""
         rows = self.rows[live]
         self.st.push(rows, picks[rows])
+        if self.mlm is not None:
+            self.mlm_prev[rows] = picks[rows]
 
 
-def sample_batch(controller, mlm_model, cs, config, rng, batch_size=None):
-    """Vectorized draw of a batch of COMPLETE traversals.
+def sample_batch(controller, mlm_model, config, rng):
+    """Vectorized draw of config.batch_size COMPLETE traversals.
 
     Steps the policy for all sequences at once; finished rows keep consuming
     their lane, but their draws are discarded.
     """
-    B = batch_size if batch_size is not None else config.batch_size
-    policy = _Policy(controller, mlm_model, cs, config, B, config.max_length)
+    B = config.batch_size
+    policy = _Policy(controller, mlm_model, config, B, config.max_length)
     st = policy.st
     for _ in range(config.max_length):
         live = ~st.done
@@ -312,25 +271,23 @@ def sample_batch(controller, mlm_model, cs, config, rng, batch_size=None):
     return [Traversal(s[:k]) for s, k in zip(st.seq.tolist(), st.n)]
 
 
-def sample_expression(controller, mlm_model, cs, config, rng):
-    """Sample one COMPLETE traversal (batch-of-one specialization)."""
-    return sample_batch(controller, mlm_model, cs, config, rng, batch_size=1)[0]
-
-
-def reward(expr, X, y):
-    """1 / (1 + NRMSE); 0 for expressions that evaluate Invalid anywhere.
-
-    ``expr`` is an ExprTree or a pre-order list of Tokens.  Returns
-    (reward, invalid flag).  X maps variable name -> sample array.  An
-    expression that cannot be evaluated at all, such as one with a variable
-    X does not bind, raises its ExprError.
-    """
-    y = np.asarray(y, dtype=float)
+def target_spread(y):
+    """The standard deviation that scales the RMSE in ``reward``."""
     sd = float(np.std(y))
     if sd == 0.0:
         raise DegenerateTarget("target values are constant")
-    evaluate = evaluate_batch if isinstance(expr, ExprTree) else evaluate_prefix
-    yhat, ok = evaluate(expr, X)
+    return sd
+
+
+def reward(tokens, X, y, sd):
+    """1 / (1 + NRMSE); 0 for expressions that evaluate Invalid anywhere.
+
+    ``tokens`` is a pre-order list of Tokens, and ``sd`` is
+    ``target_spread(y)``.  Returns (reward, invalid flag).  X maps variable
+    name -> sample array.  An expression that cannot be evaluated at all,
+    such as one with a variable X does not bind, raises its ExprError.
+    """
+    yhat, ok = evaluate_prefix(tokens, X)
     if not ok:
         return 0.0, True
     with np.errstate(over="ignore"):
@@ -341,17 +298,13 @@ def reward(expr, X, y):
 
 
 def objective_and_gradients(controller, traversals, advantages, config,
-                            mlm_model=None, cs=None):
+                            mlm_model=None):
     """Risk-seeking surrogate objective and its exact controller gradients.
 
     J = mean_i adv_i * log p(tau_i) + entropy_weight * mean_i sum_t H_t.
     The prior logits and constraint masks enter the softmax but are treated
-    as constants; gradients flow only through the controller logits.  ``cs``
-    must be the constraint set the traversals were sampled under (default:
-    ConstraintSet()).
+    as constants; gradients flow only through the controller logits.
     """
-    if cs is None:
-        cs = ConstraintSet()
     k = len(traversals)
     lengths = np.array([len(t) for t in traversals])
     T = int(lengths.max())
@@ -363,7 +316,7 @@ def objective_and_gradients(controller, traversals, advantages, config,
     # gradients; padded steps add nothing
     adv = np.asarray(advantages, dtype=float)
     w_ent = config.entropy_weight
-    policy = _Policy(controller, mlm_model, cs, config, k, T)
+    policy = _Policy(controller, mlm_model, config, k, T)
     rows = np.arange(k)
     J = 0.0
     steps = []
@@ -393,10 +346,8 @@ def objective_and_gradients(controller, traversals, advantages, config,
     return J, grads
 
 
-def train_step(controller, batch, config, optimizer, mlm_model=None, cs=None):
-    """One risk-seeking policy update from a batch of (traversal, reward).
-
-    ``cs`` is the constraint set the batch was sampled under."""
+def train_step(controller, batch, config, optimizer, mlm_model=None):
+    """One risk-seeking policy update from a batch of (traversal, reward)."""
     if not batch:
         raise ValueError("empty batch")
     rewards = np.array([r for _, r in batch])
@@ -408,7 +359,7 @@ def train_step(controller, batch, config, optimizer, mlm_model=None, cs=None):
     if all(a == 0.0 for a in advantages) and config.entropy_weight == 0.0:
         return 0.0
     J, grads = objective_and_gradients(controller, traversals, advantages,
-                                       config, mlm_model, cs)
+                                       config, mlm_model)
     neg = {n: -g for n, g in grads.items()}
     optimizer.update(controller.params(), neg)
     return J
@@ -501,8 +452,6 @@ class RunMetrics:
     steps_to_solve: int
     invalid_fraction: float
     best_expression: str
-    best_reward: float
-    reward_trace: list = field(default_factory=list)
     seed: int = 0
 
 
@@ -539,55 +488,48 @@ def run_search(spec, config, rng_seed, mlm_model=None):
     rng = np.random.default_rng(rng_seed)
     controller = Controller(lib, cfg.hidden_size, seed=rng_seed)
     optimizer = Adam(cfg.learning_rate)
-    cs = ConstraintSet()
     X, y = spec.dataset(np.random.default_rng(rng_seed ^ 0x5EED))
+    sd = target_spread(y)
 
     n_invalid = 0
     n_total = 0
     best_r = -1.0
     best_trav = None
-    trace = []
     solved_at = None
     checked = set()
     for step_i in range(1, cfg.max_steps + 1):
-        traversals = sample_batch(controller, mlm_model, cs, cfg, rng)
+        traversals = sample_batch(controller, mlm_model, cfg, rng)
         batch = []
         for trav in traversals:
-            r, invalid = reward([lib.tokens[i] for i in trav.seq], X, y)
+            r, invalid = reward([lib.tokens[i] for i in trav.seq], X, y, sd)
             n_invalid += invalid
             n_total += 1
             batch.append((trav, r))
             if r > best_r:
                 best_r = r
                 best_trav = trav
-        trace.append(best_r)
         if best_r > 0.9999 and best_trav.seq not in checked:
             checked.add(best_trav.seq)
             if recovered(traversal_to_tree(best_trav, lib), spec):
                 solved_at = step_i
                 break
-        train_step(controller, batch, cfg, optimizer, mlm_model, cs)
+        train_step(controller, batch, cfg, optimizer, mlm_model)
     best_expr = render_infix(traversal_to_tree(best_trav, lib)) if best_trav else ""
     return RunMetrics(
         recovered=solved_at is not None,
         steps_to_solve=solved_at if solved_at is not None else cfg.max_steps,
         invalid_fraction=n_invalid / max(1, n_total),
         best_expression=best_expr,
-        best_reward=best_r,
-        reward_trace=trace,
         seed=rng_seed,
     )
 
 
-def run_benchmark(spec, config, n_runs, with_mlm=False, mlm_model=None,
-                  base_seed=0):
-    """Independent runs with per-run seeds; reduced in run order."""
+def run_benchmark(spec, config, n_runs, mlm_model=None, base_seed=0):
+    """Independent runs with per-run seeds; reduced in run order.  The
+    prior is in use when ``mlm_model`` is given."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if with_mlm and mlm_model is None:
-        raise ValueError("with_mlm requires a model")
-    return [run_search(spec, config, base_seed + run,
-                       mlm_model=mlm_model if with_mlm else None)
+    return [run_search(spec, config, base_seed + run, mlm_model=mlm_model)
             for run in range(n_runs)]
 
 

@@ -95,17 +95,23 @@ def stream_pages(source):
             for child in elem:
                 name = _localname(child.tag)
                 if name == "id" and page_id is None:
-                    page_id = int(child.text or 0)
+                    page_id = child.text or 0
                 elif name == "title":
                     title = child.text or ""
                 elif name == "ns":
-                    ns = int(child.text or 0)
+                    ns = child.text or 0
                 elif name == "revision":
                     for sub in child:
                         if _localname(sub.tag) == "text":
                             text = sub.text or ""
-            yield PageRecord(page_id=page_id or 0, title=title, namespace=ns,
-                             text=text)
+            try:
+                page = PageRecord(page_id=int(page_id or 0), title=title,
+                                  namespace=int(ns), text=text)
+            except ValueError:
+                raise MalformedXml(
+                    f"page {title!r}: id {page_id!r} or namespace {ns!r} "
+                    f"is not an integer") from None
+            yield page
             root.clear()
     except ET.ParseError as e:
         if "no element found" in str(e):
@@ -256,6 +262,15 @@ def serialize_rows(rows, table):
     return f"INSERT INTO `{table}` VALUES {values};"
 
 
+def _sql_int(row, i, table):
+    """Column i of a row, which must be an unquoted integer: int() would
+    truncate a float and accept a quoted '12'."""
+    if type(row[i]) is not int:
+        raise SqlSyntax(f"{table} row {row!r}: column {i + 1} is not an "
+                        f"integer")
+    return row[i]
+
+
 def parse_sql_dump(source, table):
     """Yield typed rows of the categorylinks or the page table."""
     if table not in ("categorylinks", "page"):
@@ -265,14 +280,15 @@ def parse_sql_dump(source, table):
             if len(row) != 7:
                 raise SqlSyntax(
                     f"categorylinks row has {len(row)} columns, expected 7")
-            yield CategoryLink(from_page_id=int(row[0]),
+            yield CategoryLink(from_page_id=_sql_int(row, 0, table),
                                to_category_name=str(row[1]),
                                link_type=str(row[6]) or "page")
         else:
             if len(row) < 3:
                 raise SqlSyntax(
                     f"page row has {len(row)} columns, expected at least 3")
-            yield PageRecord(page_id=int(row[0]), namespace=int(row[1]),
+            yield PageRecord(page_id=_sql_int(row, 0, table),
+                             namespace=_sql_int(row, 1, table),
                              title=str(row[2]), text="")
 
 
@@ -289,7 +305,6 @@ class CategoryNode:
 class CategoryTree:
     root: str
     nodes: dict
-    max_depth: int
 
     def all_page_ids(self):
         out = set()
@@ -339,7 +354,7 @@ def build_category_tree(root, links, pages, max_depth):
                 rec = pages.get(link.from_page_id)
                 if rec is None or rec.namespace == NS_MAIN:
                     node.page_ids.append(link.from_page_id)
-    return CategoryTree(root=root, nodes=nodes, max_depth=max_depth)
+    return CategoryTree(root=root, nodes=nodes)
 
 
 def filter_pages_by_category(tree, expressions):

@@ -15,7 +15,6 @@ import pytest
 from mathcorpus import dsr, mlm
 from mathcorpus.corpus import CorpusSample, read_corpus, write_corpus
 from mathcorpus.dsr import (
-    ConstraintSet,
     Controller,
     SRConfig,
     builtin_benchmarks,
@@ -167,8 +166,8 @@ def test_criterion_07_lambda_zero_equivalence():
     lib = spec.library()
     config = SRConfig(library=lib, lam=0.0, batch_size=100, max_steps=50)
     model = mlm.init(lib, 8, 16, seed=3)
-    cs = ConstraintSet()
     X, y = spec.dataset(np.random.default_rng(99))
+    sd = dsr.target_spread(y)
 
     def trajectory(with_model):
         controller = Controller(lib, config.hidden_size, seed=0)
@@ -177,10 +176,10 @@ def test_criterion_07_lambda_zero_equivalence():
         tokens = []
         for _ in range(config.max_steps):
             travs = sample_batch(controller, model if with_model else None,
-                                 cs, config, rng)
+                                 config, rng)
             for t in travs:
                 tokens.extend(t.seq)
-            batch = [(t, dsr.reward(traversal_to_tree(t, lib), X, y)[0])
+            batch = [(t, dsr.reward([lib[i] for i in t.seq], X, y, sd)[0])
                      for t in travs]
             train_step(controller, batch, config, opt,
                        mlm_model=model if with_model else None)
@@ -195,14 +194,13 @@ def test_criterion_08_constraint_soundness():
     lib = default_library(n_vars=2)
     config = SRConfig(library=lib, batch_size=500)
     controller = Controller(lib, config.hidden_size, seed=0)
-    cs = ConstraintSet()
     rng = np.random.default_rng(8)
     trig = {"sin", "cos", "tan"}
     inverse = {("log", "exp"), ("exp", "log")}
     violations = 0
     total = 0
     while total < 100_000:
-        travs = sample_batch(controller, None, cs, config, rng)
+        travs = sample_batch(controller, None, config, rng)
         for trav in travs:
             total += 1
             if not is_complete(trav, lib):
@@ -278,8 +276,7 @@ def test_criterion_11_directional_mlm_effect():
     without = dsr.summarize(dsr.run_benchmark(spec, base, 20, base_seed=0))
     with_cfg = SRConfig(library=lib, lam=0.5, max_steps=300)
     withm = dsr.summarize(dsr.run_benchmark(spec, with_cfg, 20,
-                                            with_mlm=True, mlm_model=model,
-                                            base_seed=0))
+                                            mlm_model=model, base_seed=0))
     produced = math.isfinite(without["mean_steps"]) \
         and math.isfinite(withm["mean_steps"])
     direction = "faster with prior" if withm["mean_steps"] < without["mean_steps"] \
@@ -311,8 +308,8 @@ def test_criterion_12_format_roundtrips(tmp_path):
     mlm.save(model, mpath)
     mlm_ok = mlm.load(mpath).equal(model)
 
-    metrics = [dsr.RunMetrics(bool(i % 2), 10 * i + 1, i / 10, "x", 0.5,
-                              seed=i) for i in range(10)]
+    metrics = [dsr.RunMetrics(bool(i % 2), 10 * i + 1, i / 10, "x", seed=i)
+               for i in range(10)]
     rows = dsr.metrics_rows("nguyen-1", metrics, 0.0, False)
     csvp = tmp_path / "m.csv"
     dsr.write_metrics_csv(csvp, rows)

@@ -6,7 +6,7 @@ from mathcorpus import mlm
 from mathcorpus.cli import main
 from mathcorpus.expr_core import default_library
 
-from test_wiki_extract import CL_SQL, FIXTURE_XML
+from test_wiki_extract import CL_SQL, FIXTURE_XML, page_xml
 
 
 @pytest.fixture
@@ -74,6 +74,46 @@ class TestExtract:
         assert code == 2
         err = capsys.readouterr().err
         assert "--sql-categorylinks" in err and "malformed" not in err
+
+
+    def test_unwritable_out_fails_before_the_dump_is_read(self, tmp_path,
+                                                          capsys):
+        bad = tmp_path / "bad.xml"
+        bad.write_bytes(b"<mediawiki><page></mediawiki>")
+        code = main(["extract", "--dump", str(bad), "--out",
+                     str(tmp_path / "no-such-dir" / "o.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "o.jsonl" in err and "malformed" not in err
+
+    @pytest.mark.parametrize("cl, pg, named", [
+        ("('x','Physics','','','','','page')", "(1,0,'Alpha')",
+         "categorylinks row ('x', 'Physics'"),
+        ("(1,'Physics','','','','','page')", "(1,2.5,'Alpha')",
+         "page row (1, 2.5, 'Alpha')"),
+    ])
+    def test_non_integer_sql_id_names_the_row(self, tmp_path, dump, capsys,
+                                              cl, pg, named):
+        paths = []
+        for table, values in (("categorylinks", cl), ("page", pg)):
+            path = tmp_path / f"{table}.sql"
+            path.write_text(f"INSERT INTO `{table}` VALUES {values};\n")
+            paths.append(str(path))
+        code = main(["extract", "--dump", str(dump), "--out",
+                     str(tmp_path / "o.jsonl"), "--category", "Physics",
+                     "--sql-categorylinks", paths[0], "--sql-page", paths[1]])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
+    def test_non_integer_page_namespace_names_the_page(self, tmp_path,
+                                                       capsys):
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<mediawiki>" + page_xml(1, "Alpha", "<math>x</math>",
+                                                ns="x") + "</mediawiki>")
+        code = main(["extract", "--dump", str(bad), "--out",
+                     str(tmp_path / "o.jsonl")])
+        assert code == 2
+        assert "malformed dump: page 'Alpha'" in capsys.readouterr().err
 
 
 class TestCorpus:

@@ -134,3 +134,51 @@ def test_regexes_compile_on_python_310(path):
     assert [name for name, value in vars(module).items()
             if isinstance(value, re.Pattern)
             and needs_python_311(value.pattern, value.flags)] == []
+
+
+def dataclass_fields(source):
+    """``Class.field`` for each annotated field of each ``@dataclass``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            found += [f"{node.name}.{s.target.id}" for s in node.body
+                      if isinstance(s, ast.AnnAssign)
+                      and isinstance(s.target, ast.Name)]
+    return found
+
+
+def attributes_read(source):
+    """Names read as ``.name``, an augmented assignment counting as a read."""
+    tree = ast.parse(source)
+    read = {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return read | {n.target.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.AugAssign)
+                   and isinstance(n.target, ast.Attribute)}
+
+
+def unread_fields(defining, reading):
+    read = set().union(*map(attributes_read, reading))
+    return [f for source in defining for f in dataclass_fields(source)
+            if f.split(".")[1] not in read]
+
+
+def test_checker_flags_an_unread_dataclass_field():
+    source = ("from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\nclass P:\n    a: int\n"
+              "    b: list = field(default_factory=list)\n    c = 3\n"
+              "@dataclass\nclass Q:\n    d: int\n"
+              "class R:\n    e: int\n")
+    assert dataclass_fields(source) == ["P.a", "P.b", "Q.d"]
+    assert unread_fields([source], ["p.a\nq.d += 1\nr.e\nb = 2\n"]) \
+        == ["P.b"]
+
+
+def test_no_unread_dataclass_fields():
+    root = Path(__file__).resolve().parents[1]
+    readers = [*MODULES, *sorted((root / "perfbench").rglob("*.py")),
+               *sorted((root / "tests").rglob("*.py"))]
+    assert unread_fields([p.read_text(encoding="utf-8") for p in MODULES],
+                         [p.read_text(encoding="utf-8") for p in readers]) \
+        == []
