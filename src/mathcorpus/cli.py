@@ -183,8 +183,11 @@ def _load_spec(args):
 
 
 def cmd_sr(args):
-    if args.runs < 1:
-        raise UsageError("--runs must be >= 1")
+    for flag in ("runs", "max_steps", "batch_size"):
+        if getattr(args, flag) < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
+    if args.with_mlm and args.lam < 0:
+        raise UsageError("--lambda must be >= 0")
     spec = _load_spec(args)
     lib = spec.library()
     model = None
@@ -245,6 +248,14 @@ def _aggregate(rows):
     return out
 
 
+def _cells(a):
+    """Report cells of one aggregate, dashes for none."""
+    if not a:
+        return ["-", "-", "-"]
+    return [f"{a['recovery']:.1f}%", f"{a['steps']:.2f}",
+            f"{a['invalid']:.2f}%"]
+
+
 def cmd_report(args):
     if not args.metrics:
         raise UsageError("need at least one metrics CSV")
@@ -252,36 +263,18 @@ def cmd_report(args):
                for path in args.metrics]
     benches = sorted({b for _, agg in columns for b in agg})
 
-    lines = []
     header = ["benchmark"]
     for path, _ in columns:
         header += [f"recovery({path})", f"steps({path})", f"invalid({path})"]
-    lines.append("\t".join(header))
-    sums = [[0.0, 0.0, 0.0] for _ in columns]
-    counts = [0 for _ in columns]
-    for bench in benches:
-        row = [bench]
-        for i, (_, agg) in enumerate(columns):
-            if bench in agg:
-                a = agg[bench]
-                row += [f"{a['recovery']:.1f}%", f"{a['steps']:.2f}",
-                        f"{a['invalid']:.2f}%"]
-                sums[i][0] += a["recovery"]
-                sums[i][1] += a["steps"]
-                sums[i][2] += a["invalid"]
-                counts[i] += 1
-            else:
-                row += ["-", "-", "-"]
-        lines.append("\t".join(row))
-    avg_row = ["Average:"]
-    for i in range(len(columns)):
-        if counts[i]:
-            avg_row += [f"{sums[i][0] / counts[i]:.1f}%",
-                        f"{sums[i][1] / counts[i]:.2f}",
-                        f"{sums[i][2] / counts[i]:.2f}%"]
-        else:
-            avg_row += ["-", "-", "-"]
-    lines.append("\t".join(avg_row))
+    rows = [header] + [[bench] + [c for _, agg in columns
+                                  for c in _cells(agg.get(bench))]
+                       for bench in benches]
+    # each column's means over the benchmarks it has, in benchmark order
+    means = [{k: sum(a[k] for a in agg.values()) / len(agg)
+              for k in ("recovery", "steps", "invalid")} if agg else None
+             for _, agg in columns]
+    rows.append(["Average:"] + [c for m in means for c in _cells(m)])
+    lines = ["\t".join(row) for row in rows]
     text = "\n".join(lines) + "\n"
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(text)
@@ -309,7 +302,7 @@ def build_parser():
     pe.add_argument("--category")
     pe.add_argument("--depth", type=int, default=3)
     pe.add_argument("--config")
-    pe.set_defaults(fn=cmd_extract, sub_parser=pe)
+    pe.set_defaults(handler=cmd_extract, sub_parser=pe)
 
     pc = sub.add_parser("corpus", help="build the token-sequence corpus")
     pc.add_argument("--in", dest="infile", required=True)
@@ -319,7 +312,7 @@ def build_parser():
                     choices=corpus_mod.POLICIES)
     pc.add_argument("--max-vars", type=int, default=2)
     pc.add_argument("--config")
-    pc.set_defaults(fn=cmd_corpus, sub_parser=pc)
+    pc.set_defaults(handler=cmd_corpus, sub_parser=pc)
 
     pm = sub.add_parser("mlm-train", help="train the math language model")
     pm.add_argument("--corpus", required=True)
@@ -332,7 +325,7 @@ def build_parser():
     pm.add_argument("--batch", type=int, default=64)
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--config")
-    pm.set_defaults(fn=cmd_mlm_train, sub_parser=pm)
+    pm.set_defaults(handler=cmd_mlm_train, sub_parser=pm)
 
     ps = sub.add_parser("sr", help="run symbolic regression benchmarks")
     ps.add_argument("--benchmark")
@@ -348,13 +341,13 @@ def build_parser():
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--out", help="metrics CSV path")
     ps.add_argument("--config")
-    ps.set_defaults(fn=cmd_sr, sub_parser=ps)
+    ps.set_defaults(handler=cmd_sr, sub_parser=ps)
 
     pr = sub.add_parser("report", help="side-by-side comparison table")
     pr.add_argument("--metrics", nargs="+")
     pr.add_argument("--out", required=True)
     pr.add_argument("--config")
-    pr.set_defaults(fn=cmd_report, sub_parser=pr)
+    pr.set_defaults(handler=cmd_report, sub_parser=pr)
     return p
 
 
@@ -365,7 +358,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args(_with_config(args, argv))
-        return args.fn(args)
+        return args.handler(args)
     except SystemExit as e:
         return int(e.code or 0)
     except (UsageError, json.JSONDecodeError) as e:

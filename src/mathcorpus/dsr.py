@@ -11,7 +11,6 @@ Training is risk-seeking REINFORCE on the top reward quantile of each batch.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from .expr_core import (
     VARIABLE,
     constant_value,
     evaluate_batch,
-    evaluate_prefix,
+    evaluate_rows,
     render_infix,
     traversal_to_tree,
 )
@@ -279,22 +278,37 @@ def target_spread(y):
     return sd
 
 
-def reward(tokens, X, y, sd):
-    """1 / (1 + NRMSE); 0 for expressions that evaluate Invalid anywhere.
+def batch_rewards(seqs, lengths, tokens, X, y, sd):
+    """1 / (1 + NRMSE) of each traversal, as in ``evaluate_rows``, in one
+    evaluator pass; 0 for those that evaluate Invalid anywhere.
 
-    ``tokens`` is a pre-order list of Tokens, and ``sd`` is
-    ``target_spread(y)``.  Returns (reward, invalid flag).  X maps variable
-    name -> sample array.  An expression that cannot be evaluated at all,
-    such as one with a variable X does not bind, raises its ExprError.
+    ``sd`` is ``target_spread(y)``, and X maps variable name -> sample
+    array.  Returns (rewards, invalid flags).  A row that cannot be
+    evaluated at all, such as one with a variable X does not bind, raises
+    its ExprError.
     """
-    yhat, ok = evaluate_prefix(tokens, X)
-    if not ok:
-        return 0.0, True
-    with np.errstate(over="ignore"):
-        rmse = float(np.sqrt(np.mean((yhat - y) ** 2)))
-    if not math.isfinite(rmse):
-        return 0.0, True
-    return 1.0 / (1.0 + rmse / sd), False
+    yhat, ok = evaluate_rows(seqs, lengths, tokens, X)
+    with np.errstate(all="ignore"):
+        rmse = np.sqrt(np.mean((yhat - y) ** 2, axis=1))
+        invalid = ~ok | ~np.isfinite(rmse)
+        return np.where(invalid, 0.0, 1.0 / (1.0 + rmse / sd)), invalid
+
+
+def reward(tokens, X, y, sd):
+    """``batch_rewards`` of one pre-order list of Tokens, as (reward,
+    invalid flag)."""
+    r, invalid = batch_rewards(np.arange(len(tokens))[None], [len(tokens)],
+                               tokens, X, y, sd)
+    return float(r[0]), bool(invalid[0])
+
+
+def _padded(traversals):
+    """The traversals as a (k, T) index matrix padded with token 0, and
+    their lengths."""
+    lengths = np.array([len(t.seq) for t in traversals])
+    T = int(lengths.max())
+    return (np.array([t.seq + (0,) * (T - len(t.seq)) for t in traversals]),
+            lengths)
 
 
 def objective_and_gradients(controller, traversals, advantages, config,
@@ -305,12 +319,8 @@ def objective_and_gradients(controller, traversals, advantages, config,
     The prior logits and constraint masks enter the softmax but are treated
     as constants; gradients flow only through the controller logits.
     """
-    k = len(traversals)
-    lengths = np.array([len(t) for t in traversals])
-    T = int(lengths.max())
-    seqs = np.zeros((k, T), dtype=np.int64)  # padded with token 0
-    for i, trav in enumerate(traversals):
-        seqs[i, :lengths[i]] = tuple(trav)
+    seqs, lengths = _padded(traversals)
+    k, T = seqs.shape
 
     # teacher-forced steps, with each step's share of J and its logit
     # gradients; padded steps add nothing
@@ -384,15 +394,11 @@ class BenchmarkSpec:
                                f"a declared variable or a numeric constant")
 
     def library(self):
-        toks = []
-        for name in self.library_tokens:
-            if name in OPS:
-                toks.append(OPS[name].token)
-            elif name in self.variables:
-                toks.append(Token(name, 0, VARIABLE))
-            else:
-                toks.append(Token(name, 0, CONSTANT))
-        return Library(toks, name=f"bench:{self.name}")
+        return Library([OPS[name].token if name in OPS else
+                        Token(name, 0, VARIABLE if name in self.variables
+                              else CONSTANT)
+                        for name in self.library_tokens],
+                       name=f"bench:{self.name}")
 
     def target_tree(self, lib):
         return parse_plain(self.expression, lib)
@@ -491,29 +497,25 @@ def run_search(spec, config, rng_seed, mlm_model=None):
     X, y = spec.dataset(np.random.default_rng(rng_seed ^ 0x5EED))
     sd = target_spread(y)
 
-    n_invalid = 0
-    n_total = 0
-    best_r = -1.0
-    best_trav = None
-    solved_at = None
+    n_invalid = n_total = 0
+    best_r, best_trav, solved_at = -1.0, None, None
     checked = set()
     for step_i in range(1, cfg.max_steps + 1):
         traversals = sample_batch(controller, mlm_model, cfg, rng)
-        batch = []
-        for trav in traversals:
-            r, invalid = reward([lib.tokens[i] for i in trav.seq], X, y, sd)
-            n_invalid += invalid
-            n_total += 1
-            batch.append((trav, r))
-            if r > best_r:
-                best_r = r
-                best_trav = trav
+        rewards, invalid = batch_rewards(*_padded(traversals), lib.tokens,
+                                         X, y, sd)
+        n_invalid += int(invalid.sum())
+        n_total += len(traversals)
+        i = int(np.argmax(rewards))  # the first maximum
+        if rewards[i] > best_r:
+            best_r, best_trav = rewards[i], traversals[i]
         if best_r > 0.9999 and best_trav.seq not in checked:
             checked.add(best_trav.seq)
             if recovered(traversal_to_tree(best_trav, lib), spec):
                 solved_at = step_i
                 break
-        train_step(controller, batch, cfg, optimizer, mlm_model)
+        train_step(controller, list(zip(traversals, rewards)), cfg,
+                   optimizer, mlm_model)
     best_expr = render_infix(traversal_to_tree(best_trav, lib)) if best_trav else ""
     return RunMetrics(
         recovered=solved_at is not None,
@@ -545,12 +547,9 @@ def write_metrics_csv(path, rows):
 
 
 def metrics_rows(benchmark_name, metrics, lam, with_mlm):
-    rows = []
-    for run, m in enumerate(metrics):
-        rows.append([benchmark_name, run, m.seed, lam, int(with_mlm),
-                     int(m.recovered), m.steps_to_solve,
-                     f"{m.invalid_fraction:.6f}", m.best_expression])
-    return rows
+    return [[benchmark_name, run, m.seed, lam, int(with_mlm), int(m.recovered),
+             m.steps_to_solve, f"{m.invalid_fraction:.6f}", m.best_expression]
+            for run, m in enumerate(metrics)]
 
 
 def summarize(metrics):

@@ -47,18 +47,8 @@ class UnboundVariable(ExprError):
 
 
 class _InvalidValue:
-    """Sentinel for evaluations that hit a domain error or non-finite value.
-
-    A value rather than an exception so batch evaluation can count invalid
-    expressions cheaply.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The value of an evaluation that hit a domain error or non-finite
+    value; INVALID is the one instance."""
 
     def __repr__(self):
         return "Invalid"
@@ -145,11 +135,6 @@ class ExprTree:
                 f"token {self.root.name!r} has arity {self.root.arity}, "
                 f"got {len(self.children)} children"
             )
-
-    def __eq__(self, other):
-        if not isinstance(other, ExprTree):
-            return NotImplemented
-        return self.root == other.root and self.children == other.children
 
     def __repr__(self):
         if not self.children:
@@ -304,50 +289,73 @@ def evaluate_batch(tree, bindings):
 
 
 def evaluate_prefix(tokens, bindings):
-    """Vectorized evaluation of a pre-order token list over numpy arrays of
-    points, right to left on a stack.
+    """Vectorized evaluation of one pre-order token list, a one-row call of
+    evaluate_rows.  Returns (values, ok)."""
+    values, ok = evaluate_rows(np.arange(len(tokens))[None], [len(tokens)],
+                               tokens, bindings)
+    return values[0], bool(ok[0])
 
-    Returns (values, ok) where ok is False if any point hit a domain error
+
+def evaluate_rows(seqs, lengths, tokens, bindings):
+    """The single evaluator: B pre-order traversals over numpy arrays of
+    points, in one right-to-left pass.
+
+    Row b of the (B, L) matrix ``seqs`` holds ``lengths[b]`` indices into
+    the token table ``tokens``, then padding that is never read.  At each
+    position every token is applied once, to all the rows holding it, on a
+    stack per row as deep as that row ever needs.  Returns the
+    (B, n_points) values, and per row whether no point hit a domain error
     or non-finite intermediate.  Every value is computed either way.
     """
-    stack = []
-    ok = True
+    live = np.arange(np.shape(seqs)[1]) < np.asarray(lengths)[:, None]
+    seqs = np.where(live, seqs, 0)
+    B = len(seqs)
+    arity = np.array([t.arity for t in tokens])
+    fns = {}  # token index -> its value as a function of its children
+    for i in np.flatnonzero(np.bincount(seqs[live])):  # the tokens used
+        tok, value = tokens[i], constant_value(tokens[i])
+        if tok.kind == VARIABLE:
+            if tok.name not in bindings:
+                raise UnboundVariable(tok.name)
+            value = np.asarray(bindings[tok.name], dtype=float)
+        elif tok.arity == 0 and value is None:
+            raise ExprError(
+                f"constant token {tok.name!r} has no numeric value")
+        elif tok.arity and tok.name not in OPS:
+            raise ExprError(f"no evaluation rule for operator {tok.name!r}")
+        fns[i] = OPS[tok.name].fn if tok.arity else lambda v=value: v
+    # height[:, j]: the stack depth once positions j..L-1 are evaluated
+    step = np.where(live, 1 - arity[seqs], 0)
+    height = np.cumsum(step[:, ::-1], axis=1)[:, ::-1]
+    under = live & (height < 1)
+    bad = under.any(axis=1) | (step.sum(axis=1) != 1)
+    if bad.any():
+        b = np.argmax(bad)
+        if under[b].any():  # the rightmost underflow is hit first
+            name = tokens[seqs[b, np.flatnonzero(under[b])[-1]]].name
+            raise InvalidPrefix(f"operator {name!r} is missing operands")
+        raise InvalidPrefix(f"tokens encode {step[b].sum()} trees, not one")
+    depth = height.max(axis=1)  # row b's stack is depth[b] rows from base[b]
+    base = np.cumsum(depth) - depth
+    # the live cells right to left, then by token; each run of one token at
+    # one position is applied at once
+    b, j = np.nonzero(live)
+    order = np.argsort(seqs[b, j] - j * len(tokens), kind="stable")
+    b, j = b[order], j[order]
+    tok, free = seqs[b, j], base[b] + height[b, j] - step[b, j]
+    edges = [0, *np.flatnonzero(np.diff(tok - j * len(tokens))) + 1, len(b)]
+    del order, j
+    stack = np.empty((depth.sum(), len(next(iter(bindings.values()), [0]))))
+    ok = np.ones(B, dtype=bool)
     with np.errstate(all="ignore"):
-        for tok in reversed(tokens):
-            k = tok.arity
-            if k == 0:
-                stack.append(_leaf(tok, bindings))
-                continue
-            op = OPS.get(tok.name)
-            if op is None:
-                raise ExprError(f"no evaluation rule for operator {tok.name!r}")
-            if len(stack) < k:
-                raise InvalidPrefix(f"operator {tok.name!r} is missing operands")
-            # the children are the top k entries, the first child on top
-            out = op.fn(*stack[:-k - 1:-1])
-            del stack[-k:]
-            ok = ok and bool(np.isfinite(out).all())
-            stack.append(out)
-    if len(stack) != 1:
-        raise InvalidPrefix(f"tokens encode {len(stack)} trees, not one")
-    return stack[0], ok
-
-
-def _leaf(tok, bindings):
-    if tok.kind == VARIABLE:
-        if tok.name not in bindings:
-            raise UnboundVariable(tok.name)
-        return np.asarray(bindings[tok.name], dtype=float)
-    v = constant_value(tok)
-    if v is None:
-        raise ExprError(f"constant token {tok.name!r} has no numeric value")
-    return np.full(_batch_len(bindings), v)
-
-
-def _batch_len(bindings):
-    for v in bindings.values():
-        return len(np.asarray(v))
-    return 1
+        for s, e in zip(edges, edges[1:]):
+            top, k = free[s:e], arity[tok[s]]
+            # the children are the top k entries, the first on top
+            out = fns[tok[s]](*(stack[top - c] for c in range(1, k + 1)))
+            stack[top - k] = out
+            if k:  # one cell per row at each position
+                ok[b[s:e]] &= np.isfinite(out).all(axis=1)
+    return stack[base], ok
 
 
 def render_infix(tree):

@@ -238,6 +238,28 @@ class TestSr:
         code = main(["sr", "--benchmark", "nguyen-1", "--runs", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--batch-size", "0"),
+                                             ("--batch-size", "-3"),
+                                             ("--max-steps", "-2")])
+    def test_sizes_below_one_exit_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "metrics.csv"
+        code = main(["sr", "--benchmark", "nguyen-1", "--runs", "1",
+                     "--no-mlm", flag, value, "--out", str(out)])
+        assert code == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_lambda_with_mlm_exit_2(self, tmp_path, capsys):
+        from mathcorpus import dsr
+
+        weights = tmp_path / "m.mlm"
+        lib = dsr.builtin_benchmarks()["nguyen-1"].library()
+        mlm.save(mlm.init(lib, 4, 4, seed=0), weights)
+        code = main(["sr", "--benchmark", "nguyen-1", "--runs", "1",
+                     "--with-mlm", str(weights), "--lambda", "-1"])
+        assert code == 2
+        assert "--lambda must be >= 0" in capsys.readouterr().err
+
     def test_unknown_benchmark(self, capsys):
         code = main(["sr", "--benchmark", "nguyen-99", "--runs", "1"])
         assert code == 2

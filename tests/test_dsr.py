@@ -372,19 +372,22 @@ def reference_objective_and_gradients(controller, traversals, advantages,
     return J, grads
 
 
-class TestReplayOracle:
-    def _models(self, lib, config, with_mlm):
-        rng = np.random.default_rng(11)
-        controller = Controller(lib, config.hidden_size, seed=2)
-        controller.W_out += rng.normal(size=controller.W_out.shape)
-        controller.b_out += rng.normal(size=controller.b_out.shape)
-        model = None
-        if with_mlm:
-            model = mlm.init(lib, 4, 8, seed=0)
-            model.W_out += rng.normal(size=model.W_out.shape)
-            model.b_out += rng.normal(size=model.b_out.shape)
-        return controller, model
+def perturbed_models(lib, config, with_mlm):
+    """A controller, and a prior when ``with_mlm``, with random read-outs,
+    so that sampled batches are varied."""
+    rng = np.random.default_rng(11)
+    controller = Controller(lib, config.hidden_size, seed=2)
+    controller.W_out += rng.normal(size=controller.W_out.shape)
+    controller.b_out += rng.normal(size=controller.b_out.shape)
+    model = None
+    if with_mlm:
+        model = mlm.init(lib, 4, 8, seed=0)
+        model.W_out += rng.normal(size=model.W_out.shape)
+        model.b_out += rng.normal(size=model.b_out.shape)
+    return controller, model
 
+
+class TestReplayOracle:
     def _check(self, controller, model, travs, config, seed):
         adv = np.random.default_rng(seed).normal(size=len(travs))
         J, grads = dsr.objective_and_gradients(controller, travs, adv, config,
@@ -402,7 +405,7 @@ class TestReplayOracle:
         lib = builtin_benchmarks()["nguyen-5"].library()
         config = cfg(lib, lam=0.5 if with_mlm else 0.0,
                      entropy_weight=entropy_weight, batch_size=40)
-        controller, model = self._models(lib, config, with_mlm)
+        controller, model = perturbed_models(lib, config, with_mlm)
         rng = np.random.default_rng(5)
         for seed in range(3):
             travs = sample_batch(controller, model, config, rng)
@@ -421,7 +424,7 @@ class TestReplayOracle:
         short = Traversal([add, x, sin, x])
         long = Traversal([add, x] * 14 + [sin, x])
         assert (len(short), len(long)) == (4, 30)
-        controller, model = self._models(lib, config, with_mlm)
+        controller, model = perturbed_models(lib, config, with_mlm)
         sampled = sample_batch(controller, model, config,
                                np.random.default_rng(6))
         self._check(controller, model, [short, long, *sampled], config, 7)
@@ -511,6 +514,44 @@ class TestReward:
         X = {"x1": np.linspace(-1, 1, 20)}
         with pytest.raises(UnboundVariable):
             reward(tokens, X, X["x1"], target_spread(X["x1"]))
+
+
+class TestBatchRewards:
+    @pytest.mark.parametrize("with_mlm", [False, True])
+    def test_match_per_row_reward(self, with_mlm):
+        spec = builtin_benchmarks()["nguyen-5"]
+        lib = spec.library()
+        config = cfg(lib, lam=0.5 if with_mlm else 0.0, batch_size=200)
+        controller, model = perturbed_models(lib, config, with_mlm)
+        X, y = spec.dataset(np.random.default_rng(1))
+        sd = target_spread(y)
+        rng = np.random.default_rng(4)
+        n_invalid = 0
+        for _ in range(3):
+            travs = sample_batch(controller, model, config, rng)
+            rewards, invalid = dsr.batch_rewards(*dsr._padded(travs),
+                                                 lib.tokens, X, y, sd)
+            want = [reward([lib[i] for i in t.seq], X, y, sd) for t in travs]
+            assert rewards.tolist() == [r for r, _ in want]
+            assert invalid.tolist() == [bad for _, bad in want]
+            n_invalid += int(invalid.sum())
+        assert 0 < n_invalid < 600
+
+    def test_run_search_keeps_the_first_maximum(self, monkeypatch):
+        spec = builtin_benchmarks()["nguyen-5"]
+        lib = spec.library()
+        add, sub, sin, log, x = (lib.index_of(n)
+                                 for n in ("add", "sub", "sin", "log", "x"))
+        # x + sin(x) and sin(x) + x tie bit for bit; log(x - x) is invalid
+        batches = iter([
+            [Traversal([log, sub, x, x]), Traversal([add, x, sin, x]),
+             Traversal([add, sin, x, x])],
+            [Traversal([add, sin, x, x])],
+        ])
+        monkeypatch.setattr(dsr, "sample_batch", lambda *args: next(batches))
+        metrics = dsr.run_search(spec, cfg(lib, max_steps=2), 0)
+        assert metrics.best_expression == "(x + sin(x))"
+        assert metrics.invalid_fraction == 0.25
 
 
 class TestTrainStep:

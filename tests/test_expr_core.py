@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mathcorpus.expr_core import (
     evaluate,
     evaluate_batch,
     evaluate_prefix,
+    evaluate_rows,
     is_complete,
     is_valid_prefix,
     node,
@@ -253,6 +255,68 @@ class TestEvaluatePrefix:
         for tokens in ([], [add, x], [x, x]):
             with pytest.raises(InvalidPrefix):
                 evaluate_prefix(tokens, {"x1": np.ones(3)})
+
+
+class TestEvaluateRows:
+    def test_mixed_batch_matches_tree_evaluation(self, lib, rng):
+        xs = np.linspace(-2, 2, 17)
+        bindings = {"x1": xs, "x2": xs - 0.5}
+        trees = [random_tree(lib, rng, max_depth=6) for _ in range(300)]
+        travs = [tree_to_traversal(t, lib).seq for t in trees]
+        lengths = np.array([len(t) for t in travs])
+        # pad with an operator: a padding cell that were read would show
+        seqs = np.full((len(travs), lengths.max()), lib.index_of("add"))
+        for row, trav in zip(seqs, travs):
+            row[:len(trav)] = trav
+        values, ok = evaluate_rows(seqs, lengths, lib.tokens, bindings)
+        for row, tree in enumerate(trees):
+            ref_values, ref_ok = naive_evaluate(tree, bindings)
+            assert ok[row] == ref_ok
+            assert np.array_equal(values[row], ref_values, equal_nan=True)
+        assert 0 < (~ok).sum() < 300 and len(set(lengths)) > 5
+
+    def test_one_malformed_row_raises(self, lib):
+        add, x1 = lib.index_of("add"), lib.index_of("x1")
+        for second, message in (([add, x1, x1], "'add' is missing operands"),
+                                ([x1, x1, x1], "encode 3 trees, not one")):
+            seqs = [[add, x1, x1], [x1, x1, x1], second]
+            with pytest.raises(InvalidPrefix, match=message):
+                evaluate_rows(np.array(seqs), [3, 1, 2 + (second[0] == x1)],
+                              lib.tokens, {"x1": np.ones(3)})
+
+    def test_unbound_variable_only_when_used(self, lib):
+        sin, x1, x2 = (lib.index_of(n) for n in ("sin", "x1", "x2"))
+        bindings = {"x1": np.ones(3)}
+        # x2 sits in row 1's padding
+        values, ok = evaluate_rows(np.array([[sin, x1], [x1, x2]]), [2, 1],
+                                   lib.tokens, bindings)
+        assert ok.all() and np.array_equal(values[1], np.ones(3))
+        with pytest.raises(UnboundVariable, match="x2"):
+            evaluate_rows(np.array([[sin, x1], [sin, x2]]), [2, 2],
+                          lib.tokens, bindings)
+
+    def test_one_row_memory_is_stack_deep_not_length_deep(self, lib):
+        # x2 / (x1 - sin(x2 * (x1 + ...))): 20 tokens, a stack 2 deep
+        tree = node(lib.get("x1"))
+        for i in range(8):
+            op = ("add", "mul", "sub", "div")[i % 4]
+            leaf = node(lib.get(("x1", "x2")[i % 2]))
+            tree = node(lib.get(op), leaf, node(lib.get("sin"), tree)
+                        if i % 3 == 0 else tree)
+        n_tokens = tree.size()
+        grid = np.linspace(0.1, 1.0, 1000)
+        ga, gb = np.meshgrid(grid, grid, indexing="ij")
+        bindings = {"x1": ga.ravel(), "x2": gb.ravel()}
+        tracemalloc.start()
+        try:
+            values, ok = evaluate_batch(tree, bindings)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n_tokens >= 15 and values.shape == (10**6,)
+        # the stack (2 grids), a binary operator's arguments and result (3)
+        # and the returned copy (1)
+        assert peak < 6.5 * values.nbytes
 
 
 class TestRenderInfix:

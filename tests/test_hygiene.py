@@ -36,25 +36,34 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def broad_handlers(source):
-    """Enclosing function names (None at module level) of the except
-    clauses that catch everything: bare, Exception or BaseException."""
+def enclosing_functions(source, match):
+    """Enclosing function names (None at module level) of the AST nodes
+    ``match`` accepts, in source order."""
     found = []
 
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler):
-                caught = child.type
-                types = caught.elts if isinstance(caught, ast.Tuple) else [caught]
-                if any(t is None or isinstance(t, ast.Name)
-                       and t.id in ("Exception", "BaseException")
-                       for t in types):
-                    found.append(func)
+            if match(child):
+                found.append(func)
             is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_func else func)
 
     visit(ast.parse(source), None)
     return found
+
+
+def _catches_everything(node):
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    return any(t is None or isinstance(t, ast.Name)
+               and t.id in ("Exception", "BaseException") for t in types)
+
+
+def broad_handlers(source):
+    """Enclosing functions of the except clauses that catch everything:
+    bare, Exception or BaseException."""
+    return enclosing_functions(source, _catches_everything)
 
 
 def test_checker_flags_a_broad_except():
@@ -71,6 +80,29 @@ def test_failures_are_typed(path):
     # the one catch-all is main's internal-error contract: exit code 1
     allowed = ["main"] if path.name == "cli.py" else []
     assert broad_handlers(path.read_text(encoding="utf-8")) == allowed
+
+
+def fn_readers(source):
+    """Enclosing functions of each ``.fn`` read; in src/ that is only ever
+    an operator's numpy function, ``expr_core.Op.fn``."""
+    return enclosing_functions(source, lambda n: isinstance(n, ast.Attribute)
+                               and n.attr == "fn"
+                               and isinstance(n.ctx, ast.Load))
+
+
+def test_checker_flags_fn_reads():
+    source = ("def f(op):\n    return op.fn(1)\n"
+              "def g(ops):\n    def h():\n        return ops['a'].fn\n"
+              "    ops.fn = None\n    return fn\n"
+              "g = OPS['add'].fn\n")
+    assert fn_readers(source) == ["f", "h", None]
+
+
+def test_one_evaluator():
+    # operators are applied in one place, the batch evaluator
+    assert [(path.name, func) for path in MODULES
+            for func in fn_readers(path.read_text(encoding="utf-8"))] \
+        == [("expr_core.py", "evaluate_rows")]
 
 
 def unused_parameters(source):
