@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -183,7 +184,7 @@ def _load_spec(args):
 
 
 def cmd_sr(args):
-    for flag in ("runs", "max_steps", "batch_size"):
+    for flag in ("runs", "max_steps", "batch_size", "jobs"):
         if getattr(args, flag) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
     if args.with_mlm and args.lam < 0:
@@ -207,8 +208,9 @@ def cmd_sr(args):
                               batch_size=args.batch_size)
         try:
             metrics = dsr.run_benchmark(spec, config, args.runs,
-                                        mlm_model=model, base_seed=args.seed)
-        except dsr.DegenerateTarget as e:
+                                        mlm_model=model, base_seed=args.seed,
+                                        jobs=args.jobs)
+        except dsr.DsrError as e:
             raise UsageError(f"{args.spec or spec.name}: {e}")
         summary = dsr.summarize(metrics)
         print(f"{spec.name} lambda={lam} with_mlm={model is not None} "
@@ -339,6 +341,7 @@ def build_parser():
     ps.add_argument("--max-steps", type=int, default=2000)
     ps.add_argument("--batch-size", type=int, default=500)
     ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--jobs", type=int, default=len(os.sched_getaffinity(0)))
     ps.add_argument("--out", help="metrics CSV path")
     ps.add_argument("--config")
     ps.set_defaults(handler=cmd_sr, sub_parser=ps)

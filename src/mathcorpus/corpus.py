@@ -30,9 +30,10 @@ class FormatVersionMismatch(CorpusError):
 
 
 class VocabMismatch(CorpusError):
-    def __init__(self, token_name):
-        super().__init__(f"token {token_name!r} not in library")
-        self.token_name = token_name
+    token_name = property(lambda self: self.args[0])  # in args, so it pickles
+
+    def __str__(self):
+        return f"token {self.token_name!r} not in library"
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace as dc_replace
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .expr_core import (
     render_infix,
     traversal_to_tree,
 )
-from .latex_parser import normalize, parse_plain
+from .latex_parser import LatexError, normalize, parse_plain
 from .recurrent import Adam, GRUReadout, draw, log_softmax, softmax
 
 NEG_INF = float("-inf")
@@ -392,6 +393,13 @@ class BenchmarkSpec:
                     or constant_value(Token(name, 0, CONSTANT)) is not None):
                 raise DsrError(f"library token {name!r} is not an operator, "
                                f"a declared variable or a numeric constant")
+        try:
+            tree = self.target_tree(self.library())
+        except LatexError as e:
+            raise DsrError(f"target {self.expression!r} does not parse: {e}")
+        for tok in (n.root for n in tree.iter_nodes()):
+            if tok.kind == VARIABLE and tok.name not in self.variables:
+                raise DsrError(f"target uses undeclared variable {tok.name!r}")
 
     def library(self):
         return Library([OPS[name].token if name in OPS else
@@ -526,13 +534,23 @@ def run_search(spec, config, rng_seed, mlm_model=None):
     )
 
 
-def run_benchmark(spec, config, n_runs, mlm_model=None, base_seed=0):
+def run_benchmark(spec, config, n_runs, mlm_model=None, base_seed=0, jobs=1):
     """Independent runs with per-run seeds; reduced in run order.  The
-    prior is in use when ``mlm_model`` is given."""
+    prior is in use when ``mlm_model`` is given.  With ``jobs`` > 1 the
+    runs are shared among min(jobs, n_runs) forked worker processes, which
+    end before this returns or raises; the results are the same."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    return [run_search(spec, config, base_seed + run, mlm_model=mlm_model)
-            for run in range(n_runs)]
+    if min(jobs, n_runs) <= 1:
+        return [run_search(spec, config, base_seed + run, mlm_model=mlm_model)
+                for run in range(n_runs)]
+    from concurrent.futures import ProcessPoolExecutor  # only for a pool
+    from multiprocessing import get_context
+
+    run = partial(run_search, spec, config, mlm_model=mlm_model)
+    with ProcessPoolExecutor(min(jobs, n_runs),
+                             mp_context=get_context("fork")) as pool:
+        return list(pool.map(run, range(base_seed, base_seed + n_runs)))
 
 
 CSV_HEADER = ["benchmark", "run", "seed", "lambda", "with_mlm", "recovered",

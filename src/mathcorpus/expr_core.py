@@ -27,9 +27,10 @@ class ExprError(Exception):
 
 
 class UnknownToken(ExprError):
-    def __init__(self, name):
-        super().__init__(f"token {name!r} not in library")
-        self.name = name
+    name = property(lambda self: self.args[0])  # in args, so it pickles
+
+    def __str__(self):
+        return f"token {self.name!r} not in library"
 
 
 class IncompleteTraversal(ExprError):
@@ -41,9 +42,10 @@ class InvalidPrefix(ExprError):
 
 
 class UnboundVariable(ExprError):
-    def __init__(self, name):
-        super().__init__(f"variable {name!r} is not bound")
-        self.name = name
+    name = property(lambda self: self.args[0])  # in args, so it pickles
+
+    def __str__(self):
+        return f"variable {self.name!r} is not bound"
 
 
 class _InvalidValue:

@@ -179,8 +179,9 @@ def test_criterion_07_lambda_zero_equivalence():
                                  config, rng)
             for t in travs:
                 tokens.extend(t.seq)
-            batch = [(t, dsr.reward([lib[i] for i in t.seq], X, y, sd)[0])
-                     for t in travs]
+            rewards, _ = dsr.batch_rewards(*dsr._padded(travs), lib.tokens,
+                                           X, y, sd)
+            batch = list(zip(travs, rewards))
             train_step(controller, batch, config, opt,
                        mlm_model=model if with_model else None)
         return tokens

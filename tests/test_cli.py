@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -336,6 +337,65 @@ class TestSr:
         assert code == 2
         err = capsys.readouterr().err
         assert "const.json" in err and "constant" in err
+
+
+class TestJobs:
+    """``sr --jobs``: runs in forked workers, never more than 2 here."""
+
+    SR = ["sr", "--benchmark", "nguyen-1", "--runs", "2", "--max-steps", "3",
+          "--batch-size", "30", "--seed", "4"]
+
+    def _csv(self, tmp_path, jobs, *flags):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main([*self.SR, *flags, "--jobs", str(jobs),
+                     "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--no-mlm"],
+        ["--with-mlm", "{prior}", "--lambda", "0.5"],
+        ["--with-mlm", "{prior}", "--lambda-sweep"],
+    ], ids=["no-mlm", "lambda", "sweep"])
+    def test_csv_identical_at_any_jobs(self, tmp_path, capsys, flags):
+        from mathcorpus import dsr
+
+        weights = tmp_path / "m.mlm"
+        lib = dsr.builtin_benchmarks()["nguyen-1"].library()
+        mlm.save(mlm.init(lib, 4, 4, seed=0), weights)
+        flags = [f.format(prior=weights) for f in flags]
+        assert self._csv(tmp_path, 1, *flags) == self._csv(tmp_path, 2, *flags)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_jobs_below_one_exit_2(self, capsys, value):
+        code = main([*self.SR, "--no-mlm", "--jobs", value])
+        assert code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
+    def test_jobs_in_config_is_checked_like_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for jobs, code in ((2, 0), ("two", 2)):
+            cfg.write_text(json.dumps({"jobs": jobs}))
+            assert main([*self.SR, "--no-mlm", "--config", str(cfg)]) == code
+        assert "--jobs: invalid int value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expression, message", [
+        ("x + z", "undeclared variable 'z'"),
+        ("x +", "does not parse"),
+        ("log(x)", "invalid on sampled points"),  # per run, in the workers
+    ], ids=["undeclared", "unparsable", "invalid-on-points"])
+    def test_bad_spec_target_exit_2(self, tmp_path, capsys, expression,
+                                    message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "t", "expression": expression, "variables": ["x"],
+            "library": ["add", "log", "x"]}))
+        code = main(["sr", "--spec", str(spec), "--no-mlm", "--runs", "2",
+                     "--jobs", "2", "--max-steps", "2", "--batch-size", "30"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}:") and message in err
+        assert multiprocessing.active_children() == []
 
 
 class TestReport:

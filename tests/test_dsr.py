@@ -1,5 +1,6 @@
 import copy
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -657,8 +658,10 @@ class TestLambdaZeroEquivalence:
                                      model if with_model else None, config,
                                      rng)
                 trajectory.extend(t.seq for t in travs)
-                batch = [(t, tree_reward(traversal_to_tree(t, slib), X, y)[0])
-                         for t in travs]
+                rewards, _ = dsr.batch_rewards(*dsr._padded(travs),
+                                               slib.tokens, X, y,
+                                               target_spread(y))
+                batch = list(zip(travs, rewards))
                 train_step(controller, batch, config, opt,
                            mlm_model=model if with_model else None)
             return trajectory
@@ -713,6 +716,43 @@ class TestBenchmarksAndRecovery:
         config = SRConfig(library=spec.library())
         with pytest.raises(ValueError):
             dsr.run_benchmark(spec, config, n_runs=0)
+
+
+class TestParallelRuns:
+    """``run_benchmark(..., jobs)``; never more than 2 workers here."""
+
+    def test_same_metrics_at_any_jobs(self):
+        spec = builtin_benchmarks()["nguyen-5"]
+        config = SRConfig(library=spec.library(), max_steps=3, batch_size=40)
+        model = mlm.init(spec.library(), 4, 4, seed=0)
+        for prior in (None, model):
+            serial = dsr.run_benchmark(spec, config, 3, mlm_model=prior,
+                                       base_seed=5)
+            assert dsr.run_benchmark(spec, config, 3, mlm_model=prior,
+                                     base_seed=5, jobs=2) == serial
+            assert multiprocessing.active_children() == []
+
+    def test_one_run_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        spec = builtin_benchmarks()["nguyen-1"]
+        config = SRConfig(library=spec.library(), max_steps=1, batch_size=30)
+        (m,) = dsr.run_benchmark(spec, config, n_runs=1, jobs=2)
+        assert m.seed == 0
+
+    def test_worker_error_keeps_its_type_and_ends_the_pool(self):
+        # log(x) has no value on the negative half of [-1, 1]
+        spec = BenchmarkSpec(name="t", expression="log(x)", variables=["x"],
+                             library_tokens=["add", "log", "x"])
+        config = SRConfig(library=spec.library(), max_steps=1, batch_size=30)
+        with pytest.raises(dsr.DsrError, match="invalid on sampled points"):
+            dsr.run_benchmark(spec, config, n_runs=2, jobs=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestMetricsCsv:
