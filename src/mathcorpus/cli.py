@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import corpus as corpus_mod
@@ -47,13 +48,11 @@ def _with_config(args, argv):
 
 
 def _library_by_name(name):
-    if name.startswith("std"):
-        try:
-            n_vars = int(name[3:] or "2")
-        except ValueError:
-            raise UsageError(f"unknown library {name!r}")
-        return default_library(n_vars=n_vars, name=name)
-    raise UsageError(f"unknown library {name!r}")
+    """``std`` with an optional variable count of at least 1, 2 by default."""
+    m = re.fullmatch(r"std([1-9][0-9]*)?", name)
+    if m is None:
+        raise UsageError(f"unknown library {name!r}")
+    return default_library(n_vars=int(m[1] or 2), name=name)
 
 
 def cmd_extract(args):

@@ -69,15 +69,9 @@ def has_markers(tree):
     return any(is_unsupported_marker(n.root) for n in tree.iter_nodes())
 
 
-def augment_replace(tree, placeholder):
-    """Replace every maximal unsupported subtree with the placeholder token."""
-    if is_unsupported_marker(tree.root):
-        return node(placeholder)
-    return ExprTree(tree.root, [augment_replace(c, placeholder) for c in tree.children])
-
-
 def augment_split(tree, placeholder):
-    """Replaced tree plus each marker's supported operand subtrees,
+    """The tree with every maximal unsupported subtree replaced by the
+    placeholder token, then each marker's supported operand subtrees,
     recursively; no output contains a marker."""
     parts = [augment_split(c, placeholder) for c in tree.children]
     if is_unsupported_marker(tree.root):  # every child goes in whole
@@ -135,7 +129,7 @@ def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
                     n_dropped += 1
                     continue
                 elif policy == "replace":
-                    pieces = [(augment_replace(tree, placeholder), "replaced")]
+                    pieces = [(augment_split(tree, placeholder)[0], "replaced")]
                 elif policy == "split":
                     pieces = [(f, "split") for f in split_fragments(tree)]
                 else:  # replace_and_split

@@ -161,33 +161,6 @@ class _SlotState:
         return masks
 
 
-def _replay(partial, lib):
-    st = _SlotState(lib, 1, len(partial))
-    for idx in partial:
-        st.push(np.zeros(1, dtype=np.int64), np.array([idx]))
-    if st.done[0]:
-        raise CompleteTraversal("traversal is already complete")
-    return st
-
-
-def parent_sibling(partial, lib):
-    """Parent and sibling tokens of the slot the next token will fill.
-
-    Returns library indices, with None for empty.  Both are empty before the
-    first token.
-    """
-    parent, sibling = _replay(partial, lib).parent_sibling(0)
-    return (int(parent) if parent >= 0 else None,
-            int(sibling) if sibling >= 0 else None)
-
-
-def constraint_logits(lib, partial, min_length=4, max_length=30):
-    """Public form of the per-step mask; recomputes state from the prefix."""
-    st = _replay(partial, lib)
-    parent, _ = st.parent_sibling(np.zeros(1, dtype=np.int64))
-    return st.mask(st.n, st.open, st.trig, parent, min_length, max_length)[0]
-
-
 class Controller(GRUReadout):
     """Recurrent policy over the library, conditioned on parent and sibling.
 
@@ -281,7 +254,7 @@ def target_spread(y):
 
 def batch_rewards(seqs, lengths, tokens, X, y, sd):
     """1 / (1 + NRMSE) of each traversal, as in ``evaluate_rows``, in one
-    evaluator pass; 0 for those that evaluate Invalid anywhere.
+    evaluator pass; 0 for those whose evaluator ``ok`` flag is false.
 
     ``sd`` is ``target_spread(y)``, and X maps variable name -> sample
     array.  Returns (rewards, invalid flags).  A row that cannot be

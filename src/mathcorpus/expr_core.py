@@ -17,9 +17,8 @@ import numpy as np
 OPERATOR = "operator"
 VARIABLE = "variable"
 CONSTANT = "constant"
-PLACEHOLDER = "placeholder"
 
-_KINDS = (OPERATOR, VARIABLE, CONSTANT, PLACEHOLDER)
+_KINDS = (OPERATOR, VARIABLE, CONSTANT)
 
 
 class ExprError(Exception):
@@ -48,20 +47,6 @@ class UnboundVariable(ExprError):
         return f"variable {self.name!r} is not bound"
 
 
-class _InvalidValue:
-    """The value of an evaluation that hit a domain error or non-finite
-    value; INVALID is the one instance."""
-
-    def __repr__(self):
-        return "Invalid"
-
-    def __bool__(self):
-        return False
-
-
-INVALID = _InvalidValue()
-
-
 @dataclass(frozen=True)
 class Token:
     name: str
@@ -77,7 +62,7 @@ class Token:
             raise ValueError("arity must be non-negative")
         if (self.arity == 0) != (self.kind != OPERATOR):
             raise ValueError(
-                f"token {self.name!r}: arity 0 iff kind is variable/constant/placeholder"
+                f"token {self.name!r}: arity 0 iff kind is variable/constant"
             )
 
 
@@ -220,7 +205,7 @@ def traversal_to_tree(t, lib):
                             f"{counts.index(0)}, trailing tokens remain")
     if counts[-1] != 0:
         raise IncompleteTraversal(f"traversal ends with {counts[-1]} open slot(s)")
-    # right to left on a stack, as evaluate_prefix: the children are the
+    # right to left on a stack, as evaluate_rows: the children are the
     # top arity entries, the first child on top
     stack = []
     for idx in reversed(seq):
@@ -264,8 +249,8 @@ OPS = dict([
 
 
 def constant_value(token):
-    """Numeric value of a constant-literal or placeholder token, else None."""
-    if token.kind not in (CONSTANT, PLACEHOLDER):
+    """Numeric value of a constant-literal token, else None."""
+    if token.kind != CONSTANT:
         return None
     if token.name == "pi":
         return math.pi
@@ -275,24 +260,10 @@ def constant_value(token):
         return None
 
 
-def evaluate(tree, bindings):
-    """IEEE-double evaluation at one point; INVALID on any domain error or
-    non-finite value.
-
-    A length-1 call of evaluate_batch, so both share one set of domain rules.
-    """
-    values, ok = evaluate_batch(tree, {k: [float(v)] for k, v in bindings.items()})
-    return float(values[0]) if ok else INVALID
-
-
 def evaluate_batch(tree, bindings):
-    """Vectorized evaluation of a tree; see evaluate_prefix."""
-    return evaluate_prefix([n.root for n in tree.iter_nodes()], bindings)
-
-
-def evaluate_prefix(tokens, bindings):
-    """Vectorized evaluation of one pre-order token list, a one-row call of
-    evaluate_rows.  Returns (values, ok)."""
+    """Vectorized evaluation of a tree, a one-row call of evaluate_rows.
+    Returns (values, ok)."""
+    tokens = [n.root for n in tree.iter_nodes()]
     values, ok = evaluate_rows(np.arange(len(tokens))[None], [len(tokens)],
                                tokens, bindings)
     return values[0], bool(ok[0])

@@ -488,6 +488,7 @@ _PLAIN_TOKEN_RE = re.compile(
 
 
 def _plain_lex(text):
+    """The tokens of ``text``, then an end-of-input token at len(text)."""
     out, i = [], 0
     while i < len(text):
         if text[i].isspace():
@@ -503,7 +504,7 @@ def _plain_lex(text):
         else:
             out.append(("op", m.group("op"), i))
         i = m.end()
-    return out
+    return out + [("end", None, len(text))]
 
 
 class _PlainParser:
@@ -513,18 +514,17 @@ class _PlainParser:
         self.pos = 0
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        return self.toks[self.pos]
 
     def expect_op(self, op):
-        tk = self.peek()
-        if tk is None or tk[0] != "op" or tk[1] != op:
-            off = tk[2] if tk else len(self.toks)
+        kind, val, off = self.peek()
+        if kind != "op" or val != op:
             raise PlainSyntaxError(f"expected {op!r}", off)
         self.pos += 1
 
     def expr(self):
         left = self.term()
-        while (tk := self.peek()) is not None and tk[0] == "op" and tk[1] in "+-":
+        while (tk := self.peek())[0] == "op" and tk[1] in "+-":
             self.pos += 1
             right = self.term()
             left = node(T_ADD if tk[1] == "+" else T_SUB, left, right)
@@ -532,32 +532,29 @@ class _PlainParser:
 
     def term(self):
         left = self.factor()
-        while (tk := self.peek()) is not None and tk[0] == "op" and tk[1] in "*/":
+        while (tk := self.peek())[0] == "op" and tk[1] in "*/":
             self.pos += 1
             right = self.factor()
             left = node(T_MUL if tk[1] == "*" else T_DIV, left, right)
         return left
 
     def factor(self):
-        tk = self.peek()
-        if tk is not None and tk[0] == "op" and tk[1] == "-":
+        if self.peek()[:2] == ("op", "-"):
             self.pos += 1
             return node(T_NEG, self.factor())
         return self.poweret()
 
     def poweret(self):
         base = self.primary()
-        tk = self.peek()
-        if tk is not None and tk[0] == "op" and tk[1] == "^":
+        if self.peek()[:2] == ("op", "^"):
             self.pos += 1
             return node(T_POW, base, self.factor())
         return base
 
     def primary(self):
-        tk = self.peek()
-        if tk is None:
-            raise PlainSyntaxError("unexpected end of input", 0)
-        kind, val, off = tk
+        kind, val, off = self.peek()
+        if kind == "end":
+            raise PlainSyntaxError("unexpected end of input", off)
         if kind == "num":
             self.pos += 1
             return node(constant_token(val))
@@ -568,11 +565,10 @@ class _PlainParser:
             return inner
         if kind == "name":
             self.pos += 1
-            nxt = self.peek()
-            if nxt is not None and nxt[0] == "op" and nxt[1] == "(":
+            if self.peek()[:2] == ("op", "("):
                 self.pos += 1
                 args = [self.expr()]
-                while (c := self.peek()) is not None and c[0] == "op" and c[1] == ",":
+                while self.peek()[:2] == ("op", ","):
                     self.pos += 1
                     args.append(self.expr())
                 self.expect_op(")")
@@ -603,10 +599,10 @@ class _PlainParser:
 def parse_plain(text, lib=None):
     """Parse the plain infix grammar produced by render_infix; normalized."""
     tokens = _plain_lex(text)
-    if not tokens:
+    if len(tokens) == 1:
         raise EmptyInput("empty input")
     p = _PlainParser(tokens, lib)
     tree = p.expr()
-    if p.peek() is not None:
+    if p.peek()[0] != "end":
         raise PlainSyntaxError("trailing input", p.peek()[2])
     return normalize(tree)

@@ -3,11 +3,11 @@
 From-scratch float64 implementation: training by cross-entropy over
 length-sorted batches, computing only the rows still inside their sequence,
 with exact analytic gradients (checked against finite differences in the test
-suite), per-step logit emission for search integration, sampling, and a
-portable binary weight format.
+suite), batched per-step logits for the search prior, and a portable binary
+weight format.
 
-No EOS token: a sampled sequence ends when the arity bookkeeping says the
-expression is complete.  Logit index i always means library token i.
+No EOS token: a sequence ends when the arity bookkeeping says the expression
+is complete.  Logit index i always means library token i.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .expr_core import Traversal
-from .recurrent import GRUReadout, MomentumSGD, draw, log_softmax, softmax
+from .recurrent import GRUReadout, MomentumSGD, log_softmax, softmax
 
 MAGIC = b"MLM1"
 FORMAT_VERSION = 1
@@ -88,16 +87,6 @@ def init(vocab, d_emb, hidden, seed):
     names = [t.name for t in vocab]
     rng = np.random.default_rng(seed)
     return MLMModel(names, d_emb, hidden, rng)
-
-
-def step(model, token_index, state):
-    """One recurrence step for a single sequence; returns (logits, new state)."""
-    if token_index < 0 or token_index > model.V:
-        raise IndexError(f"token index {token_index} out of range")
-    if state.ndim == 1:
-        state = state[None, :]
-    logits, h = model.step_batch([token_index], state)
-    return logits[0], h
 
 
 def score(model, traversal):
@@ -189,27 +178,6 @@ def train(model, seqs, epochs, lr, batch=64, seed=0):
             epoch_tokens += tokens
         history.append(epoch_loss / epoch_tokens)
     return history
-
-
-def sample(model, lib, max_len, rng):
-    """Autoregressive draw until arity-completion or max_len.
-
-    Returns (Traversal, complete flag).
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    arities = lib.arities()
-    state = model.initial_state(1)
-    prev = model.bos
-    seq, open_slots = [], 1
-    for _ in range(max_len):
-        logits, state = model.step_batch([prev], state)
-        prev = int(draw(softmax(logits[0]), rng.random()))
-        seq.append(prev)
-        open_slots += arities[prev] - 1
-        if open_slots == 0:
-            return Traversal(seq), True
-    return Traversal(seq), False
 
 
 _ARRAY_ORDER = ("E", "cell.Wz", "cell.Uz", "cell.bz", "cell.Wr", "cell.Ur",

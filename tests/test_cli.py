@@ -4,8 +4,8 @@ import multiprocessing
 import pytest
 
 from mathcorpus import mlm
-from mathcorpus.cli import main
-from mathcorpus.expr_core import default_library
+from mathcorpus.cli import _library_by_name, main
+from mathcorpus.expr_core import VARIABLE, default_library
 
 from test_wiki_extract import CL_SQL, FIXTURE_XML, page_xml
 
@@ -164,6 +164,22 @@ class TestCorpus:
                      "--out", str(tmp_path / "c.corpus"), "--max-vars", "0"])
         assert code == 2
         assert "--max-vars" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["std-1", "std+3", "std 2", "std0"])
+    def test_bad_library_name_rejected_before_reading(self, tmp_path, capsys,
+                                                      name):
+        code = main(["corpus", "--in", str(tmp_path / "absent.jsonl"),
+                     "--out", str(tmp_path / "c.corpus"), "--library", name])
+        assert code == 2
+        assert f"unknown library {name!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, n_vars", [("std", 2), ("std1", 1),
+                                              ("std12", 12)])
+    def test_library_name_sets_the_variables(self, name, n_vars):
+        lib = _library_by_name(name)
+        assert lib.name == name
+        assert [t.name for t in lib if t.kind == VARIABLE] \
+            == [f"x{i}" for i in range(1, n_vars + 1)]
 
     def test_too_deep_to_normalize_is_dropped(self, tmp_path, capsys):
         # sums of 600 and 5,000 terms nest too deeply to normalize; they

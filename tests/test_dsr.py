@@ -13,8 +13,6 @@ from mathcorpus.dsr import (
     Infeasible,
     SRConfig,
     builtin_benchmarks,
-    constraint_logits,
-    parent_sibling,
     recovered,
     reward,
     sample_batch,
@@ -67,24 +65,51 @@ class TestSRConfig:
             SRConfig(library=slib, min_length=10, max_length=5)
 
 
+ROW = np.zeros(1, dtype=np.int64)  # the one row of a replayed slot state
+
+
+def replayed(lib, prefix):
+    """A one-row slot state with ``prefix`` pushed, one token at a time."""
+    st = dsr._SlotState(lib, 1, len(prefix) + 1)
+    for idx in prefix:
+        st.push(ROW, np.array([idx]))
+    return st
+
+
+def parent_sibling(lib, prefix):
+    """The slot state's parent and sibling of the next slot, None for
+    empty."""
+    parent, sibling = replayed(lib, prefix).parent_sibling(ROW)
+    return tuple(int(i) if i >= 0 else None for i in (*parent, *sibling))
+
+
+def constraint_mask(lib, prefix, min_length=4, max_length=30):
+    """The slot state's constraint logits for the token after ``prefix``."""
+    st = replayed(lib, prefix)
+    parent, _ = st.parent_sibling(ROW)
+    return st.mask(st.n, st.open, st.trig, parent, min_length, max_length)[0]
+
+
 class TestParentSibling:
     def test_empty_prefix(self, slib):
-        assert parent_sibling(Traversal([]), slib) == (None, None)
+        assert parent_sibling(slib, []) == (None, None)
 
     def test_unary_child_slot(self, slib):
         mul, sin = slib.index_of("mul"), slib.index_of("sin")
-        p, s = parent_sibling(Traversal([mul, sin]), slib)
+        p, s = parent_sibling(slib, [mul, sin])
         assert (p, s) == (sin, None)
 
     def test_completed_first_child(self, slib):
         mul, sin, x = (slib.index_of(n) for n in ("mul", "sin", "x1"))
-        p, s = parent_sibling(Traversal([mul, sin, x]), slib)
+        p, s = parent_sibling(slib, [mul, sin, x])
         assert (p, s) == (mul, sin)
 
     def test_complete_traversal_rejected(self, slib):
         x = slib.index_of("x1")
+        st = replayed(slib, [x])
+        assert st.done[0]
         with pytest.raises(dsr.CompleteTraversal):
-            parent_sibling(Traversal([x]), slib)
+            st.push(ROW, np.array([x]))
 
     def test_agrees_with_tree_reconstruction(self, slib, rng):
         # cross-check: sample prefixes from random complete traversals, then
@@ -97,7 +122,7 @@ class TestParentSibling:
             trav = list(tree_to_traversal(tree, slib))
             k = int(rng.integers(0, len(trav)))
             expect = naive_parent_sibling(trav[:k], slib)
-            assert parent_sibling(Traversal(trav[:k]), slib) == expect
+            assert parent_sibling(slib, trav[:k]) == expect
 
 
 def naive_parent_sibling(prefix, lib):
@@ -128,8 +153,7 @@ class TestConstraints:
         # a prefix one token short of max_length with one open slot
         sin, x = slib.index_of("sin"), slib.index_of("x1")
         prefix = [sin] * 9  # n=9, d=1
-        mask = constraint_logits(slib, Traversal(prefix),
-                                 min_length=4, max_length=10)
+        mask = constraint_mask(slib, prefix, min_length=4, max_length=10)
         for i, tok in enumerate(slib):
             if tok.arity >= 1:
                 assert mask[i] == NEG_INF, tok.name
@@ -137,19 +161,18 @@ class TestConstraints:
                 assert mask[i] == 0.0, tok.name
 
     def test_nested_trig_masked(self, slib):
-        mask = constraint_logits(slib, Traversal([slib.index_of("sin")]))
+        mask = constraint_mask(slib, [slib.index_of("sin")])
         for name in ("sin", "cos", "tan"):
             assert mask[slib.index_of(name)] == NEG_INF
         assert mask[slib.index_of("exp")] == 0.0
 
     def test_trig_released_after_subtree_closes(self, slib):
         add, sin, x = (slib.index_of(n) for n in ("add", "sin", "x1"))
-        mask = constraint_logits(slib, Traversal([add, sin, x]))
+        mask = constraint_mask(slib, [add, sin, x])
         assert mask[sin] == 0.0  # the sin subtree is finished
 
     def test_min_length_masks_terminals(self, slib):
-        mask = constraint_logits(slib, Traversal([]),
-                                 min_length=4, max_length=30)
+        mask = constraint_mask(slib, [], min_length=4, max_length=30)
         # brute-force justification: any terminal here gives length 1 < 4
         for i, tok in enumerate(slib):
             if tok.arity == 0:
@@ -158,10 +181,10 @@ class TestConstraints:
                 assert mask[i] == 0.0, tok.name
 
     def test_inverse_pairs(self, slib):
-        mask = constraint_logits(slib, Traversal([slib.index_of("log")]))
+        mask = constraint_mask(slib, [slib.index_of("log")])
         assert mask[slib.index_of("exp")] == NEG_INF
         assert mask[slib.index_of("log")] == 0.0
-        mask = constraint_logits(slib, Traversal([slib.index_of("exp")]))
+        mask = constraint_mask(slib, [slib.index_of("exp")])
         assert mask[slib.index_of("log")] == NEG_INF
 
     def test_infeasible_configuration(self):
@@ -170,8 +193,8 @@ class TestConstraints:
         with pytest.raises(Infeasible):
             # one open slot, min_length 4: terminal masked; sin masked by the
             # nested-trig rule -> nothing left
-            constraint_logits(lib, Traversal([lib.index_of("sin")]),
-                              min_length=4, max_length=30)
+            constraint_mask(lib, [lib.index_of("sin")],
+                            min_length=4, max_length=30)
 
 
 class TestCombineAndSample:
@@ -420,7 +443,7 @@ class TestReplayOracle:
         lib = Library([Token("x", 0, VARIABLE), OPS["add"].token,
                        OPS["mul"].token, OPS["sin"].token])
         config = cfg(lib, lam=0.5 if with_mlm else 0.0, batch_size=20)
-        assert constraint_logits(lib, Traversal([]))[0] == NEG_INF
+        assert constraint_mask(lib, [])[0] == NEG_INF
         x, add, mul, sin = range(4)
         short = Traversal([add, x, sin, x])
         long = Traversal([add, x] * 14 + [sin, x])

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mathcorpus import expr_core as ec
 from mathcorpus.expr_core import (
     ExprTree,
-    INVALID,
     IncompleteTraversal,
     InvalidPrefix,
     Library,
@@ -20,9 +19,7 @@ from mathcorpus.expr_core import (
     UnknownToken,
     dangling_slots,
     default_library,
-    evaluate,
     evaluate_batch,
-    evaluate_prefix,
     evaluate_rows,
     is_complete,
     is_valid_prefix,
@@ -167,45 +164,31 @@ class TestEnumerationOracle:
 class TestEvaluate:
     def test_basic_arith(self, lib):
         t = node(lib.get("add"), node(lib.get("x1")), node(lib.get("1")))
-        assert evaluate(t, {"x1": 2.0}) == 3.0
+        values, ok = evaluate_batch(t, {"x1": [2.0]})
+        assert ok is True and values.tolist() == [3.0]
 
     def test_log_domain_error(self, lib):
         t = node(lib.get("log"), node(lib.get("x1")))
-        assert evaluate(t, {"x1": -1.0}) is INVALID
+        assert evaluate_batch(t, {"x1": [-1.0]})[1] is False
 
     def test_division_by_zero(self, lib):
         t = node(lib.get("div"), node(lib.get("1")),
                  node(lib.get("sub"), node(lib.get("x1")), node(lib.get("x1"))))
-        assert evaluate(t, {"x1": 0.7}) is INVALID
+        assert evaluate_batch(t, {"x1": [0.7]})[1] is False
 
     def test_overflow(self, lib):
         t = node(lib.get("exp"), node(lib.get("x1")))
-        assert evaluate(t, {"x1": 1e6}) is INVALID
+        assert evaluate_batch(t, {"x1": [1e6]})[1] is False
 
     def test_unbound_variable(self, lib):
         t = node(lib.get("x2"))
         with pytest.raises(UnboundVariable):
-            evaluate(t, {"x1": 1.0})
+            evaluate_batch(t, {"x1": [1.0]})
 
     def test_pi(self):
         t = node(Token("pi", 0, ec.CONSTANT))
-        assert evaluate(t, {}) == math.pi
-
-    def test_batch_matches_scalar(self, lib, rng):
-        xs = np.linspace(-1, 1, 17)
-        for _ in range(50):
-            tree = random_tree(lib, rng, max_depth=5)
-            vals, ok = evaluate_batch(tree, {"x1": xs, "x2": xs + 0.5})
-            for i, x in enumerate(xs):
-                v = evaluate(tree, {"x1": x, "x2": x + 0.5})
-                if v is INVALID:
-                    assert not ok
-                else:
-                    assert math.isclose(vals[i], v, rel_tol=1e-12, abs_tol=1e-12)
-
-    def test_invalid_is_falsy_singleton(self):
-        assert not INVALID
-        assert repr(INVALID) == "Invalid"
+        values, ok = evaluate_batch(t, {})
+        assert ok is True and values.tolist() == [math.pi]
 
     @pytest.mark.parametrize("op, args, x1", [
         ("pow", ("x1", "0.5"), -1.0),
@@ -215,7 +198,8 @@ class TestEvaluate:
     def test_domain_rules_give_invalid(self, lib, op, args, x1):
         leaves = [node(lib.get(a) if a in lib else Token(a, 0, ec.CONSTANT))
                   for a in args]
-        assert evaluate(node(lib.get(op), *leaves), {"x1": x1}) is INVALID
+        assert evaluate_batch(node(lib.get(op), *leaves), {"x1": [x1]})[1] \
+            is False
 
 
 def naive_evaluate(tree, bindings):
@@ -239,14 +223,11 @@ class TestEvaluatePrefix:
         n_invalid = 0
         for _ in range(300):
             tree = random_tree(lib, rng, max_depth=6)
-            tokens = [n.root for n in tree.iter_nodes()]
-            values, ok = evaluate_prefix(tokens, bindings)
-            tree_values, tree_ok = evaluate_batch(tree, bindings)
+            values, ok = evaluate_batch(tree, bindings)
             ref_values, ref_ok = naive_evaluate(tree, bindings)
-            assert ok == tree_ok == ref_ok
+            assert ok == ref_ok
             # every value, bit for bit, also where the expression is invalid
             assert np.array_equal(values, ref_values, equal_nan=True)
-            assert np.array_equal(tree_values, ref_values, equal_nan=True)
             n_invalid += not ok
         assert 0 < n_invalid < 300
 
@@ -254,7 +235,8 @@ class TestEvaluatePrefix:
         add, x = lib.get("add"), lib.get("x1")
         for tokens in ([], [add, x], [x, x]):
             with pytest.raises(InvalidPrefix):
-                evaluate_prefix(tokens, {"x1": np.ones(3)})
+                evaluate_rows(np.arange(len(tokens))[None], [len(tokens)],
+                              tokens, {"x1": np.ones(3)})
 
 
 class TestEvaluateRows:

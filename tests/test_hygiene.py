@@ -214,3 +214,80 @@ def test_no_unread_dataclass_fields():
     assert unread_fields([p.read_text(encoding="utf-8") for p in MODULES],
                          [p.read_text(encoding="utf-8") for p in readers]) \
         == []
+
+
+def names_in(node):
+    """Every identifier a node names: variables, attributes, imported names,
+    and a string passed right after a variable, as in ``getattr(module,
+    "name")`` or a patch of ``module.name``."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+        elif isinstance(n, ast.alias):
+            found.add(n.asname or n.name)
+        elif isinstance(n, ast.Call):
+            found |= {b.value for a, b in zip(n.args, n.args[1:])
+                      if isinstance(a, ast.Name)
+                      and isinstance(b, ast.Constant)
+                      and isinstance(b.value, str)}
+    return found
+
+
+def unreferenced_definitions(sources, users):
+    """Public top-level functions and classes of ``sources`` that no source
+    names outside their own definition, and no ``users`` source names at
+    all.  A name counts wherever it appears, so an attribute or a method of
+    the same name also counts."""
+    defined, named = [], set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if not own.startswith("_"):
+                    defined.append(own)
+            named |= names_in(stmt) - {own}
+    for source in users:
+        named |= names_in(ast.parse(source))
+    return [name for name in defined if name not in named]
+
+
+def test_checker_flags_a_test_only_entry_point():
+    source = ("def used(x):\n    return used(x - 1) if x else helper()\n"
+              "def helper():\n    return 0\n"
+              "def only_recursive(n):\n    return only_recursive(n)\n"
+              "class Patched:\n    pass\n"
+              "class Base(Exception):\n    pass\n"
+              "class Leaf(Base):\n    pass\n"
+              "def _private():\n    pass\n")
+    user = ("patch(module, 'Patched')\nfrom m import used\n"
+            "labels = ('Leaf', 'only_recursive')\n")
+    assert unreferenced_definitions([source], [user]) \
+        == ["only_recursive", "Leaf"]
+    assert unreferenced_definitions([source], []) \
+        == ["used", "only_recursive", "Patched", "Leaf"]
+
+
+# Public names that only tests call, each kept on purpose as a reference:
+TEST_REFERENCES = [
+    "score",  # mlm: the sequence log-probability TestPriorInput checks against
+    "tree_to_traversal",  # expr_core: encodes the trees of round-trip tests
+    "dangling_slots",  # expr_core: criterion 2's traversal oracle
+    "is_valid_prefix",  # expr_core: criterion 2's traversal oracle
+    "serialize_rows",  # wiki_extract: writes the SQL of round-trip tests
+    "marker_construct",  # latex_parser: reads back an unsupported marker
+]
+
+
+def test_no_test_only_entry_points():
+    # every public function and class is reached by the program or the
+    # benchmark, so no second form lives on for tests alone
+    root = Path(__file__).resolve().parents[1]
+    users = sorted((root / "perfbench").glob("*.py"))
+    assert sorted(unreferenced_definitions(
+        [p.read_text(encoding="utf-8") for p in MODULES],
+        [p.read_text(encoding="utf-8") for p in users])) \
+        == sorted(TEST_REFERENCES)

@@ -1,7 +1,7 @@
 """The regex SQL cell scanner and the one-walk corpus build against the
 previous implementations, kept here verbatim as references: the
 character-at-a-time VALUES state machine, and canonicalize_variables,
-admit and augment_split."""
+admit, augment_replace and augment_split."""
 
 import random
 from dataclasses import replace as dc_replace
@@ -14,7 +14,6 @@ from mathcorpus.corpus import (
     CorpusStats,
     PLACEHOLDER,
     POLICIES,
-    augment_replace,
     augment_split,
     build_corpus,
     has_markers,
@@ -27,6 +26,7 @@ from mathcorpus.expr_core import (
     OPERATOR,
     Token,
     VARIABLE,
+    node,
     tree_to_traversal,
 )
 from mathcorpus.latex_parser import ParseOutcome, is_unsupported_marker
@@ -189,8 +189,16 @@ def canonicalize_variables(tree, max_vars):
     return out
 
 
+def reference_augment_replace(tree, placeholder):
+    """Replace every maximal unsupported subtree with the placeholder token."""
+    if is_unsupported_marker(tree.root):
+        return node(placeholder)
+    return ExprTree(tree.root, [reference_augment_replace(c, placeholder)
+                                for c in tree.children])
+
+
 def reference_augment_split(tree, placeholder):
-    out = [augment_replace(tree, placeholder)]
+    out = [reference_augment_replace(tree, placeholder)]
 
     def collect(n):
         if is_unsupported_marker(n.root):
@@ -247,7 +255,8 @@ def reference_build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
                 elif policy == "drop":
                     stats.n_dropped += 1
                 elif policy == "replace":
-                    admit(augment_replace(tree, placeholder), page_id, "replaced")
+                    admit(reference_augment_replace(tree, placeholder), page_id,
+                          "replaced")
                 elif policy == "split":
                     for frag in split_fragments(tree):
                         admit(frag, page_id, "split")

@@ -12,13 +12,12 @@ import math
 import pytest
 import sympy
 
-from mathcorpus.corpus import augment_replace, augment_split
+from mathcorpus.corpus import augment_split
 from mathcorpus.expr_core import (
     CONSTANT,
-    INVALID,
     Token,
     VARIABLE,
-    evaluate,
+    evaluate_batch,
 )
 from mathcorpus.latex_parser import (
     is_unsupported_marker,
@@ -96,13 +95,14 @@ def _agrees(latex, sympy_text, variables):
     tree = out.trees[-1]
     syms = {v: sympy.Symbol(v) for v in variables}
     ref = sympy.sympify(sympy_text, locals=dict(syms, S=sympy.S))
-    for base in SAMPLE_POINTS:
-        bindings = {v: base + 0.1 * i for i, v in enumerate(variables)}
-        mine = evaluate(tree, bindings)
-        theirs = float(ref.subs({syms[v]: bindings[v] for v in variables}))
-        if mine is INVALID:
-            return False
-        if not math.isclose(mine, theirs, rel_tol=1e-9, abs_tol=1e-9):
+    bindings = {v: [base + 0.1 * i for base in SAMPLE_POINTS]
+                for i, v in enumerate(variables)}
+    mine, ok = evaluate_batch(tree, bindings)
+    if not ok:
+        return False
+    for k, value in enumerate(mine):
+        theirs = float(ref.subs({syms[v]: bindings[v][k] for v in variables}))
+        if not math.isclose(value, theirs, rel_tol=1e-9, abs_tol=1e-9):
             return False
     return True
 
@@ -146,7 +146,7 @@ class TestIntegralAugmentation:
 
     def test_replace(self):
         ph = Token("1", 0, CONSTANT)
-        replaced = augment_replace(self._tree(), ph)
+        replaced = augment_split(self._tree(), ph)[0]
         assert repr(replaced) == "add(x, 1)"
 
     def test_split(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mathcorpus.expr_core import (
     default_library,
-    evaluate,
+    evaluate_batch,
     render_infix,
     tree_to_traversal,
 )
@@ -181,7 +181,8 @@ class TestParsePlain:
 
     def test_benchmark_value(self):
         tree = parse_plain("x^4 - x^3 + 1/2 * y^2 - y")
-        assert evaluate(tree, {"x": 1.0, "y": 1.0}) == -0.5
+        values, ok = evaluate_batch(tree, {"x": [1.0], "y": [1.0]})
+        assert ok is True and values.tolist() == [-0.5]
 
     def test_benchmark_trig(self):
         tree = parse_plain("sin(x^2) * cos(x) - 1")
@@ -203,6 +204,14 @@ class TestParsePlain:
             parse_plain("frobnicate(x)")
         with pytest.raises(PlainSyntaxError):
             parse_plain("sin(x, y)")
+
+    @pytest.mark.parametrize("text", ["x +", "sin(x", "x * (y + 1",
+                                      "x +   "])
+    def test_end_of_input_offset(self, text):
+        with pytest.raises(PlainSyntaxError) as e:
+            parse_plain(text)
+        assert e.value.offset == len(text)
+        assert str(e.value).endswith(f"(offset {len(text)})")
 
     def test_library_terminal_lookup(self):
         lib = default_library(n_vars=1)

@@ -13,7 +13,6 @@ from mathcorpus.expr_core import (
     Traversal,
     VARIABLE,
     default_library,
-    is_complete,
 )
 from mathcorpus.recurrent import GRUCell, log_softmax, softmax
 
@@ -53,9 +52,9 @@ class TestInit:
 
     def test_first_step_uniform(self):
         model = mlm.init(tiny5(), 6, 8, seed=0)
-        logits, _ = mlm.step(model, model.bos, model.initial_state())
-        assert np.array_equal(logits, np.zeros(model.V))
-        p = softmax(logits)
+        logits, _ = model.step_batch([model.bos], model.initial_state())
+        assert np.array_equal(logits[0], np.zeros(model.V))
+        p = softmax(logits[0])
         assert np.allclose(p, 1.0 / model.V)
 
     def test_bad_dims(self):
@@ -67,16 +66,10 @@ class TestStepAndScore:
     def test_step_is_pure(self):
         model = mlm.init(tiny5(), 6, 8, seed=1)
         state = model.initial_state()
-        a1, s1 = mlm.step(model, 2, state)
-        a2, s2 = mlm.step(model, 2, state)
+        a1, s1 = model.step_batch([2], state)
+        a2, s2 = model.step_batch([2], state)
         assert np.array_equal(a1, a2) and np.array_equal(s1, s2)
-
-    def test_step_index_range(self):
-        model = mlm.init(tiny5(), 6, 8, seed=1)
-        with pytest.raises(IndexError):
-            mlm.step(model, model.V + 1, model.initial_state())
-        with pytest.raises(IndexError):
-            mlm.step(model, -1, model.initial_state())
+        assert not state.any()
 
     def test_fresh_model_score_is_uniform(self):
         model = mlm.init(tiny5(), 6, 8, seed=2)
@@ -88,9 +81,9 @@ class TestStepAndScore:
         model = mlm.init(tiny5(), 6, 8, seed=5)
         mlm.train(model, [[0, 2, 4], [1, 2]], epochs=3, lr=0.1, seed=0)
         state = model.initial_state()
-        l0, state = mlm.step(model, model.bos, state)
-        l1, state = mlm.step(model, 0, state)
-        manual = float(log_softmax(l0)[0] + log_softmax(l1)[2])
+        l0, state = model.step_batch([model.bos], state)
+        l1, state = model.step_batch([0], state)
+        manual = float(log_softmax(l0[0])[0] + log_softmax(l1[0])[2])
         assert math.isclose(mlm.score(model, Traversal([0, 2])), manual,
                             rel_tol=1e-12)
 
@@ -100,8 +93,8 @@ class TestStepAndScore:
         state = model.initial_state()
         prev = model.bos
         for tok in [0, 2, 4]:
-            logits, state = mlm.step(model, prev, state)
-            assert abs(softmax(logits).sum() - 1.0) < 1e-12
+            logits, state = model.step_batch([prev], state)
+            assert abs(softmax(logits[0]).sum() - 1.0) < 1e-12
             prev = tok
 
 
@@ -152,8 +145,8 @@ class TestGradients:
         state = model.initial_state()
         prev = model.bos
         for tok in seqs[0]:
-            logits, state = mlm.step(model, prev, state)
-            p = softmax(logits)
+            logits, state = model.step_batch([prev], state)
+            p = softmax(logits[0])
             p[tok] -= 1.0
             expected += p / len(seqs[0])
             prev = tok
@@ -265,8 +258,8 @@ class TestPackedMatchesPadded:
         for seq in random_seqs(tiny5(), np.random.default_rng(29), 20):
             state, prev, total = model.initial_state(), model.bos, 0.0
             for idx in seq:
-                logits, state = mlm.step(model, prev, state)
-                total += log_softmax(logits)[idx]
+                logits, state = model.step_batch([prev], state)
+                total += log_softmax(logits[0])[idx]
                 prev = idx
             assert mlm.score(model, Traversal(seq)) == total
         empty = mlm.score(model, Traversal([]))
@@ -342,36 +335,13 @@ class TestTraining:
         seqs = [[0, 2, 4]] * 30  # "add" always follows BOS
         model = mlm.init(lib, 8, 16, seed=0)
         mlm.train(model, seqs, epochs=30, lr=0.2, seed=0)
-        logits, _ = mlm.step(model, model.bos, model.initial_state())
-        assert int(np.argmax(logits)) == 0
+        logits, _ = model.step_batch([model.bos], model.initial_state())
+        assert int(np.argmax(logits[0])) == 0
 
     def test_empty_corpus(self):
         model = mlm.init(tiny5(), 6, 8, seed=0)
         with pytest.raises(mlm.EmptyCorpus):
             mlm.train(model, [], epochs=1, lr=0.1)
-
-
-class TestSampling:
-    def test_complete_and_deterministic(self):
-        lib = tiny5()
-        model = mlm.init(lib, 6, 8, seed=0)
-        trav1, done1 = mlm.sample(model, lib, max_len=30,
-                                  rng=np.random.default_rng(42))
-        trav2, done2 = mlm.sample(model, lib, max_len=30,
-                                  rng=np.random.default_rng(42))
-        assert trav1.seq == trav2.seq and done1 == done2
-        if done1:
-            assert is_complete(trav1, lib)
-
-    def test_truncation_flag(self):
-        lib = tiny5()
-        model = mlm.init(lib, 6, 8, seed=0)
-        # force non-terminal: bias logits towards "add" heavily
-        model.b_out[:] = [50.0, 0, 0, 0, 0]
-        trav, done = mlm.sample(model, lib, max_len=5,
-                                rng=np.random.default_rng(0))
-        assert not done
-        assert len(trav) == 5
 
 
 class TestSaveLoad:
