@@ -8,15 +8,18 @@ Exit codes: 0 success, 1 internal error, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
+import html
 import json
 import os
 import re
 import sys
+from functools import partial
 
 from . import corpus as corpus_mod
 from . import dsr, mlm, wiki_extract
 from .expr_core import default_library
 from .latex_parser import LatexError, parse_latex
+from .pool import fork_map
 
 
 class UsageError(Exception):
@@ -97,39 +100,51 @@ def cmd_extract(args):
     return 0
 
 
+CORPUS_CHUNK_LINES = 1000  # lines per task: small, so workers finish together
+
+
+def _encode_lines(chunk, path, lib, policy, max_vars):
+    """(page_id, encoded pieces) for each record of one chunk of JSONL
+    lines, in order; a record whose LaTeX does not parse is one dropped
+    piece.  Runs in a forked worker when there is a pool, so the trees
+    stay there and only tuples of library indices come back."""
+    first_lineno, lines = chunk
+    out = []
+    for lineno, line in enumerate(lines, first_lineno):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            ok = (type(rec["page_id"]) is int  # not a JSON true/false
+                  and isinstance(rec["latex"], str))
+        except (ValueError, KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise UsageError(f"{path}, line {lineno}: not a JSON object with "
+                             f"an integer page_id and a string latex")
+        try:
+            pieces = corpus_mod.encode_trees(parse_latex(rec["latex"]).trees,
+                                             lib, policy, max_vars)
+        except LatexError:
+            pieces = [corpus_mod.DROPPED]
+        out.append((rec["page_id"], pieces))
+    return out
+
+
 def cmd_corpus(args):
     if args.max_vars < 1:
         raise UsageError("--max-vars must be >= 1")
     lib = _library_by_name(args.library)
-    parsed = []
-    n_parse_failures = 0
     with open(args.infile, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                ok = (type(rec["page_id"]) is int  # not a JSON true/false
-                      and isinstance(rec["latex"], str))
-            except (ValueError, KeyError, TypeError):
-                ok = False
-            if not ok:
-                raise UsageError(f"{args.infile}, line {lineno}: not a JSON "
-                                 f"object with an integer page_id and a "
-                                 f"string latex")
-            try:
-                outcome = parse_latex(rec["latex"])
-            except LatexError:
-                n_parse_failures += 1
-                continue
-            parsed.append((rec["page_id"], outcome))
-
-    try:
-        samples, stats = corpus_mod.build_corpus(
-            parsed, lib, policy=args.policy, max_vars=args.max_vars)
-    except corpus_mod.CorpusError as e:
-        raise UsageError(str(e))
-    stats.n_dropped += n_parse_failures
+        lines = f.readlines()
+    n = CORPUS_CHUNK_LINES
+    chunks = [(start + 1, lines[start:start + n])
+              for start in range(0, len(lines), n)]
+    encode = partial(_encode_lines, path=args.infile, lib=lib,
+                     policy=args.policy, max_vars=args.max_vars)
+    encoded = fork_map(encode, chunks, len(os.sched_getaffinity(0)))
+    samples, stats = corpus_mod.collect_samples(
+        (record for chunk in encoded for record in chunk), lib)
     corpus_mod.write_corpus(samples, args.out, lib)
     with open(args.out + ".stats.json", "w") as f:
         json.dump(stats.to_dict(), f, indent=2, sort_keys=True)
@@ -224,14 +239,30 @@ def cmd_sr(args):
 
 
 def _read_metrics(path):
+    """The rows of one metrics CSV as dicts, ``recovered`` and ``steps`` as
+    ints and ``invalid_fraction`` as a float."""
     import csv as _csv
 
     with open(path, newline="", encoding="utf-8") as f:
         reader = _csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
         if header != dsr.CSV_HEADER:
-            raise UsageError(f"{path}: unexpected CSV schema {header}")
-        return [dict(zip(header, row)) for row in reader]
+            raise UsageError(f"{path}, line 1: expected the CSV header "
+                             f"{','.join(dsr.CSV_HEADER)}")
+        rows = []
+        for row in reader:
+            try:
+                r = dict(zip(header, row, strict=True))
+                r["recovered"] = int(r["recovered"])
+                r["steps"] = int(r["steps"])
+                r["invalid_fraction"] = float(r["invalid_fraction"])
+            except ValueError:
+                raise UsageError(
+                    f"{path}, line {reader.line_num}: expected "
+                    f"{len(header)} fields, with integer recovered and "
+                    f"steps and a number invalid_fraction") from None
+            rows.append(r)
+        return rows
 
 
 def _aggregate(rows):
@@ -242,9 +273,9 @@ def _aggregate(rows):
     for bench, rs in sorted(by_bench.items()):
         n = len(rs)
         out[bench] = {
-            "recovery": 100.0 * sum(int(r["recovered"]) for r in rs) / n,
-            "steps": sum(int(r["steps"]) for r in rs) / n,
-            "invalid": 100.0 * sum(float(r["invalid_fraction"]) for r in rs) / n,
+            "recovery": 100.0 * sum(r["recovered"] for r in rs) / n,
+            "steps": sum(r["steps"] for r in rs) / n,
+            "invalid": 100.0 * sum(r["invalid_fraction"] for r in rs) / n,
         }
     return out
 
@@ -281,7 +312,8 @@ def cmd_report(args):
         f.write(text)
 
     html_rows = "\n".join(
-        "<tr>" + "".join(f"<td>{cell}</td>" for cell in line.split("\t")) + "</tr>"
+        "<tr>" + "".join(f"<td>{html.escape(cell)}</td>"
+                         for cell in line.split("\t")) + "</tr>"
         for line in lines)
     with open(args.out + ".html", "w", encoding="utf-8") as f:
         f.write(f"<html><body><table border=1>\n{html_rows}\n</table></body></html>\n")

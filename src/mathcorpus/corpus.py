@@ -111,40 +111,52 @@ def _encode(tree, lib, max_vars):
     return Traversal(seq) if len(renamed) <= max_vars else None
 
 
-def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
-    """Turn (page_id, ParseOutcome) pairs into a deduplicated sample list
-    plus statistics.  Per-sample failures are dropped, never raised."""
-    if policy not in POLICIES:
-        raise ValueError(f"policy must be one of {POLICIES}")
-    if max_vars < 1:
-        raise ValueError("max_vars must be >= 1")
+DROPPED = (None, "none")  # an encoded piece that makes no sample
+
+
+def encode_trees(trees, lib, policy, max_vars):
+    """(seq, augmentation) for each piece the policy makes of one parse
+    outcome's trees, in order: seq is the piece's library indices, or None
+    for a dropped piece.  A tree too deep for the recursive walks ends its
+    pieces with one dropped piece.  Only tuples come out, never a tree."""
     placeholder = lib.get(PLACEHOLDER)
+    out = []
+    for tree in trees:
+        try:
+            if not has_markers(tree):
+                pieces = [(tree, "none")]
+            elif policy == "drop":
+                out.append(DROPPED)
+                continue
+            elif policy == "replace":
+                pieces = [(augment_split(tree, placeholder)[0], "replaced")]
+            elif policy == "split":
+                pieces = [(f, "split") for f in split_fragments(tree)]
+            else:  # replace_and_split
+                first, *rest = augment_split(tree, placeholder)
+                pieces = [(first, "replaced")] + [(f, "split") for f in rest]
+            for piece, augmentation in pieces:
+                trav = _encode(piece, lib, max_vars)
+                out.append(DROPPED if trav is None
+                           else (trav.seq, augmentation))
+        except RecursionError:
+            out.append(DROPPED)
+    return out
+
+
+def collect_samples(encoded, lib):
+    """The deduplicated sample list plus statistics, from (page_id, pieces)
+    pairs in input order, each pieces list as ``encode_trees`` gives it.
+    The first occurrence of a sequence is the one kept."""
     samples, seen, n_dropped = [], set(), 0
-    for page_id, outcome in parsed:
-        for tree in outcome.trees:
-            try:
-                if not has_markers(tree):
-                    pieces = [(tree, "none")]
-                elif policy == "drop":
-                    n_dropped += 1
-                    continue
-                elif policy == "replace":
-                    pieces = [(augment_split(tree, placeholder)[0], "replaced")]
-                elif policy == "split":
-                    pieces = [(f, "split") for f in split_fragments(tree)]
-                else:  # replace_and_split
-                    first, *rest = augment_split(tree, placeholder)
-                    pieces = ([(first, "replaced")]
-                              + [(f, "split") for f in rest])
-                for piece, augmentation in pieces:
-                    trav = _encode(piece, lib, max_vars)
-                    if trav is None:
-                        n_dropped += 1
-                    elif trav.seq not in seen:
-                        seen.add(trav.seq)
-                        samples.append(CorpusSample(trav, page_id, augmentation))
-            except RecursionError:  # too deep for the recursive walks
+    for page_id, pieces in encoded:
+        for seq, augmentation in pieces:
+            if seq is None:
                 n_dropped += 1
+            elif seq not in seen:
+                seen.add(seq)
+                samples.append(CorpusSample(Traversal(seq), page_id,
+                                            augmentation))
 
     augmentations = Counter(s.augmentation for s in samples)
     stats = CorpusStats(
@@ -156,6 +168,18 @@ def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
         token_histogram=token_frequencies(samples, lib),
         length_histogram=dict(Counter(len(s.traversal) for s in samples)))
     return samples, stats
+
+
+def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
+    """Turn (page_id, ParseOutcome) pairs into a deduplicated sample list
+    plus statistics.  Per-sample failures are dropped, never raised."""
+    if policy not in POLICIES:
+        raise ValueError(f"policy must be one of {POLICIES}")
+    if max_vars < 1:
+        raise ValueError("max_vars must be >= 1")
+    return collect_samples(
+        ((page_id, encode_trees(outcome.trees, lib, policy, max_vars))
+         for page_id, outcome in parsed), lib)
 
 
 def write_corpus(samples, path, lib):

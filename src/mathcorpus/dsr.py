@@ -30,6 +30,7 @@ from .expr_core import (
     traversal_to_tree,
 )
 from .latex_parser import LatexError, normalize, parse_plain
+from .pool import fork_map
 from .recurrent import Adam, GRUReadout, draw, log_softmax, softmax
 
 NEG_INF = float("-inf")
@@ -510,20 +511,12 @@ def run_search(spec, config, rng_seed, mlm_model=None):
 def run_benchmark(spec, config, n_runs, mlm_model=None, base_seed=0, jobs=1):
     """Independent runs with per-run seeds; reduced in run order.  The
     prior is in use when ``mlm_model`` is given.  With ``jobs`` > 1 the
-    runs are shared among min(jobs, n_runs) forked worker processes, which
-    end before this returns or raises; the results are the same."""
+    runs go to forked workers (``pool.fork_map``); the results are the
+    same."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if min(jobs, n_runs) <= 1:
-        return [run_search(spec, config, base_seed + run, mlm_model=mlm_model)
-                for run in range(n_runs)]
-    from concurrent.futures import ProcessPoolExecutor  # only for a pool
-    from multiprocessing import get_context
-
     run = partial(run_search, spec, config, mlm_model=mlm_model)
-    with ProcessPoolExecutor(min(jobs, n_runs),
-                             mp_context=get_context("fork")) as pool:
-        return list(pool.map(run, range(base_seed, base_seed + n_runs)))
+    return fork_map(run, range(base_seed, base_seed + n_runs), jobs)
 
 
 CSV_HEADER = ["benchmark", "run", "seed", "lambda", "with_mlm", "recovered",

@@ -1,11 +1,15 @@
 import json
 import multiprocessing
+import os
+import sys
+from pathlib import Path
 
 import pytest
 
-from mathcorpus import mlm
+from mathcorpus import cli, latex_parser, mlm
 from mathcorpus.cli import _library_by_name, main
-from mathcorpus.expr_core import VARIABLE, default_library
+from mathcorpus.corpus import build_corpus, write_corpus
+from mathcorpus.expr_core import VARIABLE, default_library, node
 
 from test_wiki_extract import CL_SQL, FIXTURE_XML, page_xml
 
@@ -197,6 +201,145 @@ class TestCorpus:
             ("1", 5), ("2", 599)]
         stats = json.loads((tmp_path / "deep.corpus.stats.json").read_text())
         assert stats["n_dropped"] == 2
+
+
+@pytest.fixture(scope="module")
+def generated_jsonl(tmp_path_factory):
+    """``extract`` output of a 1,000-page ``perfbench/gen.py`` dump: about
+    2,300 records, so three chunks of the corpus pool."""
+    root = str(Path(__file__).resolve().parents[1])
+    if root not in sys.path:
+        sys.path.insert(0, root)
+    from perfbench import gen
+
+    work = tmp_path_factory.mktemp("generated")
+    paths, _ = gen.write_dump(work, 1, 1000)
+    out = work / "exprs.jsonl"
+    assert main(["extract", "--dump", str(paths["dump"]), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) > 2 * cli.CORPUS_CHUNK_LINES
+    return out
+
+
+class TestCorpusWorkers:
+    """``corpus`` in process with one usable CPU, and over a pool of two
+    forked workers with two; never more than 2 workers here."""
+
+    @staticmethod
+    def _corpus(monkeypatch, tmp_path, jsonl, n_cpus, *flags, parse=None):
+        """Runs ``corpus`` with ``n_cpus`` usable CPUs and ``parse`` in place
+        of ``parse_latex``; returns the exit code, the corpus and stats
+        bytes (None when not written) and the ids of the parsing processes."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)))
+        marks = tmp_path / f"pids-{n_cpus}"
+        marks.mkdir()
+        parse = parse or latex_parser.parse_latex
+
+        def marked(text):
+            (marks / str(os.getpid())).touch()
+            return parse(text)
+
+        monkeypatch.setattr(cli, "parse_latex", marked)
+        out = tmp_path / f"c{n_cpus}.corpus"
+        stats = tmp_path / f"c{n_cpus}.corpus.stats.json"
+        code = main(["corpus", "--in", str(jsonl), "--out", str(out), *flags])
+        assert multiprocessing.active_children() == []
+        return (code, *(p.read_bytes() if p.exists() else None
+                        for p in (out, stats)),
+                {int(p.name) for p in marks.iterdir()})
+
+    @pytest.mark.parametrize("policy", ["drop", "replace", "split",
+                                        "replace_and_split"])
+    def test_workers_write_the_same_bytes(self, monkeypatch, tmp_path,
+                                          capsys, generated_jsonl, policy):
+        flags = ("--policy", policy)
+        code1, corpus1, stats1, pids1 = self._corpus(
+            monkeypatch, tmp_path, generated_jsonl, 1, *flags)
+        code2, corpus2, stats2, pids2 = self._corpus(
+            monkeypatch, tmp_path, generated_jsonl, 2, *flags)
+        assert code1 == code2 == 0
+        assert pids1 == {os.getpid()}
+        assert 1 <= len(pids2) <= 2 and os.getpid() not in pids2
+        assert corpus1 == corpus2 and stats1 == stats2
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-1] == printed[-2]
+
+        # and both equal build_corpus over every record's parse outcome
+        lib = default_library(n_vars=2, name="std2")
+        parsed, n_failed = [], 0
+        for line in generated_jsonl.read_text().splitlines():
+            rec = json.loads(line)
+            try:
+                parsed.append((rec["page_id"],
+                               latex_parser.parse_latex(rec["latex"])))
+            except latex_parser.LatexError:
+                n_failed += 1
+        samples, stats = build_corpus(parsed, lib, policy=policy)
+        stats.n_dropped += n_failed
+        write_corpus(samples, tmp_path / "ref.corpus", lib)
+        assert (tmp_path / "ref.corpus").read_bytes() == corpus1
+        assert json.dumps(stats.to_dict(), indent=2,
+                          sort_keys=True).encode() == stats1
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_first_malformed_line_named_from_a_later_chunk(
+            self, monkeypatch, tmp_path, capsys, generated_jsonl, n_cpus):
+        lines = generated_jsonl.read_text().splitlines(keepends=True)
+        first = cli.CORPUS_CHUNK_LINES + 500  # in the second chunk
+        for lineno in (first, 2 * cli.CORPUS_CHUNK_LINES + 1):
+            lines[lineno - 1] = '{"page_id": 2,\n'
+        jsonl = tmp_path / "bad.jsonl"
+        jsonl.write_text("".join(lines))
+        code, corpus, stats, _ = self._corpus(monkeypatch, tmp_path, jsonl,
+                                              n_cpus)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {jsonl}, line {first}: not a JSON object with an "
+            f"integer page_id and a string latex\n")
+        assert corpus is None and stats is None
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_tree_too_deep_to_walk_is_dropped(self, monkeypatch, tmp_path,
+                                              capsys, n_cpus):
+        # the tree parses but is too deep for the corpus walks; it never
+        # leaves the worker, where pickling it would fail as well
+        lib = default_library(n_vars=2, name="std2")
+        deep = node(lib.get("x1"))
+        for _ in range(5000):
+            deep = node(lib.get("add"), deep, node(lib.get("1")))
+        outcome = latex_parser.ParseOutcome(trees=[deep], unsupported=[],
+                                            relation_split_count=0)
+
+        def parse(text):
+            return outcome if text == "deep" else latex_parser.parse_latex(text)
+
+        monkeypatch.setattr(cli, "CORPUS_CHUNK_LINES", 2)
+        jsonl = tmp_path / "deep.jsonl"
+        jsonl.write_text("".join(
+            json.dumps({"page_id": i, "latex": text}) + "\n"
+            for i, text in enumerate(["x + 1", "deep", "x^2", "y"], 1)))
+        code, corpus, stats, pids = self._corpus(
+            monkeypatch, tmp_path, jsonl, n_cpus, parse=parse)
+        assert code == 0 and len(pids) >= 1
+        assert (os.getpid() in pids) == (n_cpus == 1)
+        assert corpus.decode().splitlines()[1:] == [
+            "1\tnone\tadd x1 1", "3\tnone\tpow x1 2", "4\tnone\tx1"]
+        assert json.loads(stats)["n_dropped"] == 1
+
+    def test_worker_exception_is_an_internal_error(self, monkeypatch,
+                                                   tmp_path, capsys,
+                                                   generated_jsonl):
+        parent = os.getpid()
+
+        def parse(text):
+            if os.getpid() != parent:
+                raise RuntimeError("boom")
+            return latex_parser.parse_latex(text)
+
+        code, corpus, _, _ = self._corpus(monkeypatch, tmp_path,
+                                          generated_jsonl, 2, parse=parse)
+        assert code == 1 and corpus is None
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
 
 
 def write_tiny_corpus(path, lines=("1\tnone\tadd x1 1", "2\tnone\tsin x1")):
@@ -456,6 +599,34 @@ class TestReport:
         code = main(["report", "--metrics", str(bad),
                      "--out", str(tmp_path / "r.txt")])
         assert code == 2
+
+    @pytest.mark.parametrize("rows, lineno", [
+        (None, 1),
+        ([["nguyen-1", 0, 0, 0.0, 0, "yes", 100, "0.2", "x"]], 2),
+        ([["nguyen-1", 0, 0, 0.0, 0, 1, 100, "0.2", "x"],
+          ["nguyen-1", 1, 1, 0.0, 0]], 3),
+    ], ids=["empty", "recovered-yes", "too-few-fields"])
+    def test_malformed_metrics_names_file_and_line(self, tmp_path, capsys,
+                                                   rows, lineno):
+        bad = tmp_path / "bad.csv"
+        if rows is None:
+            bad.write_text("")
+        else:
+            self._csv(bad, rows)
+        out = tmp_path / "r.txt"
+        code = main(["report", "--metrics", str(bad), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {bad}, line {lineno}:")
+
+    def test_html_cells_are_escaped(self, tmp_path, capsys):
+        a = tmp_path / "a&<b>.csv"
+        self._csv(a, [["nguyen-1", 0, 0, 0.0, 0, 1, 100, "0.2", "x"]])
+        out = tmp_path / "r.txt"
+        assert main(["report", "--metrics", str(a), "--out", str(out)]) == 0
+        assert f"recovery({a})" in out.read_text()
+        page = (tmp_path / "r.txt.html").read_text()
+        assert "a&<b>" not in page
+        assert "a&amp;&lt;b&gt;.csv" in page
 
 
 class TestConfigFile:
