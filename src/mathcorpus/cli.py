@@ -19,7 +19,7 @@ from . import corpus as corpus_mod
 from . import dsr, mlm, wiki_extract
 from .expr_core import default_library
 from .latex_parser import LatexError, parse_latex
-from .pool import fork_map
+from .pool import fork_call, fork_map
 
 
 class UsageError(Exception):
@@ -58,28 +58,43 @@ def _library_by_name(name):
     return default_library(n_vars=int(m[1] or 2), name=name)
 
 
+def _category_tree(root, links_path, page_path, depth):
+    """The category tree below ``root``, or None without a root; a bad
+    table or root is a usage error.  Runs in a forked worker when there is
+    a CPU to spare, so only the tree comes back, not the tables."""
+    if root is None:
+        return None
+    try:
+        links = list(wiki_extract.parse_sql_dump(links_path, "categorylinks"))
+        pages = {p.page_id: p
+                 for p in wiki_extract.parse_sql_dump(page_path, "page")}
+        return wiki_extract.build_category_tree(root, links, pages, depth)
+    except wiki_extract.WikiError as e:
+        raise UsageError(str(e))
+
+
 def cmd_extract(args):
     source = sys.stdin.buffer if args.dump in (None, "-") else args.dump
-    if args.category:  # before the dump is read, so bad flags fail fast
+    if args.category:  # before anything is read, so bad flags fail fast
         if not (args.sql_categorylinks and args.sql_page):
             raise UsageError("--category requires --sql-categorylinks and --sql-page")
-        try:
-            links = list(wiki_extract.parse_sql_dump(args.sql_categorylinks,
-                                                     "categorylinks"))
-            pages = {p.page_id: p
-                     for p in wiki_extract.parse_sql_dump(args.sql_page, "page")}
-            tree = wiki_extract.build_category_tree(args.category, links, pages,
-                                                    args.depth)
-        except wiki_extract.WikiError as e:
-            raise UsageError(str(e))
-
+        if args.depth < 0:
+            raise UsageError("--depth must be >= 0")
+    # the tree is built beside the dump's read, in process on one CPU
+    build = partial(_category_tree, args.category, args.sql_categorylinks,
+                    args.sql_page, args.depth)
+    jobs = len(os.sched_getaffinity(0)) if args.category else 1
     tally = {}
     expressions = []
     n_pages = 0
-    # opened before the dump is read, so an unwritable output fails fast
-    with open(args.out, "w", encoding="utf-8") as f:
+    # the output is opened before the dump is read, so an unwritable one
+    # fails fast; fork_call makes a category error win over any other
+    with (fork_call(build, jobs) as tree,
+          open(args.out, "w", encoding="utf-8") as f):
         try:
             for page in wiki_extract.stream_pages(source):
+                if tree.done():
+                    tree.result()  # a category error ends the read at once
                 n_pages += 1
                 if page.namespace != wiki_extract.NS_MAIN:
                     continue
@@ -87,8 +102,8 @@ def cmd_extract(args):
         except wiki_extract.WikiError as e:
             raise UsageError(f"malformed dump: {e}")
         if args.category:
-            expressions = wiki_extract.filter_pages_by_category(tree,
-                                                                expressions)
+            expressions = wiki_extract.filter_pages_by_category(
+                tree.result(), expressions)
         for e in expressions:
             f.write(json.dumps({"page_id": e.page_id,
                                 "page_title": e.page_title,
@@ -142,6 +157,12 @@ def cmd_corpus(args):
               for start in range(0, len(lines), n)]
     encode = partial(_encode_lines, path=args.infile, lib=lib,
                      policy=args.policy, max_vars=args.max_vars)
+    # an unwritable output fails before the build, not after it, and
+    # the check leaves no file behind
+    existed = os.path.exists(args.out)
+    open(args.out, "a").close()
+    if not existed:
+        os.remove(args.out)
     encoded = fork_map(encode, chunks, len(os.sched_getaffinity(0)))
     samples, stats = corpus_mod.collect_samples(
         (record for chunk in encoded for record in chunk), lib)

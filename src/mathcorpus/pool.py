@@ -1,7 +1,10 @@
 """The one process pool: a map over forked workers, used for the
-independent runs of ``sr --jobs`` and the input chunks of ``corpus``."""
+independent runs of ``sr --jobs`` and the input chunks of ``corpus``, and
+one call in a forked worker, used for the category tree of ``extract``."""
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 def fork_map(fn, items, jobs):
@@ -23,3 +26,31 @@ def fork_map(fn, items, jobs):
 
     with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
         return list(pool.map(fn, items))
+
+
+@contextmanager
+def fork_call(fn, jobs):
+    """A future of ``fn()``, with ``done()`` and ``result()``, for the
+    caller's block.  With ``jobs`` > 1 the call runs in one forked worker
+    while the block runs on; ``fn`` and its result must pickle, and an
+    exception of ``fn`` comes back with its type and message.  The block
+    is left only once the call has ended, also when the block raises, and
+    an exception of ``fn`` wins over one of the block.  With ``jobs`` <= 1
+    the call runs here, on entry, so its exception leaves at once.  The
+    block must not fork, as the pool's threads run beside it."""
+    if jobs <= 1:
+        from concurrent.futures import Future
+
+        future = Future()
+        future.set_result(fn())
+        yield future
+        return
+    from concurrent.futures import ProcessPoolExecutor  # only for a worker
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
+        future = pool.submit(fn)
+        try:
+            yield future
+        finally:
+            future.result()

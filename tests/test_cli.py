@@ -1,12 +1,14 @@
+import io
 import json
 import multiprocessing
 import os
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from mathcorpus import cli, latex_parser, mlm
+from mathcorpus import cli, latex_parser, mlm, wiki_extract
 from mathcorpus.cli import _library_by_name, main
 from mathcorpus.corpus import build_corpus, write_corpus
 from mathcorpus.expr_core import VARIABLE, default_library, node
@@ -21,15 +23,35 @@ def dump(tmp_path):
     return p
 
 
-def run_extract(tmp_path, dump, capsys, extra=()):
+def main_at_1_and_2_cpus(monkeypatch, capsys, argv):
+    """``main(argv)`` with one and then two usable CPUs, which must give
+    the same exit code and printed output and leave no process running;
+    returns the exit code and what was printed to stdout and stderr."""
+    results = []
+    for n_cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=n_cpus: set(range(n)))
+        code = main(argv)
+        assert multiprocessing.active_children() == []
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    return results[0]
+
+
+def run_extract(monkeypatch, tmp_path, dump, capsys, extra=()):
     out = tmp_path / "exprs.jsonl"
-    code = main(["extract", "--dump", str(dump), "--out", str(out), *extra])
-    return code, out, capsys.readouterr().out
+    code, printed, _ = main_at_1_and_2_cpus(
+        monkeypatch, capsys,
+        ["extract", "--dump", str(dump), "--out", str(out), *extra])
+    return code, out, printed
 
 
 class TestExtract:
-    def test_fixture_summary(self, tmp_path, dump, capsys):
-        code, out, printed = run_extract(tmp_path, dump, capsys)
+    """Each command runs with one usable CPU, where the category tree is
+    built in process, and with two, where a forked worker builds it."""
+
+    def test_fixture_summary(self, monkeypatch, tmp_path, dump, capsys):
+        code, out, printed = run_extract(monkeypatch, tmp_path, dump, capsys)
         assert code == 0
         assert "pages=3 expressions=5 unterminated=1" in printed
         records = [json.loads(l) for l in out.read_text().splitlines()]
@@ -37,58 +59,61 @@ class TestExtract:
         assert records[0] == {"page_id": 1, "page_title": "Alpha",
                               "offset": records[0]["offset"], "latex": "x^2"}
 
-    def test_missing_dump_exit_2(self, tmp_path, capsys):
-        code = main(["extract", "--dump", str(tmp_path / "nope.xml"),
-                     "--out", str(tmp_path / "o.jsonl")])
+    def test_missing_dump_exit_2(self, monkeypatch, tmp_path, capsys):
+        code, _, err = main_at_1_and_2_cpus(monkeypatch, capsys, [
+            "extract", "--dump", str(tmp_path / "nope.xml"),
+            "--out", str(tmp_path / "o.jsonl")])
         assert code == 2
-        assert "nope.xml" in capsys.readouterr().err
+        assert "nope.xml" in err
 
-    def test_category_filter(self, tmp_path, dump, capsys):
+    def test_category_filter(self, monkeypatch, tmp_path, dump, capsys):
         cl = tmp_path / "cl.sql"
         cl.write_text("INSERT INTO `categorylinks` VALUES "
                       "(1,'Physics','','','','','page');\n")
         pg = tmp_path / "pg.sql"
         pg.write_text("INSERT INTO `page` VALUES (1,0,'Alpha');\n")
         code, out, printed = run_extract(
-            tmp_path, dump, capsys,
+            monkeypatch, tmp_path, dump, capsys,
             extra=["--category", "Physics", "--sql-categorylinks", str(cl),
                    "--sql-page", str(pg), "--depth", "3"])
         assert code == 0
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert {r["page_id"] for r in records} == {1}
 
-    def test_missing_sql_dump_exit_2(self, tmp_path, dump, capsys):
-        code = main(["extract", "--dump", str(dump),
-                     "--out", str(tmp_path / "o.jsonl"),
-                     "--category", "Physics", "--sql-categorylinks",
-                     str(tmp_path / "nocl.sql"), "--sql-page", str(dump)])
+    def test_missing_sql_dump_exit_2(self, monkeypatch, tmp_path, dump,
+                                     capsys):
+        code, _, err = main_at_1_and_2_cpus(monkeypatch, capsys, [
+            "extract", "--dump", str(dump), "--out", str(tmp_path / "o.jsonl"),
+            "--category", "Physics", "--sql-categorylinks",
+            str(tmp_path / "nocl.sql"), "--sql-page", str(dump)])
         assert code == 2
-        assert "nocl.sql" in capsys.readouterr().err
+        assert "nocl.sql" in err
 
-    def test_category_without_sql_is_usage_error(self, tmp_path, dump, capsys):
-        code, _, _ = run_extract(tmp_path, dump, capsys,
+    def test_category_without_sql_is_usage_error(self, monkeypatch, tmp_path,
+                                                  dump, capsys):
+        code, _, _ = run_extract(monkeypatch, tmp_path, dump, capsys,
                                  extra=["--category", "Physics"])
         assert code == 2
 
-    def test_category_flags_checked_before_the_dump_is_read(self, tmp_path,
-                                                            capsys):
+    def test_category_flags_checked_before_the_dump_is_read(self, monkeypatch,
+                                                            tmp_path, capsys):
         bad = tmp_path / "bad.xml"
         bad.write_bytes(b"<mediawiki><page></mediawiki>")
-        code = main(["extract", "--dump", str(bad), "--out",
-                     str(tmp_path / "o.jsonl"), "--category", "Physics"])
+        code, _, err = main_at_1_and_2_cpus(monkeypatch, capsys, [
+            "extract", "--dump", str(bad), "--out", str(tmp_path / "o.jsonl"),
+            "--category", "Physics"])
         assert code == 2
-        err = capsys.readouterr().err
         assert "--sql-categorylinks" in err and "malformed" not in err
 
 
-    def test_unwritable_out_fails_before_the_dump_is_read(self, tmp_path,
-                                                          capsys):
+    def test_unwritable_out_fails_before_the_dump_is_read(self, monkeypatch,
+                                                          tmp_path, capsys):
         bad = tmp_path / "bad.xml"
         bad.write_bytes(b"<mediawiki><page></mediawiki>")
-        code = main(["extract", "--dump", str(bad), "--out",
-                     str(tmp_path / "no-such-dir" / "o.jsonl")])
+        code, _, err = main_at_1_and_2_cpus(monkeypatch, capsys, [
+            "extract", "--dump", str(bad),
+            "--out", str(tmp_path / "no-such-dir" / "o.jsonl")])
         assert code == 2
-        err = capsys.readouterr().err
         assert "o.jsonl" in err and "malformed" not in err
 
     @pytest.mark.parametrize("cl, pg, named", [
@@ -97,28 +122,44 @@ class TestExtract:
         ("(1,'Physics','','','','','page')", "(1,2.5,'Alpha')",
          "page row (1, 2.5, 'Alpha')"),
     ])
-    def test_non_integer_sql_id_names_the_row(self, tmp_path, dump, capsys,
-                                              cl, pg, named):
+    def test_non_integer_sql_id_names_the_row(self, monkeypatch, tmp_path,
+                                              dump, capsys, cl, pg, named):
         paths = []
         for table, values in (("categorylinks", cl), ("page", pg)):
             path = tmp_path / f"{table}.sql"
             path.write_text(f"INSERT INTO `{table}` VALUES {values};\n")
             paths.append(str(path))
-        code = main(["extract", "--dump", str(dump), "--out",
-                     str(tmp_path / "o.jsonl"), "--category", "Physics",
-                     "--sql-categorylinks", paths[0], "--sql-page", paths[1]])
+        code, _, err = main_at_1_and_2_cpus(monkeypatch, capsys, [
+            "extract", "--dump", str(dump), "--out", str(tmp_path / "o.jsonl"),
+            "--category", "Physics",
+            "--sql-categorylinks", paths[0], "--sql-page", paths[1]])
         assert code == 2
-        assert named in capsys.readouterr().err
+        assert named in err
 
-    def test_non_integer_page_namespace_names_the_page(self, tmp_path,
-                                                       capsys):
+    def test_negative_depth_is_a_usage_error(self, monkeypatch, tmp_path,
+                                             capsys):
+        def no_worker(*args):
+            raise AssertionError("the category tree was started")
+
+        monkeypatch.setattr(cli, "fork_call", no_worker)
+        absent = str(tmp_path / "absent")
+        code, _, err = main_at_1_and_2_cpus(monkeypatch, capsys, [
+            "extract", "--dump", absent, "--out", str(tmp_path / "o.jsonl"),
+            "--category", "Physics", "--sql-categorylinks", absent,
+            "--sql-page", absent, "--depth", "-1"])
+        assert code == 2
+        assert err == "error: --depth must be >= 0\n"
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_non_integer_page_namespace_names_the_page(self, monkeypatch,
+                                                       tmp_path, capsys):
         bad = tmp_path / "bad.xml"
         bad.write_text("<mediawiki>" + page_xml(1, "Alpha", "<math>x</math>",
                                                 ns="x") + "</mediawiki>")
-        code = main(["extract", "--dump", str(bad), "--out",
-                     str(tmp_path / "o.jsonl")])
+        code, _, err = main_at_1_and_2_cpus(monkeypatch, capsys, [
+            "extract", "--dump", str(bad), "--out", str(tmp_path / "o.jsonl")])
         assert code == 2
-        assert "malformed dump: page 'Alpha'" in capsys.readouterr().err
+        assert "malformed dump: page 'Alpha'" in err
 
 
 class TestCorpus:
@@ -203,15 +244,21 @@ class TestCorpus:
         assert stats["n_dropped"] == 2
 
 
-@pytest.fixture(scope="module")
-def generated_jsonl(tmp_path_factory):
-    """``extract`` output of a 1,000-page ``perfbench/gen.py`` dump: about
-    2,300 records, so three chunks of the corpus pool."""
+def perfbench_gen():
+    """The benchmark's seeded dump generator, ``perfbench/gen.py``."""
     root = str(Path(__file__).resolve().parents[1])
     if root not in sys.path:
         sys.path.insert(0, root)
     from perfbench import gen
 
+    return gen
+
+
+@pytest.fixture(scope="module")
+def generated_jsonl(tmp_path_factory):
+    """``extract`` output of a 1,000-page ``perfbench/gen.py`` dump: about
+    2,300 records, so three chunks of the corpus pool."""
+    gen = perfbench_gen()
     work = tmp_path_factory.mktemp("generated")
     paths, _ = gen.write_dump(work, 1, 1000)
     out = work / "exprs.jsonl"
@@ -220,12 +267,101 @@ def generated_jsonl(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def generated_dumps(tmp_path_factory):
+    """Seed -> (paths, expectation) of 1,000-page ``perfbench/gen.py``
+    dumps with their SQL tables, for seeds 1-3."""
+    gen = perfbench_gen()
+    work = tmp_path_factory.mktemp("dumps")
+    return {seed: gen.write_dump(work / str(seed), seed, 1000)
+            for seed in (1, 2, 3)}
+
+
+def category_argv(paths, out, root):
+    return ["extract", "--dump", str(paths["dump"]), "--out", str(out),
+            "--category", root,
+            "--sql-categorylinks", str(paths["links_sql"]),
+            "--sql-page", str(paths["page_sql"]),
+            "--depth", str(perfbench_gen().FILTER_DEPTH)]
+
+
+class TestExtractWorkers:
+    """``extract --category`` builds the category tree in process with one
+    usable CPU and in one forked worker, beside the dump's read, with two."""
+
+    @pytest.mark.parametrize("stdin", [False, True], ids=["path", "stdin"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_same_bytes_at_1_and_2_cpus(self, monkeypatch, tmp_path, capsys,
+                                        generated_dumps, seed, stdin):
+        paths, expect = generated_dumps[seed]
+        out = tmp_path / "exprs.jsonl"
+        argv = category_argv(paths, out, perfbench_gen().ROOT_CATEGORY)
+        if stdin:
+            argv[argv.index("--dump") + 1] = "-"
+        results = []
+        for n_cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=n_cpus: set(range(n)))
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+                io.BytesIO(paths["dump"].read_bytes())))
+            code = main(argv)
+            assert multiprocessing.active_children() == []
+            results.append((code, capsys.readouterr().out, out.read_bytes()))
+        assert results[0] == results[1]
+        assert results[0][:2] == (
+            0, f"pages={expect.pages} expressions={expect.kept_expressions} "
+               f"unterminated={expect.unterminated}\n")
+
+    @pytest.mark.parametrize("broken", ["dump", "out"])
+    def test_bad_root_wins_over_a_bad_dump_or_out(self, monkeypatch, tmp_path,
+                                                  capsys, generated_dumps,
+                                                  broken):
+        paths, _ = generated_dumps[1]
+        paths = dict(paths)
+        out = tmp_path / "o.jsonl"
+        if broken == "dump":
+            paths["dump"] = tmp_path / "bad.xml"
+            paths["dump"].write_bytes(b"<mediawiki><page></mediawiki>")
+        else:
+            out = tmp_path / "no-such-dir" / "o.jsonl"
+        code, _, err = main_at_1_and_2_cpus(monkeypatch, capsys,
+                                            category_argv(paths, out, "Nope"))
+        assert code == 2
+        assert err == "error: category 'Nope' not found\n"
+
+    def test_root_typo_ends_the_read_early(self, monkeypatch, tmp_path,
+                                           capsys, generated_dumps):
+        n_pages = 10_000  # 10 s or more, at 1 ms a page
+        read = []
+
+        def stream_pages(source):
+            read.append(0)
+            for page_id in range(n_pages):
+                read[-1] += 1
+                time.sleep(0.001)
+                yield wiki_extract.PageRecord(page_id=page_id, title="P",
+                                              namespace=0,
+                                              text="<math>x</math>")
+
+        monkeypatch.setattr(wiki_extract, "stream_pages", stream_pages)
+        paths, _ = generated_dumps[1]
+        code, _, err = main_at_1_and_2_cpus(
+            monkeypatch, capsys,
+            category_argv(paths, tmp_path / "o.jsonl", "Mathematic"))
+        assert code == 2
+        assert err == "error: category 'Mathematic' not found\n"
+        # in process the tree comes first, so only the run with a worker
+        # reads the dump, and the worker's error ends that read
+        assert len(read) == 1 and read[0] < n_pages // 2
+
+
 class TestCorpusWorkers:
     """``corpus`` in process with one usable CPU, and over a pool of two
     forked workers with two; never more than 2 workers here."""
 
     @staticmethod
-    def _corpus(monkeypatch, tmp_path, jsonl, n_cpus, *flags, parse=None):
+    def _corpus(monkeypatch, tmp_path, jsonl, n_cpus, *flags, parse=None,
+                out=None):
         """Runs ``corpus`` with ``n_cpus`` usable CPUs and ``parse`` in place
         of ``parse_latex``; returns the exit code, the corpus and stats
         bytes (None when not written) and the ids of the parsing processes."""
@@ -240,8 +376,8 @@ class TestCorpusWorkers:
             return parse(text)
 
         monkeypatch.setattr(cli, "parse_latex", marked)
-        out = tmp_path / f"c{n_cpus}.corpus"
-        stats = tmp_path / f"c{n_cpus}.corpus.stats.json"
+        out = out or tmp_path / f"c{n_cpus}.corpus"
+        stats = Path(f"{out}.stats.json")
         code = main(["corpus", "--in", str(jsonl), "--out", str(out), *flags])
         assert multiprocessing.active_children() == []
         return (code, *(p.read_bytes() if p.exists() else None
@@ -297,6 +433,26 @@ class TestCorpusWorkers:
             f"error: {jsonl}, line {first}: not a JSON object with an "
             f"integer page_id and a string latex\n")
         assert corpus is None and stats is None
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_unwritable_out_fails_before_the_first_parse(
+            self, monkeypatch, tmp_path, capsys, generated_jsonl, n_cpus):
+        out = tmp_path / "no-such-dir" / "c.corpus"
+        code, corpus, stats, pids = self._corpus(
+            monkeypatch, tmp_path, generated_jsonl, n_cpus, out=out)
+        assert code == 2 and pids == set()
+        assert capsys.readouterr().err.startswith(f"error: cannot open {out}:")
+        assert corpus is None and stats is None
+
+    def test_malformed_input_keeps_an_existing_corpus(
+            self, monkeypatch, tmp_path, capsys):
+        jsonl = tmp_path / "bad.jsonl"
+        jsonl.write_text('{"page_id": 1, "latex": "x"}\n{"page_id": 2,\n')
+        out = tmp_path / "old.corpus"
+        out.write_text("old\n")
+        code, corpus, stats, _ = self._corpus(monkeypatch, tmp_path, jsonl, 1,
+                                              out=out)
+        assert code == 2 and corpus == b"old\n" and stats is None
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_tree_too_deep_to_walk_is_dropped(self, monkeypatch, tmp_path,
