@@ -8,8 +8,10 @@ Exit codes: 0 success, 1 internal error, 2 usage/input error.
 from __future__ import annotations
 
 import argparse
+import csv
 import html
 import json
+import math
 import os
 import re
 import sys
@@ -50,6 +52,11 @@ def _with_config(args, argv):
     return argv[:at] + flags + argv[at:]
 
 
+def _usable_cpus():
+    """The CPUs this process may run on, which ``taskset`` limits."""
+    return len(os.sched_getaffinity(0))
+
+
 def _library_by_name(name):
     """``std`` with an optional variable count of at least 1, 2 by default."""
     m = re.fullmatch(r"std([1-9][0-9]*)?", name)
@@ -83,7 +90,7 @@ def cmd_extract(args):
     # the tree is built beside the dump's read, in process on one CPU
     build = partial(_category_tree, args.category, args.sql_categorylinks,
                     args.sql_page, args.depth)
-    jobs = len(os.sched_getaffinity(0)) if args.category else 1
+    jobs = _usable_cpus() if args.category else 1
     tally = {}
     expressions = []
     n_pages = 0
@@ -163,7 +170,7 @@ def cmd_corpus(args):
     open(args.out, "a").close()
     if not existed:
         os.remove(args.out)
-    encoded = fork_map(encode, chunks, len(os.sched_getaffinity(0)))
+    encoded = fork_map(encode, chunks, _usable_cpus())
     samples, stats = corpus_mod.collect_samples(
         (record for chunk in encoded for record in chunk), lib)
     corpus_mod.write_corpus(samples, args.out, lib)
@@ -176,9 +183,18 @@ def cmd_corpus(args):
 
 
 def cmd_mlm_train(args):
-    lib = _library_by_name(args.library)
+    for flag, least in ("hidden", 1), ("emb", 1), ("batch", 1), ("epochs", 0):
+        if getattr(args, flag) < least:
+            raise UsageError(f"--{flag} must be >= {least}")
+    if not 0 < args.lr < math.inf:
+        raise UsageError("--lr must be a finite number > 0")
+    with open(args.corpus, encoding="utf-8") as f:  # the library is vocab=
+        vocab = re.search(r" vocab=(\S+)", f.readline())
     try:
+        lib = _library_by_name(vocab[1] if vocab else "")
         samples = corpus_mod.read_corpus(args.corpus, lib)
+    except UsageError as e:
+        raise UsageError(f"{args.corpus}, line 1: {e} in vocab=") from None
     except corpus_mod.CorpusError as e:
         raise UsageError(str(e))
     if not samples:
@@ -219,11 +235,11 @@ def _load_spec(args):
 
 
 def cmd_sr(args):
-    for flag in ("runs", "max_steps", "batch_size", "jobs"):
+    for flag in ("runs", "max_steps", "batch_size"):
         if getattr(args, flag) < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1")
-    if args.with_mlm and args.lam < 0:
-        raise UsageError("--lambda must be >= 0")
+    if args.with_mlm and not all(0 <= lam < math.inf for lam in args.lam):
+        raise UsageError("--lambda must be >= 0 and finite")
     spec = _load_spec(args)
     lib = spec.library()
     model = None
@@ -232,19 +248,14 @@ def cmd_sr(args):
             model = mlm.load(args.with_mlm, lib)
         except mlm.MLMError as e:
             raise UsageError(str(e))
-    lambdas = ([round(0.1 * k, 1) for k in range(1, 11)]
-               if args.lambda_sweep else [args.lam])
-    if model is None:
-        lambdas = [0.0]
-
     all_rows = []
-    for lam in lambdas:
+    for lam in args.lam if model is not None else [0.0]:  # no prior: lambda 0
         config = dsr.SRConfig(library=lib, lam=lam, max_steps=args.max_steps,
                               batch_size=args.batch_size)
         try:
             metrics = dsr.run_benchmark(spec, config, args.runs,
                                         mlm_model=model, base_seed=args.seed,
-                                        jobs=args.jobs)
+                                        jobs=_usable_cpus())
         except dsr.DsrError as e:
             raise UsageError(f"{args.spec or spec.name}: {e}")
         summary = dsr.summarize(metrics)
@@ -262,10 +273,8 @@ def cmd_sr(args):
 def _read_metrics(path):
     """The rows of one metrics CSV as dicts, ``recovered`` and ``steps`` as
     ints and ``invalid_fraction`` as a float."""
-    import csv as _csv
-
     with open(path, newline="", encoding="utf-8") as f:
-        reader = _csv.reader(f)
+        reader = csv.reader(f)
         header = next(reader, None)
         if header != dsr.CSV_HEADER:
             raise UsageError(f"{path}, line 1: expected the CSV header "
@@ -371,7 +380,6 @@ def build_parser():
     pm = sub.add_parser("mlm-train", help="train the math language model")
     pm.add_argument("--corpus", required=True)
     pm.add_argument("--out", required=True)
-    pm.add_argument("--library", default="std2")
     pm.add_argument("--hidden", type=int, default=256)
     pm.add_argument("--emb", type=int, default=64)
     pm.add_argument("--epochs", type=int, default=200)
@@ -388,12 +396,11 @@ def build_parser():
     prior = ps.add_mutually_exclusive_group()
     prior.add_argument("--with-mlm", help="MLM1 weight file")
     prior.add_argument("--no-mlm", action="store_true")
-    ps.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    ps.add_argument("--lambda-sweep", action="store_true")
+    ps.add_argument("--lambda", dest="lam", type=float, nargs="+",
+                    default=[0.5])
     ps.add_argument("--max-steps", type=int, default=2000)
     ps.add_argument("--batch-size", type=int, default=500)
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--jobs", type=int, default=len(os.sched_getaffinity(0)))
     ps.add_argument("--out", help="metrics CSV path")
     ps.add_argument("--config")
     ps.set_defaults(handler=cmd_sr, sub_parser=ps)

@@ -35,6 +35,13 @@ from .recurrent import Adam, GRUReadout, draw, log_softmax, softmax
 
 NEG_INF = float("-inf")
 
+# DSR's hyperparameters (Petersen et al., Deep symbolic regression, ICLR 2021)
+RISK_FRACTION = 0.05  # the top reward quantile that trains the controller
+LEARNING_RATE = 0.001
+ENTROPY_WEIGHT = 0.005
+MIN_LENGTH, MAX_LENGTH = 4, 30  # traversal length bounds, in tokens
+HIDDEN_SIZE = 32  # the controller's GRU width
+
 
 class DsrError(Exception):
     pass
@@ -58,20 +65,10 @@ class SRConfig:
     lam: float = 0.0
     batch_size: int = 500
     max_steps: int = 2000
-    risk_fraction: float = 0.05
-    learning_rate: float = 0.001
-    entropy_weight: float = 0.005
-    min_length: int = 4
-    max_length: int = 30
-    hidden_size: int = 32
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
-        if not (0 < self.risk_fraction <= 1):
-            raise ValueError("risk fraction must be in (0, 1]")
-        if self.min_length > self.max_length:
-            raise ValueError("min_length must be <= max_length")
 
 
 class _SlotState:
@@ -211,7 +208,7 @@ class _Policy:
         live = ~st.done
         parent, sibling = st.parent_sibling(self.rows)  # -1 on finished rows
         masks = st.mask(np.where(live, st.n, 0), np.where(live, st.open, 1),
-                        st.trig, parent, cfg.min_length, cfg.max_length)
+                        st.trig, parent, MIN_LENGTH, MAX_LENGTH)
         logits, self.h, cache = self.controller.forward(
             self.controller.input_batch(parent, sibling), self.h)
         if self.mlm is not None:
@@ -234,9 +231,9 @@ def sample_batch(controller, mlm_model, config, rng):
     their lane, but their draws are discarded.
     """
     B = config.batch_size
-    policy = _Policy(controller, mlm_model, config, B, config.max_length)
+    policy = _Policy(controller, mlm_model, config, B, MAX_LENGTH)
     st = policy.st
-    for _ in range(config.max_length):
+    for _ in range(MAX_LENGTH):
         live = ~st.done
         if not live.any():
             break
@@ -290,7 +287,7 @@ def objective_and_gradients(controller, traversals, advantages, config,
                             mlm_model=None):
     """Risk-seeking surrogate objective and its exact controller gradients.
 
-    J = mean_i adv_i * log p(tau_i) + entropy_weight * mean_i sum_t H_t.
+    J = mean_i adv_i * log p(tau_i) + ENTROPY_WEIGHT * mean_i sum_t H_t.
     The prior logits and constraint masks enter the softmax but are treated
     as constants; gradients flow only through the controller logits.
     """
@@ -300,7 +297,6 @@ def objective_and_gradients(controller, traversals, advantages, config,
     # teacher-forced steps, with each step's share of J and its logit
     # gradients; padded steps add nothing
     adv = np.asarray(advantages, dtype=float)
-    w_ent = config.entropy_weight
     policy = _Policy(controller, mlm_model, config, k, T)
     rows = np.arange(k)
     J = 0.0
@@ -317,12 +313,11 @@ def objective_and_gradients(controller, traversals, advantages, config,
         onehot = np.zeros_like(p)
         onehot[rows, target] = 1.0
         dlogits = (adv * on)[:, None] * (onehot - p) / k
-        if w_ent:
-            safe_lp = np.where(p > 0, lp, 0.0)
-            H = -(p * safe_lp).sum(axis=1)
-            J += w_ent * float(np.sum(H * on)) / k
-            dH = -p * (safe_lp + H[:, None])
-            dlogits += w_ent * on[:, None] * dH / k
+        safe_lp = np.where(p > 0, lp, 0.0)
+        H = -(p * safe_lp).sum(axis=1)
+        J += ENTROPY_WEIGHT * float(np.sum(H * on)) / k
+        dH = -p * (safe_lp + H[:, None])
+        dlogits += ENTROPY_WEIGHT * on[:, None] * dH / k
         steps.append((h, dlogits, cache))
         policy.push(target, live)
 
@@ -336,13 +331,11 @@ def train_step(controller, batch, config, optimizer, mlm_model=None):
     if not batch:
         raise ValueError("empty batch")
     rewards = np.array([r for _, r in batch])
-    baseline = float(np.quantile(rewards, 1.0 - config.risk_fraction))
-    k = max(1, int(round(config.risk_fraction * len(batch))))
+    baseline = float(np.quantile(rewards, 1.0 - RISK_FRACTION))
+    k = max(1, int(round(RISK_FRACTION * len(batch))))
     order = np.argsort(-rewards, kind="stable")
     traversals = [batch[i][0] for i in order[:k]]
     advantages = [rewards[i] - baseline for i in order[:k]]
-    if all(a == 0.0 for a in advantages) and config.entropy_weight == 0.0:
-        return 0.0
     J, grads = objective_and_gradients(controller, traversals, advantages,
                                        config, mlm_model)
     neg = {n: -g for n, g in grads.items()}
@@ -474,8 +467,8 @@ def run_search(spec, config, rng_seed, mlm_model=None):
     lib = spec.library()
     cfg = dc_replace(config, library=lib)
     rng = np.random.default_rng(rng_seed)
-    controller = Controller(lib, cfg.hidden_size, seed=rng_seed)
-    optimizer = Adam(cfg.learning_rate)
+    controller = Controller(lib, HIDDEN_SIZE, seed=rng_seed)
+    optimizer = Adam(LEARNING_RATE)
     X, y = spec.dataset(np.random.default_rng(rng_seed ^ 0x5EED))
     sd = target_spread(y)
 

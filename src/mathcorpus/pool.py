@@ -1,5 +1,5 @@
 """The one process pool: a map over forked workers, used for the
-independent runs of ``sr --jobs`` and the input chunks of ``corpus``, and
+independent runs of ``sr`` and the input chunks of ``corpus``, and
 one call in a forked worker, used for the category tree of ``extract``."""
 
 from __future__ import annotations

@@ -170,8 +170,8 @@ def test_criterion_07_lambda_zero_equivalence():
     sd = dsr.target_spread(y)
 
     def trajectory(with_model):
-        controller = Controller(lib, config.hidden_size, seed=0)
-        opt = Adam(config.learning_rate)
+        controller = Controller(lib, dsr.HIDDEN_SIZE, seed=0)
+        opt = Adam(dsr.LEARNING_RATE)
         rng = np.random.default_rng(0)
         tokens = []
         for _ in range(config.max_steps):
@@ -194,7 +194,7 @@ def test_criterion_07_lambda_zero_equivalence():
 def test_criterion_08_constraint_soundness():
     lib = default_library(n_vars=2)
     config = SRConfig(library=lib, batch_size=500)
-    controller = Controller(lib, config.hidden_size, seed=0)
+    controller = Controller(lib, dsr.HIDDEN_SIZE, seed=0)
     rng = np.random.default_rng(8)
     trig = {"sin", "cos", "tan"}
     inverse = {("log", "exp"), ("exp", "log")}
@@ -207,7 +207,7 @@ def test_criterion_08_constraint_soundness():
             if not is_complete(trav, lib):
                 violations += 1
                 continue
-            if not (config.min_length <= len(trav) <= config.max_length):
+            if not (dsr.MIN_LENGTH <= len(trav) <= dsr.MAX_LENGTH):
                 violations += 1
                 continue
             tree = traversal_to_tree(trav, lib)

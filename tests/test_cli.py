@@ -2,6 +2,8 @@ import io
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import sys
 import time
 from pathlib import Path
@@ -548,6 +550,55 @@ class TestMlmTrain:
                      "--out", str(tmp_path / "m.mlm")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--hidden", "0", "--hidden must be >= 1"),
+        ("--emb", "0", "--emb must be >= 1"),
+        ("--batch", "0", "--batch must be >= 1"),
+        ("--batch", "-1", "--batch must be >= 1"),
+        ("--epochs", "-1", "--epochs must be >= 0"),
+        ("--lr", "nan", "--lr must be a finite number > 0"),
+        ("--lr", "inf", "--lr must be a finite number > 0"),
+        ("--lr", "0", "--lr must be a finite number > 0"),
+    ])
+    def test_bad_size_flag_exit_2_before_reading(self, tmp_path, capsys,
+                                                 flag, value, message):
+        # the corpus does not exist: the flag is checked first
+        out = tmp_path / "m.mlm"
+        code = main(["mlm-train", "--corpus", str(tmp_path / "absent"),
+                     "--out", str(out), flag, value])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_library_comes_from_the_header(self, tmp_path, capsys):
+        corpus = tmp_path / "c.corpus"
+        corpus.write_text("#mathcorpus v1 vocab=std3\n1\tnone\tadd x1 x3\n")
+        out = tmp_path / "m.mlm"
+        assert main(["mlm-train", "--corpus", str(corpus), "--out", str(out),
+                     "--hidden", "4", "--emb", "4", "--epochs", "1"]) == 0
+        # load checks the weights' vocabulary against std3's
+        assert "x3" in mlm.load(out, default_library(n_vars=3)).vocab_names
+
+    @pytest.mark.parametrize("header", ["#mathcorpus v1",
+                                        "#mathcorpus v1 vocab=std0"])
+    def test_header_without_a_known_library_exit_2(self, tmp_path, capsys,
+                                                   header):
+        corpus = tmp_path / "c.corpus"
+        corpus.write_text(header + "\n1\tnone\tadd x1 1\n")
+        code = main(["mlm-train", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "m.mlm")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {corpus}, line 1: unknown library")
+
+    def test_library_flag_is_gone(self, tmp_path, capsys):
+        corpus = tmp_path / "c.corpus"
+        write_tiny_corpus(corpus)
+        code = main(["mlm-train", "--corpus", str(corpus),
+                     "--out", str(tmp_path / "m.mlm"), "--library", "std3"])
+        assert code == 2
+        assert "unrecognized arguments: --library" in capsys.readouterr().err
+
 
 class TestSr:
     def test_runs_zero_exit_2(self, tmp_path, capsys):
@@ -575,6 +626,40 @@ class TestSr:
                      "--with-mlm", str(weights), "--lambda", "-1"])
         assert code == 2
         assert "--lambda must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_exit_2_before_the_spec(self, tmp_path, capsys,
+                                                      value):
+        # neither the spec nor the weights exist: lambda is checked first
+        code = main(["sr", "--spec", str(tmp_path / "absent.json"),
+                     "--with-mlm", str(tmp_path / "absent.mlm"),
+                     "--lambda", "0.5", value])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --lambda must be >= 0 and finite\n")
+
+    def test_several_lambdas_run_in_order(self, tmp_path, capsys):
+        from mathcorpus import dsr
+
+        weights = tmp_path / "m.mlm"
+        lib = dsr.builtin_benchmarks()["nguyen-1"].library()
+        mlm.save(mlm.init(lib, 4, 4, seed=0), weights)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": 0.5}))
+        out = tmp_path / "metrics.csv"
+        base = ["sr", "--benchmark", "nguyen-1", "--runs", "1",
+                "--max-steps", "1", "--batch-size", "10", "--out", str(out)]
+
+        def lambdas(*flags):
+            assert main([*base, *flags]) == 0
+            return [row.split(",")[3]
+                    for row in out.read_text().splitlines()[1:]]
+
+        assert lambdas("--with-mlm", str(weights), "--lambda", "0", "1") \
+            == ["0.0", "1.0"]
+        assert lambdas("--with-mlm", str(weights), "--config", str(cfg)) \
+            == ["0.5"]
+        assert lambdas("--no-mlm", "--lambda", "0.5", "1") == ["0.0"]
 
     def test_unknown_benchmark(self, capsys):
         code = main(["sr", "--benchmark", "nguyen-99", "--runs", "1"])
@@ -655,58 +740,55 @@ class TestSr:
 
 
 class TestJobs:
-    """``sr --jobs``: runs in forked workers, never more than 2 here."""
+    """``sr`` shares its runs among the usable CPUs, one or two here."""
 
     SR = ["sr", "--benchmark", "nguyen-1", "--runs", "2", "--max-steps", "3",
           "--batch-size", "30", "--seed", "4"]
 
-    def _csv(self, tmp_path, jobs, *flags):
-        out = tmp_path / f"jobs{jobs}.csv"
-        assert main([*self.SR, *flags, "--jobs", str(jobs),
-                     "--out", str(out)]) == 0
+    def _csv(self, monkeypatch, tmp_path, cpus, *flags):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        out = tmp_path / f"cpus{len(cpus)}.csv"
+        assert main([*self.SR, *flags, "--out", str(out)]) == 0
         assert multiprocessing.active_children() == []
         return out.read_bytes()
 
     @pytest.mark.parametrize("flags", [
         ["--no-mlm"],
         ["--with-mlm", "{prior}", "--lambda", "0.5"],
-        ["--with-mlm", "{prior}", "--lambda-sweep"],
+        ["--with-mlm", "{prior}", "--lambda",
+         *"0.1 0.2 0.3 0.4 0.5 0.6 0.7 0.8 0.9 1.0".split()],
     ], ids=["no-mlm", "lambda", "sweep"])
-    def test_csv_identical_at_any_jobs(self, tmp_path, capsys, flags):
+    def test_csv_identical_at_any_jobs(self, monkeypatch, tmp_path, capsys,
+                                       flags):
         from mathcorpus import dsr
 
         weights = tmp_path / "m.mlm"
         lib = dsr.builtin_benchmarks()["nguyen-1"].library()
         mlm.save(mlm.init(lib, 4, 4, seed=0), weights)
         flags = [f.format(prior=weights) for f in flags]
-        assert self._csv(tmp_path, 1, *flags) == self._csv(tmp_path, 2, *flags)
+        assert (self._csv(monkeypatch, tmp_path, {0}, *flags)
+                == self._csv(monkeypatch, tmp_path, {0, 1}, *flags))
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_jobs_below_one_exit_2(self, capsys, value):
-        code = main([*self.SR, "--no-mlm", "--jobs", value])
-        assert code == 2
-        assert "--jobs must be >= 1" in capsys.readouterr().err
-
-    def test_jobs_in_config_is_checked_like_a_flag(self, tmp_path, capsys):
+    def test_jobs_config_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        for jobs, code in ((2, 0), ("two", 2)):
-            cfg.write_text(json.dumps({"jobs": jobs}))
-            assert main([*self.SR, "--no-mlm", "--config", str(cfg)]) == code
-        assert "--jobs: invalid int value" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"jobs": 2}))
+        assert main([*self.SR, "--no-mlm", "--config", str(cfg)]) == 2
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("expression, message", [
         ("x + z", "undeclared variable 'z'"),
         ("x +", "does not parse"),
         ("log(x)", "invalid on sampled points"),  # per run, in the workers
     ], ids=["undeclared", "unparsable", "invalid-on-points"])
-    def test_bad_spec_target_exit_2(self, tmp_path, capsys, expression,
-                                    message):
+    def test_bad_spec_target_exit_2(self, monkeypatch, tmp_path, capsys,
+                                    expression, message):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
             "name": "t", "expression": expression, "variables": ["x"],
             "library": ["add", "log", "x"]}))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         code = main(["sr", "--spec", str(spec), "--no-mlm", "--runs", "2",
-                     "--jobs", "2", "--max-steps", "2", "--batch-size", "30"])
+                     "--max-steps", "2", "--batch-size", "30"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {spec}:") and message in err
@@ -878,3 +960,17 @@ def test_unwritable_output_exit_2_names_it(tmp_path, dump, capsys):
     code = main(["extract", "--dump", str(dump), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: cannot open {out}:")
+
+
+def test_readme_pipeline_commands_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = re.search(r"## Pipeline example\n\n```sh\n(.*?)```", readme,
+                      re.DOTALL)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(l) for l in lines if l.startswith("mathcorpus ")]
+    assert [argv[1] for argv in commands] == [
+        "extract", "corpus", "mlm-train", "sr", "sr", "report"]
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # exits 2 on an unknown flag

@@ -59,10 +59,6 @@ class TestSRConfig:
     def test_validation(self, slib):
         with pytest.raises(ValueError):
             SRConfig(library=slib, lam=-0.1)
-        with pytest.raises(ValueError):
-            SRConfig(library=slib, risk_fraction=0.0)
-        with pytest.raises(ValueError):
-            SRConfig(library=slib, min_length=10, max_length=5)
 
 
 ROW = np.zeros(1, dtype=np.int64)  # the one row of a replayed slot state
@@ -83,7 +79,8 @@ def parent_sibling(lib, prefix):
     return tuple(int(i) if i >= 0 else None for i in (*parent, *sibling))
 
 
-def constraint_mask(lib, prefix, min_length=4, max_length=30):
+def constraint_mask(lib, prefix, min_length=dsr.MIN_LENGTH,
+                    max_length=dsr.MAX_LENGTH):
     """The slot state's constraint logits for the token after ``prefix``."""
     st = replayed(lib, prefix)
     parent, _ = st.parent_sibling(ROW)
@@ -219,25 +216,25 @@ class TestCombineAndSample:
 class TestSampling:
     def test_complete_and_in_bounds(self, slib):
         config = cfg(slib, batch_size=500)
-        controller = Controller(slib, config.hidden_size, seed=0)
+        controller = Controller(slib, dsr.HIDDEN_SIZE, seed=0)
         rng = np.random.default_rng(0)
         travs = sample_batch(controller, None, config, rng)
         for t in travs:
             assert is_complete(t, slib)
-            assert config.min_length <= len(t) <= config.max_length
+            assert dsr.MIN_LENGTH <= len(t) <= dsr.MAX_LENGTH
 
     def test_single_terminal_library(self):
+        # the one token is a terminal, which the minimum length masks at
+        # the empty prefix
         lib = Library([Token("x", 0, VARIABLE)], name="only-x")
-        config = SRConfig(library=lib, batch_size=1, min_length=1,
-                          max_length=5)
+        config = SRConfig(library=lib, batch_size=1)
         controller = Controller(lib, 8, seed=0)
-        (trav,) = sample_batch(controller, None, config,
-                               np.random.default_rng(0))
-        assert list(trav) == [0]
+        with pytest.raises(Infeasible, match="mask every token"):
+            sample_batch(controller, None, config, np.random.default_rng(0))
 
     def test_deterministic_given_rng(self, slib):
         config = cfg(slib, batch_size=20)
-        controller = Controller(slib, config.hidden_size, seed=1)
+        controller = Controller(slib, dsr.HIDDEN_SIZE, seed=1)
         a = sample_batch(controller, None, config, np.random.default_rng(7))
         b = sample_batch(controller, None, config, np.random.default_rng(7))
         assert [t.seq for t in a] == [t.seq for t in b]
@@ -266,7 +263,7 @@ def reference_sample_batch(controller, mlm_model, config, rng, B):
     prev = [bos] * B
     h = controller.initial_state(B)
     h_mlm = mlm_model.initial_state(B) if mlm_model is not None else None
-    for _ in range(config.max_length):
+    for _ in range(dsr.MAX_LENGTH):
         if all(done):
             break
         n, d, tr, par = [], [], [], []
@@ -287,7 +284,7 @@ def reference_sample_batch(controller, mlm_model, config, rng, B):
             x[b, V + 1 + (V if sibling is None else sibling)] = 1.0
         masks = dsr._SlotState(lib, 0, 0).mask(
             np.array(n), np.array(d), np.array(tr), np.array(par),
-            config.min_length, config.max_length)
+            dsr.MIN_LENGTH, dsr.MAX_LENGTH)
         logits, h, _ = controller.forward(x, h)
         if mlm_model is not None:
             l_mlm, h_mlm = mlm_model.step_batch(np.array(prev), h_mlm)
@@ -311,7 +308,7 @@ class TestSampleBatchOracle:
         else:
             lib = builtin_benchmarks()[library].library()
         config = cfg(lib, lam=0.5 if with_mlm else 0.0, batch_size=64)
-        controller = Controller(lib, config.hidden_size, seed=2)
+        controller = Controller(lib, dsr.HIDDEN_SIZE, seed=2)
         controller.W_out += np.random.default_rng(3).normal(
             size=controller.W_out.shape)
         model = None
@@ -327,9 +324,10 @@ class TestSampleBatchOracle:
 
 
 # The training replay as it stood before sampling and training shared one
-# policy step, verbatim apart from the names and the language-model input,
-# now the previous token; it recomputes parent, sibling, constraint mask and
-# language-model input in a loop of its own.
+# policy step, verbatim apart from the names, the language-model input, now
+# the previous token, and the entropy weight, now a constant; it recomputes
+# parent, sibling, constraint mask and language-model input in a loop of
+# its own.
 _SlotState = dsr._SlotState
 
 
@@ -357,14 +355,14 @@ def reference_objective_and_gradients(controller, traversals, advantages,
         parent, sibling = st.parent_sibling(rows)
         xs[t, rows] = controller.input_batch(parent, sibling)
         masks[t, rows] = st.mask(st.n[rows], st.open[rows], st.trig[rows],
-                                 parent, config.min_length, config.max_length)
+                                 parent, dsr.MIN_LENGTH, dsr.MAX_LENGTH)
         if mlm_model is not None and t:
             mlm_inputs[t, rows] = seqs[rows, t - 1]
         st.push(rows, seqs[rows, t])
 
     # forward, with each step's share of J and its logit gradients
     adv = np.asarray(advantages, dtype=float)
-    w_ent = config.entropy_weight
+    w_ent = dsr.ENTROPY_WEIGHT
     h = controller.initial_state(k)
     h_mlm = mlm_model.initial_state(k) if mlm_model is not None else None
     J = 0.0
@@ -383,12 +381,11 @@ def reference_objective_and_gradients(controller, traversals, advantages,
         onehot = np.zeros_like(p)
         onehot[np.arange(k), targets[t]] = 1.0
         dlogits = (adv * step_mask[t])[:, None] * (onehot - p) / k
-        if w_ent:
-            safe_lp = np.where(p > 0, lp, 0.0)
-            H = -(p * safe_lp).sum(axis=1)
-            J += w_ent * float(np.sum(H * step_mask[t])) / k
-            dH = -p * (safe_lp + H[:, None])
-            dlogits += w_ent * step_mask[t][:, None] * dH / k
+        safe_lp = np.where(p > 0, lp, 0.0)
+        H = -(p * safe_lp).sum(axis=1)
+        J += w_ent * float(np.sum(H * step_mask[t])) / k
+        dH = -p * (safe_lp + H[:, None])
+        dlogits += w_ent * step_mask[t][:, None] * dH / k
         steps.append((h, dlogits, cache))
 
     grads = controller.zero_grads()
@@ -396,11 +393,11 @@ def reference_objective_and_gradients(controller, traversals, advantages,
     return J, grads
 
 
-def perturbed_models(lib, config, with_mlm):
+def perturbed_models(lib, with_mlm):
     """A controller, and a prior when ``with_mlm``, with random read-outs,
     so that sampled batches are varied."""
     rng = np.random.default_rng(11)
-    controller = Controller(lib, config.hidden_size, seed=2)
+    controller = Controller(lib, dsr.HIDDEN_SIZE, seed=2)
     controller.W_out += rng.normal(size=controller.W_out.shape)
     controller.b_out += rng.normal(size=controller.b_out.shape)
     model = None
@@ -423,13 +420,10 @@ class TestReplayOracle:
         assert all(np.array_equal(grads[n], want[n]) for n in want)
 
     @pytest.mark.parametrize("with_mlm", [False, True])
-    @pytest.mark.parametrize("entropy_weight", [0.0, SRConfig.entropy_weight])
-    def test_matches_reference_on_sampled_batches(self, with_mlm,
-                                                   entropy_weight):
+    def test_matches_reference_on_sampled_batches(self, with_mlm):
         lib = builtin_benchmarks()["nguyen-5"].library()
-        config = cfg(lib, lam=0.5 if with_mlm else 0.0,
-                     entropy_weight=entropy_weight, batch_size=40)
-        controller, model = perturbed_models(lib, config, with_mlm)
+        config = cfg(lib, lam=0.5 if with_mlm else 0.0, batch_size=40)
+        controller, model = perturbed_models(lib, with_mlm)
         rng = np.random.default_rng(5)
         for seed in range(3):
             travs = sample_batch(controller, model, config, rng)
@@ -448,7 +442,7 @@ class TestReplayOracle:
         short = Traversal([add, x, sin, x])
         long = Traversal([add, x] * 14 + [sin, x])
         assert (len(short), len(long)) == (4, 30)
-        controller, model = perturbed_models(lib, config, with_mlm)
+        controller, model = perturbed_models(lib, with_mlm)
         sampled = sample_batch(controller, model, config,
                                np.random.default_rng(6))
         self._check(controller, model, [short, long, *sampled], config, 7)
@@ -472,7 +466,7 @@ class TestPriorInput:
 
         model.step_batch = recording
         config = cfg(slib, lam=0.5)
-        controller = Controller(slib, config.hidden_size, seed=0)
+        controller = Controller(slib, dsr.HIDDEN_SIZE, seed=0)
         for names in ("add mul x1 x1 x1", "mul add x1 x1 sin x1",
                       "add mul x1 x1 mul x1 x1", "sub add x1 exp x1 x1"):
             trav = [slib.index_of(n) for n in names.split()]
@@ -546,7 +540,7 @@ class TestBatchRewards:
         spec = builtin_benchmarks()["nguyen-5"]
         lib = spec.library()
         config = cfg(lib, lam=0.5 if with_mlm else 0.0, batch_size=200)
-        controller, model = perturbed_models(lib, config, with_mlm)
+        controller, model = perturbed_models(lib, with_mlm)
         X, y = spec.dataset(np.random.default_rng(1))
         sd = target_spread(y)
         rng = np.random.default_rng(4)
@@ -587,18 +581,8 @@ class TestTrainStep:
             out.append((t, r))
         return out
 
-    def test_equal_rewards_zero_entropy_no_update(self, slib):
-        config = cfg(slib, entropy_weight=0.0)
-        controller = Controller(slib, config.hidden_size, seed=0)
-        before = {k: v.copy() for k, v in controller.params().items()}
-        batch = [(Traversal([slib.index_of("add"), slib.index_of("x1"),
-                             slib.index_of("x1")]), 0.3)] * 8
-        train_step(controller, batch, config, Adam(config.learning_rate))
-        after = controller.params()
-        assert all(np.array_equal(before[k], after[k]) for k in before)
-
     def test_gradient_check_finite_differences(self, slib):
-        config = cfg(slib, entropy_weight=0.005, batch_size=3)
+        config = cfg(slib, batch_size=3)
         controller = Controller(slib, 6, seed=3)
         rng = np.random.default_rng(0)
         controller.W_out += rng.uniform(-0.3, 0.3, controller.W_out.shape)
@@ -632,10 +616,10 @@ class TestTrainStep:
 
     def test_mlm_frozen_during_training(self, slib):
         config = cfg(slib, lam=0.5, batch_size=8)
-        controller = Controller(slib, config.hidden_size, seed=0)
+        controller = Controller(slib, dsr.HIDDEN_SIZE, seed=0)
         model = mlm.init(slib, 6, 8, seed=0)
         snapshot = copy.deepcopy(model)
-        opt = Adam(config.learning_rate)
+        opt = Adam(dsr.LEARNING_RATE)
         rng = np.random.default_rng(0)
         X = {"x1": np.linspace(-1, 1, 20)}
         y = X["x1"] ** 2
@@ -651,7 +635,7 @@ class TestTrainStep:
         # masks the token sampling could not have drawn: its log-prob is -inf
         lib = builtin_benchmarks()["nguyen-7"].library()
         config = SRConfig(library=lib)
-        controller = Controller(lib, config.hidden_size, seed=0)
+        controller = Controller(lib, dsr.HIDDEN_SIZE, seed=0)
         trav = Traversal([lib.index_of(n)
                           for n in ("add", "exp", "log", "x", "x")])
         J, _ = dsr.objective_and_gradients(controller, [trav], [0.5], config)
@@ -659,7 +643,7 @@ class TestTrainStep:
 
     def test_empty_batch(self, slib):
         config = cfg(slib)
-        controller = Controller(slib, config.hidden_size, seed=0)
+        controller = Controller(slib, dsr.HIDDEN_SIZE, seed=0)
         with pytest.raises(ValueError):
             train_step(controller, [], config, Adam(0.001))
 
@@ -670,8 +654,8 @@ class TestLambdaZeroEquivalence:
         model = mlm.init(slib, 6, 8, seed=9)
 
         def run(with_model):
-            controller = Controller(slib, config.hidden_size, seed=0)
-            opt = Adam(config.learning_rate)
+            controller = Controller(slib, dsr.HIDDEN_SIZE, seed=0)
+            opt = Adam(dsr.LEARNING_RATE)
             rng = np.random.default_rng(0)
             X = {"x1": np.linspace(-1, 1, 20)}
             y = X["x1"] ** 3 + X["x1"]

@@ -1,5 +1,5 @@
 """Every exception class of the package survives a pickle round trip, as it
-must to come back from a worker process of ``sr --jobs``."""
+must to come back from a worker process of ``sr``."""
 
 import importlib
 import inspect
