@@ -201,8 +201,9 @@ def cmd_mlm_train(args):
         raise UsageError("corpus is empty")
     model = mlm.init(lib, args.emb, args.hidden, args.seed)
     seqs = [list(s.traversal) for s in samples]
+    # the step-0 baseline loss is computed in a child beside the epochs
     history = mlm.train(model, seqs, epochs=args.epochs, lr=args.lr,
-                        batch=args.batch, seed=args.seed)
+                        batch=args.batch, seed=args.seed, jobs=_usable_cpus())
     for epoch, loss in enumerate(history):
         print(f"epoch={epoch} loss={loss:.6f}")
     mlm.save(model, args.out)
@@ -296,17 +297,22 @@ def _read_metrics(path):
 
 
 def _aggregate(rows):
-    by_bench = {}
+    """Means of one metrics CSV per benchmark, in benchmark order, and
+    within it per arm, ``(lambda, with_mlm)`` in the CSV's order."""
+    groups = {}
     for r in rows:
-        by_bench.setdefault(r["benchmark"], []).append(r)
+        groups.setdefault(r["benchmark"], {}).setdefault(
+            (r["lambda"], r["with_mlm"]), []).append(r)
     out = {}
-    for bench, rs in sorted(by_bench.items()):
-        n = len(rs)
-        out[bench] = {
-            "recovery": 100.0 * sum(r["recovered"] for r in rs) / n,
-            "steps": sum(r["steps"] for r in rs) / n,
-            "invalid": 100.0 * sum(r["invalid_fraction"] for r in rs) / n,
-        }
+    for bench, arms in sorted(groups.items()):
+        out[bench] = {}
+        for arm, rs in arms.items():
+            n = len(rs)
+            out[bench][arm] = {
+                "recovery": 100.0 * sum(r["recovered"] for r in rs) / n,
+                "steps": sum(r["steps"] for r in rs) / n,
+                "invalid": 100.0 * sum(r["invalid_fraction"] for r in rs) / n,
+            }
     return out
 
 
@@ -328,13 +334,25 @@ def cmd_report(args):
     header = ["benchmark"]
     for path, _ in columns:
         header += [f"recovery({path})", f"steps({path})", f"invalid({path})"]
-    rows = [header] + [[bench] + [c for _, agg in columns
-                                  for c in _cells(agg.get(bench))]
-                       for bench in benches]
-    # each column's means over the benchmarks it has, in benchmark order
-    means = [{k: sum(a[k] for a in agg.values()) / len(agg)
-              for k in ("recovery", "steps", "invalid")} if agg else None
-             for _, agg in columns]
+    rows = [header]
+    for bench in benches:
+        arms = [agg.get(bench, {}) for _, agg in columns]
+        if all(len(a) <= 1 for a in arms):  # each CSV's one arm side by side
+            cells = [_cells(next(iter(a.values()), None)) for a in arms]
+            rows.append([bench] + [c for cs in cells for c in cs])
+            continue
+        # a CSV with several arms, as from sr --lambda 0 0.5: a row per arm
+        for lam, with_mlm in dict.fromkeys(arm for a in arms for arm in a):
+            cells = [_cells(a.get((lam, with_mlm))) for a in arms]
+            rows.append([f"{bench} lambda={lam} with_mlm={with_mlm}"]
+                        + [c for cs in cells for c in cs])
+    # each column's means over the arms it has, in benchmark order
+    means = []
+    for _, agg in columns:
+        arms = [a for bench_arms in agg.values() for a in bench_arms.values()]
+        means.append({k: sum(a[k] for a in arms) / len(arms)
+                      for k in ("recovery", "steps", "invalid")}
+                     if arms else None)
     rows.append(["Average:"] + [c for m in means for c in _cells(m)])
     lines = ["\t".join(row) for row in rows]
     text = "\n".join(lines) + "\n"

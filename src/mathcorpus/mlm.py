@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import json
 import struct
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
+from .pool import fork_call
 from .recurrent import GRUReadout, MomentumSGD, log_softmax, softmax
 
 MAGIC = b"MLM1"
@@ -71,7 +73,10 @@ class MLMModel(GRUReadout):
         return {"E": self.E, **super().params()}
 
     def step_batch(self, token_indices, state):
-        logits, h, _ = self.forward(self.E[np.asarray(token_indices)], state)
+        idx = np.asarray(token_indices)
+        if idx.size and not 0 <= idx.min() <= idx.max() <= self.V:
+            raise MLMError(f"token index outside 0..{self.V} (BOS is {self.V})")
+        logits, h, _ = self.forward(self.E[idx], state)
         return logits, h
 
     def equal(self, other):
@@ -152,11 +157,13 @@ def corpus_loss(model, seqs):
     return float(nll / n)
 
 
-def train(model, seqs, epochs, lr, batch=64, seed=0):
+def train(model, seqs, epochs, lr, batch=64, seed=0, jobs=1):
     """Full-sequence BPTT with momentum SGD; deterministic given seed.
 
     Returns per-epoch mean per-token cross-entropy, with the pre-update
-    corpus loss prepended as a step-0 baseline.
+    corpus loss prepended as a step-0 baseline.  With ``jobs`` > 1 the
+    baseline is computed in a child forked on entry, on the weights as they
+    were then, while the epochs train here; the history is the same.
     """
     seqs = [list(s) for s in seqs]
     if not seqs:
@@ -164,20 +171,21 @@ def train(model, seqs, epochs, lr, batch=64, seed=0):
     rng = np.random.default_rng(seed)
     opt = MomentumSGD(lr, MOMENTUM)
     params = model.params()
-    history = [corpus_loss(model, seqs)]
+    history = []
     order = np.arange(len(seqs))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        epoch_loss, epoch_tokens = 0.0, 0
-        for i in range(0, len(order), batch):
-            chunk = [seqs[j] for j in order[i:i + batch]]
-            loss, grads = loss_and_gradients(model, chunk)
-            opt.update(params, grads)
-            tokens = sum(len(s) for s in chunk)
-            epoch_loss += loss * tokens
-            epoch_tokens += tokens
-        history.append(epoch_loss / epoch_tokens)
-    return history
+    with fork_call(partial(corpus_loss, model, seqs), jobs) as baseline:
+        for _ in range(epochs):
+            rng.shuffle(order)
+            epoch_loss, epoch_tokens = 0.0, 0
+            for i in range(0, len(order), batch):
+                chunk = [seqs[j] for j in order[i:i + batch]]
+                loss, grads = loss_and_gradients(model, chunk)
+                opt.update(params, grads)
+                tokens = sum(len(s) for s in chunk)
+                epoch_loss += loss * tokens
+                epoch_tokens += tokens
+            history.append(epoch_loss / epoch_tokens)
+    return [baseline.result()] + history
 
 
 _ARRAY_ORDER = ("E", "cell.Wz", "cell.Uz", "cell.bz", "cell.Wr", "cell.Ur",

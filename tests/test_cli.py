@@ -524,6 +524,28 @@ class TestMlmTrain:
         model = mlm.load(out, default_library(n_vars=2))
         assert model.hidden == 8
 
+    @pytest.mark.parametrize("epochs", ["0", "3"])
+    def test_same_run_at_one_and_two_cpus(self, monkeypatch, tmp_path,
+                                          capsys, epochs):
+        # at two CPUs the step-0 baseline is computed in a forked child
+        corpus = tmp_path / "c.corpus"
+        write_tiny_corpus(corpus)
+        out = tmp_path / "m.mlm"
+        saved, save = [], mlm.save
+
+        def save_and_read(model, path):
+            save(model, path)
+            saved.append(Path(path).read_bytes())
+
+        monkeypatch.setattr(mlm, "save", save_and_read)
+        code, printed, _ = main_at_1_and_2_cpus(monkeypatch, capsys, [
+            "mlm-train", "--corpus", str(corpus), "--out", str(out),
+            "--hidden", "8", "--emb", "6", "--epochs", epochs,
+            "--lr", "0.5", "--seed", "2"])
+        assert code == 0
+        assert len(printed.splitlines()) == int(epochs) + 1
+        assert len(saved) == 2 and saved[0] == saved[1]
+
     def test_seed_reproducible(self, tmp_path, capsys):
         corpus = tmp_path / "c.corpus"
         write_tiny_corpus(corpus)
@@ -830,6 +852,64 @@ class TestReport:
         assert code == 0
         header = out.read_text().splitlines()[0]
         assert header.count("recovery(") == 2
+
+    def test_one_row_per_arm_of_a_multi_lambda_csv(self, tmp_path, capsys):
+        from mathcorpus import dsr
+
+        weights = tmp_path / "m.mlm"
+        lib = dsr.builtin_benchmarks()["nguyen-1"].library()
+        mlm.save(mlm.init(lib, 4, 4, seed=0), weights)
+        csv_path, out = tmp_path / "arms.csv", tmp_path / "r.txt"
+        assert main(["sr", "--benchmark", "nguyen-1", "--with-mlm",
+                     str(weights), "--lambda", "0", "0.5", "--runs", "2",
+                     "--max-steps", "2", "--batch-size", "10",
+                     "--out", str(csv_path)]) == 0
+        assert main(["report", "--metrics", str(csv_path),
+                     "--out", str(out)]) == 0
+        body = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in body] == [
+            "nguyen-1 lambda=0.0 with_mlm=1",
+            "nguyen-1 lambda=0.5 with_mlm=1", "Average:"]
+        rows = [r.split(",") for r in csv_path.read_text().splitlines()[1:]]
+        for lam, cells in zip(["0.0", "0.5"], body):
+            steps = [int(r[6]) for r in rows if r[3] == lam]
+            assert len(steps) == 2
+            assert cells[2] == f"{sum(steps) / 2:.2f}"
+
+    def test_arms_line_up_across_csvs(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self._csv(a, [["nguyen-1", 0, 0, 0.0, 1, 1, 10, "0.1", "x"],
+                      ["nguyen-1", 0, 0, 0.5, 1, 0, 30, "0.3", "x"],
+                      ["nguyen-2", 0, 0, 0.5, 1, 1, 20, "0.2", "x"]])
+        self._csv(b, [["nguyen-1", 0, 0, 0.5, 1, 1, 50, "0.5", "x"],
+                      ["nguyen-2", 0, 0, 0.0, 0, 0, 60, "0.6", "x"]])
+        out = tmp_path / "r.txt"
+        assert main(["report", "--metrics", str(a), str(b),
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            "nguyen-1 lambda=0.0 with_mlm=1\t100.0%\t10.00\t10.00%\t-\t-\t-",
+            "nguyen-1 lambda=0.5 with_mlm=1\t0.0%\t30.00\t30.00%"
+            "\t100.0%\t50.00\t50.00%",
+            # one arm in each CSV: one row, as before arms were split
+            "nguyen-2\t100.0%\t20.00\t20.00%\t0.0%\t60.00\t60.00%",
+            # means over each CSV's arms
+            "Average:\t66.7%\t20.00\t20.00%\t50.0%\t55.00\t55.00%"]
+
+    def test_single_arm_report_text(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self._csv(a, [["nguyen-1", 0, 0, 0.0, 0, 1, 100, "0.25", "x"],
+                      ["nguyen-1", 1, 1, 0.0, 0, 0, 2000, "0.5", "x"],
+                      ["nguyen-2", 0, 0, 0.0, 0, 1, 50, "0.1", "x"]])
+        self._csv(b, [["nguyen-1", 0, 0, 0.5, 1, 1, 40, "0.1", "x"]])
+        out = tmp_path / "r.txt"
+        assert main(["report", "--metrics", str(a), str(b),
+                     "--out", str(out)]) == 0
+        assert out.read_text() == (
+            f"benchmark\trecovery({a})\tsteps({a})\tinvalid({a})"
+            f"\trecovery({b})\tsteps({b})\tinvalid({b})\n"
+            "nguyen-1\t50.0%\t1050.00\t37.50%\t100.0%\t40.00\t10.00%\n"
+            "nguyen-2\t100.0%\t50.00\t10.00%\t-\t-\t-\n"
+            "Average:\t75.0%\t550.00\t23.75%\t100.0%\t40.00\t10.00%\n")
 
     def test_schema_mismatch(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -70,6 +71,15 @@ class TestStepAndScore:
         a2, s2 = model.step_batch([2], state)
         assert np.array_equal(a1, a2) and np.array_equal(s1, s2)
         assert not state.any()
+
+    @pytest.mark.parametrize("bad", [-1, 6])  # V = 5, BOS = 5
+    def test_index_outside_vocabulary_and_bos_is_typed(self, bad):
+        model = mlm.init(tiny5(), 6, 8, seed=1)
+        state = model.initial_state(3)
+        with pytest.raises(mlm.MLMError, match=r"outside 0\.\.5"):
+            model.step_batch([0, bad, model.bos], state)
+        logits, _ = model.step_batch([0, 4, model.bos], state)
+        assert logits.shape == (3, 5)
 
     def test_fresh_model_score_is_uniform(self):
         model = mlm.init(tiny5(), 6, 8, seed=2)
@@ -308,6 +318,18 @@ class TestTraining:
         model = mlm.init(lib, 6, 8, seed=0)
         history = mlm.train(model, [[0, 2, 4]], epochs=1, lr=0.01, seed=0)
         assert math.isclose(history[0], math.log(5), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_baseline_in_a_child_gives_the_same_run(self, epochs):
+        lib = tiny5()
+        seqs = random_seqs(lib, np.random.default_rng(9), 20)
+        here, child = mlm.init(lib, 6, 8, seed=1), mlm.init(lib, 6, 8, seed=1)
+        history = mlm.train(here, seqs, epochs=epochs, lr=0.05, seed=4)
+        # the child scores the weights of entry, not those trained since
+        assert mlm.train(child, seqs, epochs=epochs, lr=0.05, seed=4,
+                         jobs=2) == history
+        assert child.equal(here)
+        assert multiprocessing.active_children() == []
 
     def test_deterministic_given_seed(self):
         lib = tiny5()
