@@ -201,9 +201,8 @@ def cmd_mlm_train(args):
         raise UsageError("corpus is empty")
     model = mlm.init(lib, args.emb, args.hidden, args.seed)
     seqs = [list(s.traversal) for s in samples]
-    # the step-0 baseline loss is computed in a child beside the epochs
     history = mlm.train(model, seqs, epochs=args.epochs, lr=args.lr,
-                        batch=args.batch, seed=args.seed, jobs=_usable_cpus())
+                        batch=args.batch, seed=args.seed)
     for epoch, loss in enumerate(history):
         print(f"epoch={epoch} loss={loss:.6f}")
     mlm.save(model, args.out)

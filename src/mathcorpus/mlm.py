@@ -13,13 +13,12 @@ is complete.  Logit index i always means library token i.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .pool import fork_call
 from .recurrent import GRUReadout, MomentumSGD, log_softmax, softmax
 
 MAGIC = b"MLM1"
@@ -147,7 +146,13 @@ def loss_and_gradients(model, seqs):
 
 
 def corpus_loss(model, seqs):
-    """Mean per-token cross-entropy over a corpus, forward only."""
+    """Mean per-token cross-entropy over a corpus, forward only.
+
+    A zero read-out, as ``init`` leaves it, makes every logit 0 whatever
+    the state, so each token costs exactly log V: that loss is returned
+    without a forward pass."""
+    if not (model.W_out.any() or model.b_out.any()) and any(map(len, seqs)):
+        return math.log(model.V)
     nll, n = 0.0, 0
     for i in range(0, len(seqs), LOSS_CHUNK):
         chunk_nll, tokens, _ = _forward(model, seqs[i:i + LOSS_CHUNK],
@@ -157,13 +162,11 @@ def corpus_loss(model, seqs):
     return float(nll / n)
 
 
-def train(model, seqs, epochs, lr, batch=64, seed=0, jobs=1):
+def train(model, seqs, epochs, lr, batch=64, seed=0):
     """Full-sequence BPTT with momentum SGD; deterministic given seed.
 
     Returns per-epoch mean per-token cross-entropy, with the pre-update
-    corpus loss prepended as a step-0 baseline.  With ``jobs`` > 1 the
-    baseline is computed in a child forked on entry, on the weights as they
-    were then, while the epochs train here; the history is the same.
+    corpus loss prepended as a step-0 baseline.
     """
     seqs = [list(s) for s in seqs]
     if not seqs:
@@ -171,21 +174,20 @@ def train(model, seqs, epochs, lr, batch=64, seed=0, jobs=1):
     rng = np.random.default_rng(seed)
     opt = MomentumSGD(lr, MOMENTUM)
     params = model.params()
-    history = []
+    history = [corpus_loss(model, seqs)]
     order = np.arange(len(seqs))
-    with fork_call(partial(corpus_loss, model, seqs), jobs) as baseline:
-        for _ in range(epochs):
-            rng.shuffle(order)
-            epoch_loss, epoch_tokens = 0.0, 0
-            for i in range(0, len(order), batch):
-                chunk = [seqs[j] for j in order[i:i + batch]]
-                loss, grads = loss_and_gradients(model, chunk)
-                opt.update(params, grads)
-                tokens = sum(len(s) for s in chunk)
-                epoch_loss += loss * tokens
-                epoch_tokens += tokens
-            history.append(epoch_loss / epoch_tokens)
-    return [baseline.result()] + history
+    for _ in range(epochs):
+        rng.shuffle(order)
+        epoch_loss, epoch_tokens = 0.0, 0
+        for i in range(0, len(order), batch):
+            chunk = [seqs[j] for j in order[i:i + batch]]
+            loss, grads = loss_and_gradients(model, chunk)
+            opt.update(params, grads)
+            tokens = sum(len(s) for s in chunk)
+            epoch_loss += loss * tokens
+            epoch_tokens += tokens
+        history.append(epoch_loss / epoch_tokens)
+    return history
 
 
 _ARRAY_ORDER = ("E", "cell.Wz", "cell.Uz", "cell.bz", "cell.Wr", "cell.Ur",

@@ -1,15 +1,10 @@
 """The one process pool: a map over forked workers, used for the
 independent runs of ``sr`` and the input chunks of ``corpus``, and
-one call in a forked child, used for the category tree of ``extract``
-and the step-0 baseline loss of ``mlm-train``."""
+one call in a forked worker, used for the category tree of ``extract``."""
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-
-
-class ChildExited(RuntimeError):
-    """A forked call's child ended without sending its outcome back."""
 
 
 def fork_map(fn, items, jobs):
@@ -33,74 +28,29 @@ def fork_map(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _send_outcome(fn, conn):
-    """The child's whole work: ``(True, fn())``, or ``(False, exception)``
-    for the parent to raise, sent once.  An interrupt or exit is sent back
-    too, so that the parent raises what ``fn`` would raise in process."""
-    try:
-        outcome = (True, fn())
-    except BaseException as e:  # re-raised in the parent by result()
-        outcome = (False, e)
-    conn.send(outcome)
-
-
-class _Call:
-    """``done()`` and ``result()`` of one call: an outcome known on entry,
-    or one that a forked child sends through ``conn``."""
-
-    def __init__(self, outcome=None, conn=None, child=None):
-        self._outcome, self._conn, self._child = outcome, conn, child
-
-    def done(self):
-        return self._outcome is not None or self._conn.poll()
-
-    def result(self):
-        if self._outcome is None:
-            try:
-                self._outcome = self._conn.recv()
-            except EOFError:  # the child ended without sending
-                self._child.join()
-                self._outcome = (False, ChildExited(
-                    f"forked call ended without a result "
-                    f"(exit code {self._child.exitcode})"))
-        ok, value = self._outcome
-        if not ok:
-            raise value
-        return value
-
-
 @contextmanager
 def fork_call(fn, jobs):
     """A future of ``fn()``, with ``done()`` and ``result()``, for the
-    caller's block.  With ``jobs`` > 1 the call runs in one child forked
-    on entry while the block runs on: it sees memory as it was on entry,
-    whatever the block changes later, and ``fn`` need not pickle, only its
-    result.  An exception of ``fn`` comes back with its type and message;
-    a child that ends without sending an outcome (killed, ``os._exit``, a
-    result that does not pickle) is a ``ChildExited`` naming its exit
-    code.  No thread is started, so the block may fork; the fork itself
-    is safe because the program starts no thread of its own.  The block is
-    left only once the child has ended, also when the block raises, and
+    caller's block.  With ``jobs`` > 1 the call runs in one forked worker
+    while the block runs on; ``fn`` and its result must pickle, and an
+    exception of ``fn`` comes back with its type and message.  The block
+    is left only once the call has ended, also when the block raises, and
     an exception of ``fn`` wins over one of the block.  With ``jobs`` <= 1
-    the call runs here, on entry, so its exception leaves at once."""
+    the call runs here, on entry, so its exception leaves at once.  The
+    block must not fork, as the pool's threads run beside it."""
     if jobs <= 1:
-        yield _Call(outcome=(True, fn()))
-        return
-    from multiprocessing import get_context  # only for a child
+        from concurrent.futures import Future
 
-    ctx = get_context("fork")
-    conn, child_end = ctx.Pipe(duplex=False)
-    with conn:
-        # closed here once forked, so that the child holds the only write
-        # end and a child that ends without sending reads as EOF
-        with child_end:
-            child = ctx.Process(target=_send_outcome, args=(fn, child_end))
-            child.start()
-        call = _Call(conn=conn, child=child)
+        future = Future()
+        future.set_result(fn())
+        yield future
+        return
+    from concurrent.futures import ProcessPoolExecutor  # only for a worker
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(1, mp_context=get_context("fork")) as pool:
+        future = pool.submit(fn)
         try:
-            yield call
+            yield future
         finally:
-            try:
-                call.result()  # first: a child may wait on a full pipe
-            finally:
-                child.join()
+            future.result()

@@ -524,28 +524,6 @@ class TestMlmTrain:
         model = mlm.load(out, default_library(n_vars=2))
         assert model.hidden == 8
 
-    @pytest.mark.parametrize("epochs", ["0", "3"])
-    def test_same_run_at_one_and_two_cpus(self, monkeypatch, tmp_path,
-                                          capsys, epochs):
-        # at two CPUs the step-0 baseline is computed in a forked child
-        corpus = tmp_path / "c.corpus"
-        write_tiny_corpus(corpus)
-        out = tmp_path / "m.mlm"
-        saved, save = [], mlm.save
-
-        def save_and_read(model, path):
-            save(model, path)
-            saved.append(Path(path).read_bytes())
-
-        monkeypatch.setattr(mlm, "save", save_and_read)
-        code, printed, _ = main_at_1_and_2_cpus(monkeypatch, capsys, [
-            "mlm-train", "--corpus", str(corpus), "--out", str(out),
-            "--hidden", "8", "--emb", "6", "--epochs", epochs,
-            "--lr", "0.5", "--seed", "2"])
-        assert code == 0
-        assert len(printed.splitlines()) == int(epochs) + 1
-        assert len(saved) == 2 and saved[0] == saved[1]
-
     def test_seed_reproducible(self, tmp_path, capsys):
         corpus = tmp_path / "c.corpus"
         write_tiny_corpus(corpus)

@@ -77,11 +77,8 @@ def test_checker_flags_a_broad_except():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_failures_are_typed(path):
-    # the catch-alls are main's internal-error contract (exit code 1) and
-    # fork_call's child, which sends the exception back for result() to
-    # raise with its own type
-    allowed = {"cli.py": ["main"], "pool.py": ["_send_outcome"]}.get(
-        path.name, [])
+    # the one catch-all is main's internal-error contract: exit code 1
+    allowed = ["main"] if path.name == "cli.py" else []
     assert broad_handlers(path.read_text(encoding="utf-8")) == allowed
 
 

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import time
 
 import numpy as np
@@ -301,6 +300,28 @@ class TestWorkGuard:
         assert math.isfinite(mlm.corpus_loss(nudged_model(6, 8, seed=0),
                                              seqs))
 
+    def test_zero_readout_loss_runs_no_forward(self, monkeypatch):
+        seqs = random_seqs(tiny5(), np.random.default_rng(31), 300)
+        model = mlm.init(tiny5(), 6, 8, seed=4)
+        nll, tokens, _ = mlm._forward(model, seqs, keep=False)
+
+        def forward(*args):
+            raise AssertionError("corpus_loss ran a forward pass")
+
+        monkeypatch.setattr(GRUCell, "forward", forward)
+        assert mlm.corpus_loss(model, seqs) == math.log(5)
+        # the forward pass it skips gives the same loss, to rounding
+        assert math.isclose(nll / tokens, math.log(5), rel_tol=1e-12)
+        assert f"{nll / tokens:.6f}" == f"{math.log(5):.6f}"
+
+    def test_nonzero_readout_runs_the_forward(self):
+        seqs = random_seqs(tiny5(), np.random.default_rng(31), 30)
+        model = mlm.init(tiny5(), 6, 8, seed=4)
+        model.b_out[2] = 0.5  # one nonzero read-out entry
+        nll, tokens, _ = mlm._forward(model, seqs, keep=False)
+        assert mlm.corpus_loss(model, seqs) == float(nll / tokens)
+        assert mlm.corpus_loss(model, seqs) != math.log(5)
+
 
 class TestTraining:
     def test_overfit_single_sequence(self):
@@ -318,18 +339,6 @@ class TestTraining:
         model = mlm.init(lib, 6, 8, seed=0)
         history = mlm.train(model, [[0, 2, 4]], epochs=1, lr=0.01, seed=0)
         assert math.isclose(history[0], math.log(5), rel_tol=1e-12)
-
-    @pytest.mark.parametrize("epochs", [0, 3])
-    def test_baseline_in_a_child_gives_the_same_run(self, epochs):
-        lib = tiny5()
-        seqs = random_seqs(lib, np.random.default_rng(9), 20)
-        here, child = mlm.init(lib, 6, 8, seed=1), mlm.init(lib, 6, 8, seed=1)
-        history = mlm.train(here, seqs, epochs=epochs, lr=0.05, seed=4)
-        # the child scores the weights of entry, not those trained since
-        assert mlm.train(child, seqs, epochs=epochs, lr=0.05, seed=4,
-                         jobs=2) == history
-        assert child.equal(here)
-        assert multiprocessing.active_children() == []
 
     def test_deterministic_given_seed(self):
         lib = tiny5()

@@ -1,20 +1,24 @@
 import multiprocessing
 import os
 import signal
-import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
 import pytest
 
-from mathcorpus.pool import ChildExited, fork_call
+from mathcorpus.pool import fork_call
 from mathcorpus.wiki_extract import SqlSyntax
 
 
 def raise_(exc, after=0.0):
     time.sleep(after)
     raise exc
+
+
+def kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestForkCall:
@@ -68,64 +72,13 @@ class TestForkCall:
                 raise ValueError("block")
         assert multiprocessing.active_children() == []
 
-
-def read_later(items, after):
-    time.sleep(after)
-    return list(items)
-
-
-def kill_self():
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
-class TestForkCallChild:
-    """The child of ``fork_call`` at ``jobs=2``: forked on entry, with no
-    thread and no pickled ``fn``, and a typed error when it sends nothing."""
-
-    def test_child_sees_memory_as_it_was_on_entry(self):
-        items = [1, 2, 3]
-        with fork_call(partial(read_later, items, 0.2), 2) as future:
-            items.append(4)
-            items[0] = 99
-            assert future.result() == [1, 2, 3]
-        assert multiprocessing.active_children() == []
-
-    def test_block_starts_no_thread(self):
-        threads = threading.active_count()
-        with fork_call(partial(time.sleep, 0.2), 2) as future:
-            assert threading.active_count() == threads
-            assert not future.done()
-        assert threading.active_count() == threads
-
-    def test_fn_need_not_pickle(self):
-        lock = threading.Lock()  # a closure over a lock does not pickle
-        with fork_call(lambda: lock.locked(), 2) as future:
-            assert future.result() is False
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_exit_of_fn_is_raised_as_in_process(self, jobs):
-        with pytest.raises(SystemExit) as raised:
-            with fork_call(partial(sys.exit, 4), jobs) as future:
-                future.result()
-        assert raised.value.code == 4
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("fn, code", [
-        (partial(os._exit, 3), 3),
-        (kill_self, -signal.SIGKILL),
-        (threading.Lock, 1),  # the result does not pickle
+    @pytest.mark.parametrize("fn, exc", [
+        (partial(os._exit, 3), BrokenProcessPool),
+        (kill_self, BrokenProcessPool),
+        (threading.Lock, TypeError),  # the result does not pickle
     ], ids=["os._exit", "SIGKILL", "unpicklable-result"])
-    def test_child_that_sends_nothing_names_its_exit_code(self, fn, code):
-        with pytest.raises(ChildExited, match=rf"\(exit code {code}\)$"):
+    def test_worker_without_a_result_is_a_typed_error(self, fn, exc):
+        with pytest.raises(exc):
             with fork_call(fn, 2) as future:
                 future.result()
-        assert multiprocessing.active_children() == []
-
-    def test_child_that_sends_nothing_fails_the_block_it_leaves(self):
-        with pytest.raises(ChildExited, match=r"\(exit code 3\)$"):
-            with fork_call(partial(os._exit, 3), 2) as future:
-                deadline = time.monotonic() + 10
-                while not future.done():  # EOF reads as done
-                    assert time.monotonic() < deadline
-                    time.sleep(0.01)
         assert multiprocessing.active_children() == []
