@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from . import dsr, mlm, wiki_extract
 from .expr_core import default_library
 from .latex_parser import LatexError, parse_latex
-from .pool import fork_call, fork_map
+from .pool import fork_call, fork_map, usable_cpus
 
 
 class UsageError(Exception):
@@ -50,11 +50,6 @@ def _with_config(args, argv):
             flags.append(f"{flag}={value}")
     at = argv.index(args.command) + 1
     return argv[:at] + flags + argv[at:]
-
-
-def _usable_cpus():
-    """The CPUs this process may run on, which ``taskset`` limits."""
-    return len(os.sched_getaffinity(0))
 
 
 def _library_by_name(name):
@@ -90,7 +85,7 @@ def cmd_extract(args):
     # the tree is built beside the dump's read, in process on one CPU
     build = partial(_category_tree, args.category, args.sql_categorylinks,
                     args.sql_page, args.depth)
-    jobs = _usable_cpus() if args.category else 1
+    jobs = usable_cpus() if args.category else 1
     tally = {}
     expressions = []
     n_pages = 0
@@ -170,7 +165,7 @@ def cmd_corpus(args):
     open(args.out, "a").close()
     if not existed:
         os.remove(args.out)
-    encoded = fork_map(encode, chunks, _usable_cpus())
+    encoded = fork_map(encode, chunks, usable_cpus())
     samples, stats = corpus_mod.collect_samples(
         (record for chunk in encoded for record in chunk), lib)
     corpus_mod.write_corpus(samples, args.out, lib)
@@ -255,7 +250,7 @@ def cmd_sr(args):
         try:
             metrics = dsr.run_benchmark(spec, config, args.runs,
                                         mlm_model=model, base_seed=args.seed,
-                                        jobs=_usable_cpus())
+                                        jobs=usable_cpus())
         except dsr.DsrError as e:
             raise UsageError(f"{args.spec or spec.name}: {e}")
         summary = dsr.summarize(metrics)

@@ -207,8 +207,12 @@ def read_corpus(path, lib):
                 raise CorpusError(f"{path}, line {lineno}: expected an integer "
                                   f"page id, an augmentation and the tokens, "
                                   f"separated by tabs") from None
+            names = names.split()
+            if not names:
+                raise CorpusError(f"{path}, line {lineno}: a sample with no "
+                                  f"tokens")
             idxs = []
-            for name in names.split():
+            for name in names:
                 if name not in lib:
                     raise VocabMismatch(name)
                 idxs.append(lib.index_of(name))

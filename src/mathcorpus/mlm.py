@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import struct
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
+from .pool import fork_server, usable_cpus
 from .recurrent import GRUReadout, MomentumSGD, log_softmax, softmax
 
 MAGIC = b"MLM1"
@@ -99,14 +102,15 @@ def score(model, traversal):
     return float(0.0 - _forward(model, [traversal], keep=False)[0])
 
 
-def _forward(model, seqs, keep):
+def _forward(model, seqs, keep, batch_tokens=None):
     """Summed next-token cross-entropy of a batch, stepping each row from BOS.
 
     Rows are sorted longest first, so the rows still inside their sequence
     at step t are the prefix ``[:n_t]`` and no padded slot is computed.
     Returns (nll, tokens, steps); with ``keep``, steps lists each step's
-    (inputs, h, dlogits, cache), dlogits being the gradient of the mean
-    per-token loss, else it is None.
+    (inputs, h, dlogits, cache), dlogits being the gradient of the summed
+    loss divided by ``batch_tokens``, by default the rows' own token count,
+    else it is None.
     """
     lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     order = np.argsort(-lens, kind="stable")
@@ -127,22 +131,26 @@ def _forward(model, seqs, keep):
         if keep:
             dlogits = softmax(logits)
             dlogits[np.arange(n), y] -= 1.0
-            dlogits *= 1.0 / tokens
+            dlogits *= 1.0 / (batch_tokens or tokens)
             steps.append((x_idx, h, dlogits, cache))
     return nll, tokens, steps
 
 
-def loss_and_gradients(model, seqs):
-    """Mean per-token cross-entropy of a batch and its exact gradients."""
+def loss_and_gradients(model, seqs, batch_tokens=None, grads=None):
+    """Mean per-token cross-entropy of a batch and its exact gradients.
+
+    For a shard of a batch, both are divided by ``batch_tokens``, the whole
+    batch's token count, and the gradients are added into ``grads``."""
     if not seqs:
         raise EmptyCorpus("empty batch")
-    nll, tokens, steps = _forward(model, seqs, keep=True)
-    grads = model.zero_grads()
+    nll, tokens, steps = _forward(model, seqs, True, batch_tokens)
+    if grads is None:
+        grads = model.zero_grads()
     dxs = model.backward([s[1:] for s in steps], grads)
     # last step first, the order backward visits the steps in
     for (x_idx, *_), dx in zip(reversed(steps), reversed(dxs)):
         np.add.at(grads["E"], x_idx, dx)
-    return float(nll / tokens), grads
+    return float(nll / (batch_tokens or tokens)), grads
 
 
 def corpus_loss(model, seqs):
@@ -162,31 +170,75 @@ def corpus_loss(model, seqs):
     return float(nll / n)
 
 
+def _shared(arrays):
+    """Copies of ``arrays`` in one shared mapping, so that a forked worker
+    and its parent see each other's writes to them."""
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(map(np.size, arrays.values()))))
+    out = {}
+    for name, a in arrays.items():
+        out[name], flat = flat[:a.size].reshape(a.shape), flat[a.size:]
+        out[name][...] = a
+    return out
+
+
+def _shard(model, seqs, grads, job):
+    """The share of the batch loss of the shard ``job``, its rows and the
+    batch's token count; its gradients are written to ``grads``."""
+    rows, tokens = job
+    for g in grads.values():
+        g[...] = 0.0
+    if not len(rows):
+        return 0.0
+    return loss_and_gradients(model, [seqs[j] for j in rows], tokens, grads)[0]
+
+
 def train(model, seqs, epochs, lr, batch=64, seed=0):
     """Full-sequence BPTT with momentum SGD; deterministic given seed.
+
+    A batch's gradient is shard 0's plus shard 1's, the shards being its
+    alternate rows sorted longest first.  With more than one usable CPU,
+    shard 1 runs in a forked worker, the parameters and its gradient
+    shared; with one, here.  The split does not depend on the CPU count,
+    so neither do the weights.
 
     Returns per-epoch mean per-token cross-entropy, with the pre-update
     corpus loss prepended as a step-0 baseline.
     """
     seqs = [list(s) for s in seqs]
-    if not seqs:
-        raise EmptyCorpus("corpus is empty")
+    if not seqs or not all(seqs):
+        raise EmptyCorpus("corpus is empty or holds an empty sequence")
+    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     rng = np.random.default_rng(seed)
     opt = MomentumSGD(lr, MOMENTUM)
-    params = model.params()
     history = [corpus_loss(model, seqs)]
+    own = model.params()
+    params, grads1 = _shared(own), _shared(model.zero_grads())
+    grads = model.zero_grads()
     order = np.arange(len(seqs))
-    for _ in range(epochs):
-        rng.shuffle(order)
-        epoch_loss, epoch_tokens = 0.0, 0
-        for i in range(0, len(order), batch):
-            chunk = [seqs[j] for j in order[i:i + batch]]
-            loss, grads = loss_and_gradients(model, chunk)
-            opt.update(params, grads)
-            tokens = sum(len(s) for s in chunk)
-            epoch_loss += loss * tokens
-            epoch_tokens += tokens
-        history.append(epoch_loss / epoch_tokens)
+    model.bind(params)
+    try:
+        with fork_server(partial(_shard, model, seqs, grads1),
+                         usable_cpus()) as submit:
+            for _ in range(epochs):
+                rng.shuffle(order)
+                epoch_loss, epoch_tokens = 0.0, 0
+                for i in range(0, len(order), batch):
+                    rows = order[i:i + batch]
+                    rows = rows[np.argsort(-lens[rows], kind="stable")]
+                    tokens = int(lens[rows].sum())
+                    shard1 = submit((rows[1::2], tokens))
+                    loss = _shard(model, seqs, grads, (rows[::2], tokens))
+                    loss += shard1()
+                    for name, g in grads.items():
+                        g += grads1[name]
+                    opt.update(params, grads)
+                    epoch_loss += loss * tokens
+                    epoch_tokens += tokens
+                history.append(epoch_loss / epoch_tokens)
+    finally:
+        for name, p in own.items():
+            p[...] = params[name]
+        model.bind(own)
     return history
 
 

@@ -1,10 +1,18 @@
 """The one process pool: a map over forked workers, used for the
-independent runs of ``sr`` and the input chunks of ``corpus``, and
-one call in a forked worker, used for the category tree of ``extract``."""
+independent runs of ``sr`` and the input chunks of ``corpus``; one call
+in a forked worker, used for the category tree of ``extract``; and a
+forked worker serving calls in lockstep, used by ``mlm.train``."""
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
+from functools import partial
+
+
+def usable_cpus():
+    """The CPUs this process may run on, which ``taskset`` limits."""
+    return len(os.sched_getaffinity(0))
 
 
 def fork_map(fn, items, jobs):
@@ -54,3 +62,53 @@ def fork_call(fn, jobs):
             yield future
         finally:
             future.result()
+
+
+@contextmanager
+def fork_server(fn, jobs):
+    """``submit`` for the caller's block: ``submit(x)`` starts ``fn(x)`` and
+    returns a function that waits for its result, to be called before the
+    next ``submit``.  With ``jobs`` > 1 the calls run in one worker, forked
+    on entry, while the block works on; it sees later writes of the caller
+    only in shared memory.  ``x`` and the results must pickle.  An
+    exception of ``fn`` ends the worker, printing its traceback to stderr,
+    and any worker that ends without a result is a BrokenProcessPool here.
+    The worker is killed and joined on every exit from the block.  With
+    ``jobs`` <= 1 each call runs here, when its result is waited for, so an
+    exception of ``fn`` is raised as it is."""
+    if jobs <= 1:
+        yield lambda x: partial(fn, x)
+        return
+    from multiprocessing import get_context
+
+    ctx = get_context("fork")
+    conn, child = ctx.Pipe()
+    worker = ctx.Process(target=_serve, args=(fn, child), daemon=True)
+    worker.start()
+    child.close()
+
+    def result():
+        try:
+            return conn.recv()
+        except EOFError:
+            from concurrent.futures.process import BrokenProcessPool
+
+            raise BrokenProcessPool("the worker ended without a result; its "
+                                    "traceback, if any, is on stderr") from None
+
+    def submit(x):
+        conn.send(x)
+        return result
+
+    try:
+        yield submit
+    finally:
+        worker.kill()
+        worker.join()
+        conn.close()
+
+
+def _serve(fn, conn):
+    """The worker of ``fork_server``: one result per call, until killed."""
+    while True:
+        conn.send(fn(conn.recv()))

@@ -91,6 +91,12 @@ class GRUReadout:
             out["cell." + name] = p
         return out
 
+    def bind(self, arrays):
+        """Make ``arrays``, keyed as ``params``, the parameters."""
+        for name, a in arrays.items():
+            owner, _, attr = name.rpartition(".")
+            setattr(self.cell if owner else self, attr, a)
+
     def zero_grads(self):
         return {name: np.zeros_like(p) for name, p in self.params().items()}
 

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -534,14 +535,45 @@ class TestMlmTrain:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("line", ["1\tadd x1 1", "one\tnone\tadd x1 1"])
+    @pytest.mark.parametrize("line", ["1\tadd x1 1", "one\tnone\tadd x1 1",
+                                      "1\tnone\t", "1\tnone\t "])
     def test_malformed_corpus_line_names_it(self, tmp_path, capsys, line):
         corpus = tmp_path / "c.corpus"
         write_tiny_corpus(corpus, lines=("2\tnone\tsin x1", line))
         code = main(["mlm-train", "--corpus", str(corpus),
-                     "--out", str(tmp_path / "m.mlm")])
+                     "--out", str(tmp_path / "m.mlm"), "--batch", "1"])
         assert code == 2
         assert f"{corpus}, line 3:" in capsys.readouterr().err
+
+    def test_same_stdout_and_weights_at_1_and_2_cpus(self, tmp_path, capsys,
+                                                     generated_jsonl):
+        """Each run is a process that limits its own CPUs, as ``taskset``
+        does, so that training forks its worker only at two."""
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(cpus) < 2:
+            pytest.skip("needs two usable CPUs")
+        corpus = tmp_path / "math.corpus"
+        assert main(["corpus", "--in", str(generated_jsonl),
+                     "--out", str(corpus)]) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs = []
+        for allowed in cpus[:1], cpus[:2]:
+            out = tmp_path / f"{len(allowed)}.mlm"
+            script = (f"import os, sys; os.sched_setaffinity(0, {allowed}); "
+                      "from mathcorpus.cli import main; "
+                      "sys.exit(main(sys.argv[1:]))")
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "mlm-train",
+                 "--corpus", str(corpus), "--out", str(out),
+                 "--hidden", "32", "--emb", "16", "--epochs", "3"],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, out.read_bytes()))
+        assert runs[0][0].count("loss=") == 4
+        assert runs[0] == runs[1]
 
     def test_empty_corpus_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "c.corpus"

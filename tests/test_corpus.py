@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mathcorpus.corpus import (
+    CorpusError,
     CorpusSample,
     FormatVersionMismatch,
     VocabMismatch,
@@ -276,6 +277,12 @@ class TestCorpusFile:
         with pytest.raises(VocabMismatch) as exc:
             read_corpus(path, lib)
         assert exc.value.token_name == "foo"
+
+    def test_sample_without_tokens_names_its_line(self, lib, tmp_path):
+        path = tmp_path / "c.corpus"
+        path.write_text("#mathcorpus v1 vocab=std2\n1\tnone\t\n")
+        with pytest.raises(CorpusError, match=r"line 2: a sample with no tok"):
+            read_corpus(path, lib)
 
     def test_comment_lines_skipped(self, lib, tmp_path):
         path = tmp_path / "c.corpus"

@@ -1,5 +1,9 @@
 import math
+import multiprocessing
+import os
+import signal
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from mathcorpus.expr_core import (
     VARIABLE,
     default_library,
 )
-from mathcorpus.recurrent import GRUCell, log_softmax, softmax
+from mathcorpus.recurrent import GRUCell, MomentumSGD, log_softmax, softmax
 
 
 def tiny5():
@@ -275,6 +279,116 @@ class TestPackedMatchesPadded:
         assert empty == 0.0 and math.copysign(1.0, empty) == 1.0
 
 
+def use_cpus(monkeypatch, n):
+    """``n`` usable CPUs, as ``taskset`` would leave."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def capture_updates(monkeypatch):
+    """The gradients of each ``MomentumSGD.update``, copied, in order."""
+    applied = []
+    update = MomentumSGD.update
+
+    def capturing(opt, params, grads):
+        applied.append({k: g.copy() for k, g in grads.items()})
+        return update(opt, params, grads)
+
+    monkeypatch.setattr(MomentumSGD, "update", capturing)
+    return applied
+
+
+class TestShardedBatch:
+    """``train`` sums the gradients of two shards of alternate rows, the
+    second in a forked worker when two CPUs are usable."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("case", sorted(oracle_batches()))
+    def test_update_gets_the_whole_batch_gradient(self, monkeypatch, n_cpus,
+                                                  case):
+        seqs = oracle_batches()[case]  # one_row leaves the second shard empty
+        model = nudged_model(6, 8, seed=len(case))
+        want_loss, want_grads = mlm.loss_and_gradients(model, seqs)
+        use_cpus(monkeypatch, n_cpus)
+        applied = capture_updates(monkeypatch)
+        history = mlm.train(model, seqs, epochs=1, lr=0.01, batch=len(seqs))
+        (grads,) = applied
+        assert math.isclose(history[1], want_loss, rel_tol=1e-12)
+        assert grads.keys() == want_grads.keys()
+        for name, want in want_grads.items():
+            assert_rel_close(grads[name], want)
+
+    def test_same_gradients_and_weights_at_1_and_2_cpus(self, monkeypatch):
+        seqs = random_seqs(tiny5(), np.random.default_rng(37), 100)
+        applied = capture_updates(monkeypatch)
+        runs = []
+        for n_cpus in (1, 2):
+            use_cpus(monkeypatch, n_cpus)
+            model = nudged_model(6, 8, seed=2)
+            runs.append((mlm.train(model, seqs, epochs=3, lr=0.05, batch=16,
+                                   seed=1), model))
+        (h1, m1), (h2, m2) = runs
+        assert h1 == h2
+        assert m1.equal(m2)
+        assert len(applied) == 2 * 3 * 7  # 7 batches an epoch
+        for a, b in zip(applied[:21], applied[21:]):
+            assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+class TestTrainWorker:
+    """The worker of ``train`` ends with it, on every exit path, and the
+    model keeps its own parameter arrays."""
+
+    def train(self, model):
+        seqs = random_seqs(tiny5(), np.random.default_rng(41), 60)
+        return mlm.train(model, seqs, epochs=2, lr=0.05, batch=8)
+
+    def fail_on_call(self, monkeypatch, n, in_worker, action):
+        """Make the ``n``-th ``loss_and_gradients`` call of the parent or
+        of the worker run ``action``."""
+        parent, calls = os.getpid(), []
+        real = mlm.loss_and_gradients
+
+        def failing(*args):
+            if (os.getpid() != parent) == in_worker:
+                calls.append(1)
+                if len(calls) == n:
+                    action()
+            return real(*args)
+
+        monkeypatch.setattr(mlm, "loss_and_gradients", failing)
+
+    def test_returns_with_no_worker_left(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        model = nudged_model(6, 8, seed=1)
+        own = model.params()
+        history = self.train(model)
+        assert len(history) == 3
+        assert multiprocessing.active_children() == []
+        assert all(own[k] is p for k, p in model.params().items())
+
+    def test_parent_shard_raising_mid_epoch(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+
+        def boom():
+            raise RuntimeError("parent shard")
+
+        self.fail_on_call(monkeypatch, 3, False, boom)
+        model = nudged_model(6, 8, seed=1)
+        own = model.params()
+        with pytest.raises(RuntimeError, match="parent shard"):
+            self.train(model)
+        assert multiprocessing.active_children() == []
+        assert all(own[k] is p for k, p in model.params().items())
+
+    def test_worker_killed_is_a_typed_error(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        self.fail_on_call(monkeypatch, 3, True,
+                          lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(BrokenProcessPool):
+            self.train(nudged_model(6, 8, seed=1))
+        assert multiprocessing.active_children() == []
+
+
 class TestWorkGuard:
     """Counts of the recurrent work, independent of timing."""
 
@@ -289,6 +403,15 @@ class TestWorkGuard:
         monkeypatch.setattr(GRUCell, "forward", counting)
         seqs = oracle_batches()["mixed"]
         mlm.loss_and_gradients(nudged_model(6, 8, seed=0), seqs)
+        assert sum(rows) == sum(len(s) for s in seqs)
+
+        # both shards of every batch of a train epoch, at one usable CPU;
+        # init's zero read-out leaves the step-0 loss without a forward
+        rows.clear()
+        use_cpus(monkeypatch, 1)
+        seqs = random_seqs(tiny5(), np.random.default_rng(43), 50)
+        mlm.train(mlm.init(tiny5(), 6, 8, seed=0), seqs, epochs=1, lr=0.01,
+                  batch=16)
         assert sum(rows) == sum(len(s) for s in seqs)
 
     def test_corpus_loss_is_forward_only(self, monkeypatch):
@@ -373,6 +496,11 @@ class TestTraining:
         model = mlm.init(tiny5(), 6, 8, seed=0)
         with pytest.raises(mlm.EmptyCorpus):
             mlm.train(model, [], epochs=1, lr=0.1)
+
+    def test_empty_sequence(self):
+        model = mlm.init(tiny5(), 6, 8, seed=0)
+        with pytest.raises(mlm.EmptyCorpus):
+            mlm.train(model, [[0, 2, 4], []], epochs=1, lr=0.1)
 
 
 class TestSaveLoad:

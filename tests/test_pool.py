@@ -1,3 +1,4 @@
+import mmap
 import multiprocessing
 import os
 import signal
@@ -6,9 +7,10 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 
+import numpy as np
 import pytest
 
-from mathcorpus.pool import fork_call
+from mathcorpus.pool import fork_call, fork_server
 from mathcorpus.wiki_extract import SqlSyntax
 
 
@@ -81,4 +83,84 @@ class TestForkCall:
         with pytest.raises(exc):
             with fork_call(fn, 2) as future:
                 future.result()
+        assert multiprocessing.active_children() == []
+
+
+def pid_of_caller(_):
+    return os.getpid()
+
+
+def call(fn):
+    return fn()
+
+
+class TestForkServer:
+    """``fork_server`` in process at ``jobs=1`` and in one forked worker at
+    ``jobs=2``, serving several calls in lockstep."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_come_back_in_lockstep(self, jobs):
+        with fork_server(partial(divmod, 17), jobs) as submit:
+            for x in (5, 3, 17):
+                assert submit(x)() == divmod(17, x)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs, same_pid", [(1, True), (2, False)])
+    def test_runs_in_process_only_at_one_job(self, jobs, same_pid):
+        with fork_server(pid_of_caller, jobs) as submit:
+            pids = {submit(None)() for _ in range(3)}
+        assert len(pids) == 1
+        assert (pids == {os.getpid()}) == same_pid
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_sees_writes_to_shared_memory_only(self, jobs):
+        shared = np.frombuffer(mmap.mmap(-1, 8))
+        private = np.zeros(1)
+        with fork_server(lambda _: (shared[0], private[0]), jobs) as submit:
+            shared[0] = private[0] = 1.0
+            got = submit(None)()
+        assert got == (1.0, 1.0 if jobs == 1 else 0.0)
+
+    def test_exception_at_one_job_is_raised_as_it_is(self):
+        exc = FileNotFoundError(2, "No such file or directory", "absent.sql")
+        with fork_server(call, 1) as submit:
+            with pytest.raises(FileNotFoundError) as raised:
+                submit(partial(raise_, exc))()
+            # and the calls go on
+            assert submit(partial(divmod, 7, 2))() == (3, 1)
+        assert raised.value is exc
+
+    def test_exception_in_the_worker_ends_it(self, capfd):
+        with pytest.raises(BrokenProcessPool, match="on stderr"):
+            with fork_server(call, 2) as submit:
+                submit(partial(raise_, SqlSyntax("unterminated tuple", 51)))()
+        assert multiprocessing.active_children() == []
+        assert "SqlSyntax: unterminated tuple" in capfd.readouterr().err
+
+    def test_call_at_one_job_runs_when_waited_for(self):
+        ran = []
+        with fork_server(ran.append, 1) as submit:
+            result = submit("x")
+            assert ran == []
+            result()
+        assert ran == ["x"]
+
+    def test_no_child_left_after_the_block_raises(self):
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="block"):
+            with fork_server(time.sleep, 2) as submit:
+                submit(30)
+                raise ValueError("block")
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 10  # the call was not waited for
+
+    @pytest.mark.parametrize("fn", [
+        partial(os._exit, 3),
+        kill_self,
+        threading.Lock,  # the result does not pickle
+    ], ids=["os._exit", "SIGKILL", "unpicklable-result"])
+    def test_worker_without_a_result_is_a_typed_error(self, fn):
+        with pytest.raises(BrokenProcessPool):
+            with fork_server(call, 2) as submit:
+                submit(fn)()
         assert multiprocessing.active_children() == []
