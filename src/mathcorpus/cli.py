@@ -215,12 +215,13 @@ def _load_spec(args):
         raise UsageError("need --benchmark or --spec")
     with open(args.spec) as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise UsageError(f"{args.spec}: a spec is a JSON object")
     try:
         return dsr.BenchmarkSpec(
             name=raw["name"], expression=raw["expression"],
             variables=list(raw["variables"]),
-            n_points=raw.get("n_points", 20),
-            ranges={k: tuple(v) for k, v in raw.get("range", {}).items()},
+            n_points=raw.get("n_points", 20), ranges=raw.get("range", {}),
             library_tokens=list(raw["library"]),
         )
     except KeyError as e:

@@ -5,7 +5,8 @@ conditioned on the parent and sibling of the tree slot being filled.  Per
 step, three logit vectors are summed: controller logits, the language-model
 prior scaled by the inverse temperature lambda, and constraint logits that
 are 0 or -inf.  A categorical draw from the softmax picks the next token.
-Training is risk-seeking REINFORCE on the top reward quantile of each batch.
+Training is risk-seeking REINFORCE on the top reward quantile of each batch,
+read from what the sampling pass recorded.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ class _SlotState:
     most recently completed child, -1 for none); column 0 stands for the
     empty stack, with no parent and no sibling.  n is the length so far,
     open the dangling slot count d_k, trig the trig operators among the
-    open ancestors.  The library's arity, trig and inverse tables, which
-    ``mask`` reads, are built once per state.
+    open ancestors.  The constraint masks of every key ``mask`` reads are
+    tabulated once per state.
     """
 
     def __init__(self, lib, B, max_len):
@@ -88,12 +89,20 @@ class _SlotState:
         ops = [OPS.get(t.name) for t in lib.tokens]
         self.is_trig = np.array([op is not None and op.trig for op in ops],
                                 dtype=np.int64)
-        self.terminals = np.flatnonzero(self.arities == 0)
-        self.trig_tokens = np.flatnonzero(self.is_trig)
-        # (parent, child) index pairs where the child inverts the parent
-        self.inverse_pairs = [(i, lib.index[op.inverse])
-                              for i, op in enumerate(ops)
-                              if op is not None and op.inverse in lib.index]
+        # the 0/-inf logits of every key of ``mask``: the length room
+        # max_length - n - d, clipped to [-1, max arity], plus one (it masks
+        # the tokens of higher arity); too short for a terminal; under a
+        # trig operator; and parent + 1
+        room, short, trig, parent = np.indices(
+            (self.arities.max() + 2, 2, 2, len(ops) + 1))[..., None]
+        masked = ((self.arities > room - 1)
+                  | (short == 1) & (self.arities == 0)
+                  | (trig == 1) & (self.is_trig == 1))
+        for i, op in enumerate(ops):  # no operator directly below its inverse
+            if op is not None and op.inverse in lib.index:
+                masked[..., lib.index[op.inverse]] |= parent[..., 0] == i + 1
+        self.table = np.where(masked, NEG_INF, 0.0)
+        self.infeasible = masked.all(axis=-1)
         self.seq = np.zeros((B, max_len), dtype=np.int64)
         self.tok = np.full((B, max_len + 1), -1, dtype=np.int64)
         self.rem = np.zeros((B, max_len + 1), dtype=np.int64)
@@ -145,18 +154,13 @@ class _SlotState:
         """Constraint logits, 0 or -inf, of rows at length n with d open
         slots, trig open trig ancestors and parent (-1 for empty): the
         length bounds, no trig operator below another and no operator
-        directly below its inverse."""
-        masks = np.zeros((len(n), len(self.arities)))
-        over = (n[:, None] + d[:, None] + self.arities[None, :]) > max_length
-        masks[over] = NEG_INF
-        short = np.flatnonzero((d == 1) & (n + 1 < min_length))
-        masks[np.ix_(short, self.terminals)] = NEG_INF
-        masks[np.ix_(np.flatnonzero(trig > 0), self.trig_tokens)] = NEG_INF
-        for p, c in self.inverse_pairs:
-            masks[parent == p, c] = NEG_INF
-        if not (masks == 0.0).any(axis=1).all():
+        directly below its inverse.  One table lookup per row."""
+        key = (np.clip(max_length - n - d, -1, len(self.table) - 2) + 1,
+               ((d == 1) & (n + 1 < min_length)).astype(np.int64),
+               (trig > 0).astype(np.int64), parent + 1)
+        if self.infeasible[key].any():
             raise Infeasible("the constraints mask every token")
-        return masks
+        return self.table[key]
 
 
 class Controller(GRUReadout):
@@ -182,63 +186,45 @@ class Controller(GRUReadout):
         return x
 
 
-class _Policy:
-    """The per-step policy of B sequences: controller logits, plus lambda
-    times the prior's, plus the constraint mask, all read from one slot
-    state.  Sampling pushes its draws and the training replay the sampled
-    tokens, so the replay scores exactly the distribution that drew them.
-    The prior reads the token pushed last (BOS first), as in its training,
-    so its share is the prior's own sequence log-probability.  A finished
-    row sees the controller inputs of an empty prefix."""
-
-    def __init__(self, controller, mlm_model, config, B, max_len):
-        self.controller, self.mlm = controller, mlm_model
-        self.config = config
-        self.st = _SlotState(config.library, B, max_len)
-        self.rows = np.arange(B)
-        self.h = controller.initial_state(B)
-        if mlm_model is not None:
-            self.h_mlm = mlm_model.initial_state(B)
-            self.mlm_prev = np.full(B, mlm_model.bos, dtype=np.int64)
-
-    def step(self):
-        """Combined logits of every row, the new controller state and the
-        controller cache for ``backward``."""
-        st, cfg = self.st, self.config
-        live = ~st.done
-        parent, sibling = st.parent_sibling(self.rows)  # -1 on finished rows
-        masks = st.mask(np.where(live, st.n, 0), np.where(live, st.open, 1),
-                        st.trig, parent, MIN_LENGTH, MAX_LENGTH)
-        logits, self.h, cache = self.controller.forward(
-            self.controller.input_batch(parent, sibling), self.h)
-        if self.mlm is not None:
-            l_mlm, self.h_mlm = self.mlm.step_batch(self.mlm_prev, self.h_mlm)
-            logits = logits + cfg.lam * l_mlm
-        return logits + masks, self.h, cache
-
-    def push(self, picks, live):
-        """Append picks[b] to each row b where live[b]."""
-        rows = self.rows[live]
-        self.st.push(rows, picks[rows])
-        if self.mlm is not None:
-            self.mlm_prev[rows] = picks[rows]
-
-
-def sample_batch(controller, mlm_model, config, rng):
+def sample_batch(controller, mlm_model, config, rng, record=None):
     """Vectorized draw of config.batch_size COMPLETE traversals.
 
-    Steps the policy for all sequences at once; finished rows keep consuming
-    their lane, but their draws are discarded.
+    Steps the policy for all sequences at once: controller logits, plus
+    lambda times the prior's, plus the constraint mask, all read from one
+    slot state.  The prior reads the token drawn last (BOS first), as in
+    its training, so its share is the prior's own sequence log-probability.
+    A finished row keeps its lane and sees the controller inputs of an
+    empty prefix, but its draws are discarded.  When ``record`` is a list,
+    each step appends what training reads back: the controller inputs
+    (parent, sibling), the constraint mask and the prior's unscaled logits
+    (None without a prior), each with one row per sequence.
     """
     B = config.batch_size
-    policy = _Policy(controller, mlm_model, config, B, MAX_LENGTH)
-    st = policy.st
+    st = _SlotState(config.library, B, MAX_LENGTH)
+    rows = np.arange(B)
+    h = controller.initial_state(B)
+    l_mlm = None
+    if mlm_model is not None:
+        h_mlm = mlm_model.initial_state(B)
+        prev = np.full(B, mlm_model.bos, dtype=np.int64)
     for _ in range(MAX_LENGTH):
         live = ~st.done
         if not live.any():
             break
-        logits, _, _ = policy.step()
-        policy.push(draw(softmax(logits, axis=1), rng.random(B)), live)
+        parent, sibling = st.parent_sibling(rows)  # -1 on finished rows
+        masks = st.mask(np.where(live, st.n, 0), np.where(live, st.open, 1),
+                        st.trig, parent, MIN_LENGTH, MAX_LENGTH)
+        logits, h, _ = controller.forward(
+            controller.input_batch(parent, sibling), h)
+        if mlm_model is not None:
+            l_mlm, h_mlm = mlm_model.step_batch(prev, h_mlm)
+            logits = logits + config.lam * l_mlm
+        if record is not None:
+            record.append((parent, sibling, masks, l_mlm))
+        picks = draw(softmax(logits + masks, axis=1), rng.random(B))[live]
+        st.push(rows[live], picks)
+        if mlm_model is not None:
+            prev[live] = picks
     return [Traversal(s[:k]) for s, k in zip(st.seq.tolist(), st.n)]
 
 
@@ -284,60 +270,74 @@ def _padded(traversals):
 
 
 def objective_and_gradients(controller, traversals, advantages, config,
-                            mlm_model=None):
+                            record):
     """Risk-seeking surrogate objective and its exact controller gradients.
 
     J = mean_i adv_i * log p(tau_i) + ENTROPY_WEIGHT * mean_i sum_t H_t.
-    The prior logits and constraint masks enter the softmax but are treated
-    as constants; gradients flow only through the controller logits.
+    ``record`` is ``sample_batch``'s record of the draws, with the rows of
+    ``traversals``.  The controller reruns on the recorded parents and
+    siblings, and its logits are combined as sampling combined them, so
+    training scores exactly the distribution that drew the tokens.  The
+    prior logits and constraint masks are constants; gradients flow only
+    through the controller logits.
     """
     seqs, lengths = _padded(traversals)
     k, T = seqs.shape
+    h = controller.initial_state(k)
+    logits, hs, caches = [], [], []
+    for parent, sibling, masks, l_mlm in record[:T]:
+        l, h, cache = controller.forward(
+            controller.input_batch(parent, sibling), h)
+        if l_mlm is not None:
+            l = l + config.lam * l_mlm
+        logits.append(l + masks)
+        hs.append(h)
+        caches.append(cache)
 
-    # teacher-forced steps, with each step's share of J and its logit
-    # gradients; padded steps add nothing
+    # every step's share of J and its logit gradients at once, over (T, k, V)
+    # arrays; padded steps add nothing
+    logits = np.stack(logits)
     adv = np.asarray(advantages, dtype=float)
-    policy = _Policy(controller, mlm_model, config, k, T)
-    rows = np.arange(k)
+    target = seqs.T[..., None]
+    live = np.arange(T)[:, None] < lengths
+    on = live.astype(float)
+    p = softmax(logits, axis=2)
+    lp = log_softmax(logits, axis=2)
+    # a select, not a product: the pad may be masked to -inf
+    picked = np.take_along_axis(lp, target, 2)[..., 0]
+    shares = np.sum(adv * np.where(live, picked, 0.0), axis=1)
+    onehot = np.zeros_like(p)
+    np.put_along_axis(onehot, target, 1.0, 2)
+    dlogits = (adv * on)[..., None] * (onehot - p) / k
+    safe_lp = np.where(p > 0, lp, 0.0)
+    H = -(p * safe_lp).sum(axis=2)
+    entropies = np.sum(H * on, axis=1)
+    dH = -p * (safe_lp + H[..., None])
+    dlogits += ENTROPY_WEIGHT * on[..., None] * dH / k
     J = 0.0
-    steps = []
-    for t in range(T):
-        live = lengths > t
-        on = live.astype(float)
-        target = seqs[:, t]
-        logits, h, cache = policy.step()
-        p = softmax(logits, axis=1)
-        lp = log_softmax(logits, axis=1)
-        # a select, not a product: the pad may be masked to -inf
-        J += float(np.sum(adv * np.where(live, lp[rows, target], 0.0))) / k
-        onehot = np.zeros_like(p)
-        onehot[rows, target] = 1.0
-        dlogits = (adv * on)[:, None] * (onehot - p) / k
-        safe_lp = np.where(p > 0, lp, 0.0)
-        H = -(p * safe_lp).sum(axis=1)
-        J += ENTROPY_WEIGHT * float(np.sum(H * on)) / k
-        dH = -p * (safe_lp + H[:, None])
-        dlogits += ENTROPY_WEIGHT * on[:, None] * dH / k
-        steps.append((h, dlogits, cache))
-        policy.push(target, live)
+    for share, entropy in zip(shares, entropies):  # in step order
+        J += float(share) / k
+        J += ENTROPY_WEIGHT * float(entropy) / k
 
     grads = controller.zero_grads()
-    controller.backward(steps, grads)
+    controller.backward(list(zip(hs, dlogits, caches)), grads)
     return J, grads
 
 
-def train_step(controller, batch, config, optimizer, mlm_model=None):
-    """One risk-seeking policy update from a batch of (traversal, reward)."""
+def train_step(controller, batch, config, optimizer, record):
+    """One risk-seeking policy update from a batch of (traversal, reward)
+    and ``sample_batch``'s record of the draws that made it; only the top
+    rows' record is read."""
     if not batch:
         raise ValueError("empty batch")
     rewards = np.array([r for _, r in batch])
     baseline = float(np.quantile(rewards, 1.0 - RISK_FRACTION))
     k = max(1, int(round(RISK_FRACTION * len(batch))))
-    order = np.argsort(-rewards, kind="stable")
-    traversals = [batch[i][0] for i in order[:k]]
-    advantages = [rewards[i] - baseline for i in order[:k]]
-    J, grads = objective_and_gradients(controller, traversals, advantages,
-                                       config, mlm_model)
+    top = np.argsort(-rewards, kind="stable")[:k]
+    J, grads = objective_and_gradients(
+        controller, [batch[i][0] for i in top],
+        [rewards[i] - baseline for i in top], config,
+        [[a if a is None else a[top] for a in step] for step in record])
     neg = {n: -g for n, g in grads.items()}
     optimizer.update(controller.params(), neg)
     return J
@@ -355,6 +355,16 @@ class BenchmarkSpec:
     library_tokens: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.n_points, int) or self.n_points < 1:
+            raise DsrError(f"n_points must be an integer >= 1, "
+                           f"not {self.n_points!r}")
+        if not isinstance(self.ranges, dict) or not all(
+                isinstance(r, (list, tuple)) and len(r) == 2
+                and all(isinstance(b, (int, float)) for b in r)
+                and np.isfinite(r).all() and r[0] < r[1]
+                for r in self.ranges.values()):
+            raise DsrError(f"range must map variables to [lo, hi] pairs of "
+                           f"finite numbers with lo < hi, not {self.ranges!r}")
         for name in self.library_tokens:
             if not (name in OPS or name in self.variables
                     or constant_value(Token(name, 0, CONSTANT)) is not None):
@@ -476,7 +486,8 @@ def run_search(spec, config, rng_seed, mlm_model=None):
     best_r, best_trav, solved_at = -1.0, None, None
     checked = set()
     for step_i in range(1, cfg.max_steps + 1):
-        traversals = sample_batch(controller, mlm_model, cfg, rng)
+        record = []
+        traversals = sample_batch(controller, mlm_model, cfg, rng, record)
         rewards, invalid = batch_rewards(*_padded(traversals), lib.tokens,
                                          X, y, sd)
         n_invalid += int(invalid.sum())
@@ -490,7 +501,7 @@ def run_search(spec, config, rng_seed, mlm_model=None):
                 solved_at = step_i
                 break
         train_step(controller, list(zip(traversals, rewards)), cfg,
-                   optimizer, mlm_model)
+                   optimizer, record)
     best_expr = render_infix(traversal_to_tree(best_trav, lib)) if best_trav else ""
     return RunMetrics(
         recovered=solved_at is not None,

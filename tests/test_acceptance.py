@@ -175,15 +175,15 @@ def test_criterion_07_lambda_zero_equivalence():
         rng = np.random.default_rng(0)
         tokens = []
         for _ in range(config.max_steps):
+            record = []
             travs = sample_batch(controller, model if with_model else None,
-                                 config, rng)
+                                 config, rng, record)
             for t in travs:
                 tokens.extend(t.seq)
             rewards, _ = dsr.batch_rewards(*dsr._padded(travs), lib.tokens,
                                            X, y, sd)
             batch = list(zip(travs, rewards))
-            train_step(controller, batch, config, opt,
-                       mlm_model=model if with_model else None)
+            train_step(controller, batch, config, opt, record)
         return tokens
 
     a, b = trajectory(True), trajectory(False)

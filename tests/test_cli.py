@@ -770,6 +770,27 @@ class TestSr:
         err = capsys.readouterr().err
         assert "const.json" in err and "constant" in err
 
+    LIN = {"name": "lin", "expression": "x + x", "variables": ["x"],
+           "library": ["add", "mul", "x"]}
+
+    @pytest.mark.parametrize("spec, message", [
+        ([LIN], "a spec is a JSON object"),
+        ({**LIN, "range": {"x": 5}}, "range must map variables"),
+        ({**LIN, "range": {"x": [1]}}, "range must map variables"),
+        ({**LIN, "n_points": -3}, "n_points must be an integer >= 1"),
+        ({**LIN, "n_points": 0}, "n_points must be an integer >= 1"),
+    ], ids=["list", "range-number", "range-one-bound", "negative-points",
+            "no-points"])
+    def test_malformed_spec_field_exit_2(self, tmp_path, capsys, spec,
+                                         message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = main(["sr", "--spec", str(path), "--runs", "1", "--no-mlm",
+                     "--max-steps", "2", "--batch-size", "30"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+
 
 class TestJobs:
     """``sr`` shares its runs among the usable CPUs, one or two here."""

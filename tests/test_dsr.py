@@ -1,6 +1,7 @@
 import copy
 import math
 import multiprocessing
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,50 @@ class TestConstraints:
                             min_length=4, max_length=30)
 
 
+def rule_mask(lib, n, d, trig, parent, min_length, max_length):
+    """The constraint logits of each row, rule by rule and token by token."""
+    out = np.zeros((len(n), len(lib)))
+    for b in range(len(n)):
+        above = OPS.get(lib[parent[b]].name) if parent[b] >= 0 else None
+        for i, tok in enumerate(lib):
+            op = OPS.get(tok.name)
+            if (n[b] + d[b] + tok.arity > max_length
+                    or tok.arity == 0 and d[b] == 1 and n[b] + 1 < min_length
+                    or op is not None and op.trig and trig[b] > 0
+                    or above is not None and above.inverse == tok.name):
+                out[b, i] = NEG_INF
+    return out
+
+
+class TestMaskTable:
+    @pytest.mark.parametrize("library", ["search2", "nguyen-8", "nguyen-12"])
+    def test_matches_the_rules_on_random_states(self, library):
+        if library == "search2":
+            lib = default_library(n_vars=2, name=library)
+        else:
+            lib = builtin_benchmarks()[library].library()
+        st = dsr._SlotState(lib, 0, 0)
+        rng = np.random.default_rng(12)
+        n_infeasible = 0
+        for min_length, max_length in ((4, 30), (1, 10), (7, 12), (0, 3)):
+            n = rng.integers(0, max_length + 3, 300)
+            d = rng.integers(1, 8, 300)
+            trig = rng.integers(0, 3, 300)
+            parent = rng.integers(-1, len(lib), 300)
+            want = rule_mask(lib, n, d, trig, parent, min_length, max_length)
+            bad = (want == NEG_INF).all(axis=1)
+            ok = np.flatnonzero(~bad)
+            got = st.mask(n[ok], d[ok], trig[ok], parent[ok], min_length,
+                          max_length)
+            assert np.array_equal(got, want[ok])
+            for b in np.flatnonzero(bad):
+                with pytest.raises(Infeasible):
+                    st.mask(n[b:b + 1], d[b:b + 1], trig[b:b + 1],
+                            parent[b:b + 1], min_length, max_length)
+            n_infeasible += bad.sum()
+        assert 0 < n_infeasible < 1200
+
+
 class TestCombineAndSample:
     def test_no_nan_with_masks(self, rng):
         V = 6
@@ -299,6 +344,36 @@ def reference_sample_batch(controller, mlm_model, config, rng, B):
     return [tuple(s) for s in seqs]
 
 
+def recorded(controller, model, config, travs, record=None):
+    """``sample_batch``'s record of drawing ``travs``, appended to
+    ``record``: for the call, ``dsr.draw`` returns the next token of every
+    row (0 past a row's end, a draw that sampling discards)."""
+    columns = iter(dsr._padded(travs)[0].T)
+    record = [] if record is None else record
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dsr, "draw", lambda p, u: next(columns))
+        got = sample_batch(controller, model,
+                           dc_replace(config, batch_size=len(travs)),
+                           np.random.default_rng(0), record)
+    assert [t.seq for t in got] == [t.seq for t in travs]
+    return record
+
+
+def batch_prior_logits(model, travs):
+    """The prior's (T, B, V) logits over a whole sampled batch, stepped as
+    sampling steps it: the token drawn last, BOS first, and a finished
+    row's last token again."""
+    seqs, lengths = dsr._padded(travs)
+    prev = np.full(len(travs), model.bos, dtype=np.int64)
+    h = model.initial_state(len(travs))
+    out = []
+    for t in range(seqs.shape[1]):
+        logits, h = model.step_batch(prev, h)
+        out.append(logits)
+        prev = np.where(lengths > t, seqs[:, t], prev)
+    return np.stack(out)
+
+
 class TestSampleBatchOracle:
     @pytest.mark.parametrize("library", ["search1", "nguyen-5"])
     @pytest.mark.parametrize("with_mlm", [False, True])
@@ -324,15 +399,16 @@ class TestSampleBatchOracle:
 
 
 # The training replay as it stood before sampling and training shared one
-# policy step, verbatim apart from the names, the language-model input, now
-# the previous token, and the entropy weight, now a constant; it recomputes
-# parent, sibling, constraint mask and language-model input in a loop of
-# its own.
+# policy step, verbatim apart from the names, the entropy weight, now a
+# constant, and the prior: it takes the prior's (T, k, V) logits, from
+# ``batch_prior_logits`` over the sampled batch, where it stepped the
+# language model over the k rows.  It recomputes parent, sibling and
+# constraint mask in a loop of its own.
 _SlotState = dsr._SlotState
 
 
 def reference_objective_and_gradients(controller, traversals, advantages,
-                                      config, mlm_model=None):
+                                      config, prior=None):
     lib = config.library
     k = len(traversals)
     V = len(lib)
@@ -347,8 +423,6 @@ def reference_objective_and_gradients(controller, traversals, advantages,
     step_mask = (np.arange(T)[:, None] < lengths[None, :]).astype(float)
     xs = np.zeros((T, k, 2 * (V + 1)))
     masks = np.zeros((T, k, V))
-    mlm_inputs = np.full((T, k), mlm_model.bos if mlm_model is not None else 0,
-                         dtype=np.int64)
     st = _SlotState(lib, k, T)
     for t in range(T):
         rows = np.flatnonzero(lengths > t)
@@ -356,22 +430,18 @@ def reference_objective_and_gradients(controller, traversals, advantages,
         xs[t, rows] = controller.input_batch(parent, sibling)
         masks[t, rows] = st.mask(st.n[rows], st.open[rows], st.trig[rows],
                                  parent, dsr.MIN_LENGTH, dsr.MAX_LENGTH)
-        if mlm_model is not None and t:
-            mlm_inputs[t, rows] = seqs[rows, t - 1]
         st.push(rows, seqs[rows, t])
 
     # forward, with each step's share of J and its logit gradients
     adv = np.asarray(advantages, dtype=float)
     w_ent = dsr.ENTROPY_WEIGHT
     h = controller.initial_state(k)
-    h_mlm = mlm_model.initial_state(k) if mlm_model is not None else None
     J = 0.0
     steps = []
     for t in range(T):
         l_dsr, h, cache = controller.forward(xs[t], h)
-        if mlm_model is not None:
-            l_mlm, h_mlm = mlm_model.step_batch(mlm_inputs[t], h_mlm)
-            combined = l_dsr + config.lam * l_mlm + masks[t]
+        if prior is not None:
+            combined = l_dsr + config.lam * prior[t] + masks[t]
         else:
             combined = l_dsr + masks[t]
         p = softmax(combined, axis=1)
@@ -409,12 +479,21 @@ def perturbed_models(lib, with_mlm):
 
 
 class TestReplayOracle:
-    def _check(self, controller, model, travs, config, seed):
-        adv = np.random.default_rng(seed).normal(size=len(travs))
-        J, grads = dsr.objective_and_gradients(controller, travs, adv, config,
-                                               model)
+    def _check(self, controller, model, travs, record, config, seed,
+               rows=None):
+        """Training on ``rows`` (all by default) of a sampled batch against
+        the oracle."""
+        rows = np.arange(len(travs)) if rows is None else rows
+        kept = [travs[i] for i in rows]
+        adv = np.random.default_rng(seed).normal(size=len(rows))
+        J, grads = dsr.objective_and_gradients(
+            controller, kept, adv, config,
+            [[a if a is None else a[rows] for a in step] for step in record])
+        prior = None
+        if model is not None:
+            prior = batch_prior_logits(model, travs)[:, rows]
         want_J, want = reference_objective_and_gradients(
-            controller, travs, adv, config, model)
+            controller, kept, adv, config, prior)
         assert math.isfinite(J) and J == want_J
         assert grads.keys() == want.keys()
         assert all(np.array_equal(grads[n], want[n]) for n in want)
@@ -422,12 +501,25 @@ class TestReplayOracle:
     @pytest.mark.parametrize("with_mlm", [False, True])
     def test_matches_reference_on_sampled_batches(self, with_mlm):
         lib = builtin_benchmarks()["nguyen-5"].library()
-        config = cfg(lib, lam=0.5 if with_mlm else 0.0, batch_size=40)
         controller, model = perturbed_models(lib, with_mlm)
+        # a likelier terminal, so that rows finish at many lengths
+        controller.b_out[lib.index_of("x")] += 2.0
         rng = np.random.default_rng(5)
-        for seed in range(3):
-            travs = sample_batch(controller, model, config, rng)
-            self._check(controller, model, travs, config, seed)
+        for seed, lam in enumerate((0.0, 0.5, 0.0, 0.5)):
+            config = cfg(lib, lam=lam, batch_size=40)
+            record = []
+            travs = sample_batch(controller, model, config, rng, record)
+            lengths = np.array([len(t) for t in travs])
+            assert len(record) == lengths.max()
+            self._check(controller, model, travs, record, config, seed)
+            # kept rows as training keeps them, in an order of their own:
+            # the shortest, all finished before the batch's last step, and
+            # every seventh row by length
+            order = np.argsort(lengths, kind="stable")
+            assert lengths[order[5]] < len(record)
+            for rows in (order[5::-1], order[::7]):
+                self._check(controller, model, travs, record, config, seed,
+                            rows)
 
     @pytest.mark.parametrize("with_mlm", [False, True])
     def test_padding_token_masked_at_the_empty_prefix(self, with_mlm):
@@ -445,7 +537,11 @@ class TestReplayOracle:
         controller, model = perturbed_models(lib, with_mlm)
         sampled = sample_batch(controller, model, config,
                                np.random.default_rng(6))
-        self._check(controller, model, [short, long, *sampled], config, 7)
+        travs = [short, long, *sampled]
+        record = recorded(controller, model, config, travs)
+        self._check(controller, model, travs, record, config, 7)
+        self._check(controller, model, travs, record, config, 7,
+                    np.array([0, 1]))
 
 
 class TestPriorInput:
@@ -456,28 +552,15 @@ class TestPriorInput:
         rng = np.random.default_rng(3)
         model.W_out += rng.normal(size=model.W_out.shape)
         model.b_out += rng.normal(size=model.b_out.shape)
-        seen = []
-        step_batch = model.step_batch
-
-        def recording(tokens, h):
-            logits, h = step_batch(tokens, h)
-            seen.append(logits)
-            return logits, h
-
-        model.step_batch = recording
         config = cfg(slib, lam=0.5)
         controller = Controller(slib, dsr.HIDDEN_SIZE, seed=0)
         for names in ("add mul x1 x1 x1", "mul add x1 x1 sin x1",
                       "add mul x1 x1 mul x1 x1", "sub add x1 exp x1 x1"):
-            trav = [slib.index_of(n) for n in names.split()]
-            seen.clear()
-            policy = dsr._Policy(controller, model, config, 1, len(trav))
-            for tok in trav:
-                policy.step()
-                policy.push(np.array([tok]), np.ones(1, dtype=bool))
-            got = sum(float(log_softmax(logits[0])[tok])
-                      for logits, tok in zip(seen, trav))
-            assert abs(got - mlm.score(model, Traversal(trav))) < 1e-12
+            trav = Traversal([slib.index_of(n) for n in names.split()])
+            record = recorded(controller, model, config, [trav])
+            got = sum(float(log_softmax(l_mlm[0])[tok])
+                      for (_, _, _, l_mlm), tok in zip(record, trav.seq))
+            assert abs(got - mlm.score(model, trav)) < 1e-12
 
 
 class TestReward:
@@ -566,7 +649,14 @@ class TestBatchRewards:
              Traversal([add, sin, x, x])],
             [Traversal([add, sin, x, x])],
         ])
-        monkeypatch.setattr(dsr, "sample_batch", lambda *args: next(batches))
+
+        def forced(controller, model, config, rng, record):
+            # the record of drawing the batch, as training reads it
+            travs = next(batches)
+            recorded(controller, model, config, travs, record)
+            return travs
+
+        monkeypatch.setattr(dsr, "sample_batch", forced)
         metrics = dsr.run_search(spec, cfg(lib, max_steps=2), 0)
         assert metrics.best_expression == "(x + sin(x))"
         assert metrics.invalid_fraction == 0.25
@@ -587,11 +677,12 @@ class TestTrainStep:
         rng = np.random.default_rng(0)
         controller.W_out += rng.uniform(-0.3, 0.3, controller.W_out.shape)
         controller.b_out += rng.uniform(-0.3, 0.3, controller.b_out.shape)
+        record = []
         travs = sample_batch(controller, None, config,
-                             np.random.default_rng(1))
+                             np.random.default_rng(1), record)
         advantages = [0.4, -0.2, 0.1]
         J, grads = dsr.objective_and_gradients(controller, travs, advantages,
-                                               config)
+                                               config, record)
         h = 1e-5
         worst = 0.0
         for name, p in controller.params().items():
@@ -601,10 +692,12 @@ class TestTrainStep:
                 orig = flat[i]
                 flat[i] = orig + h
                 Jp, _ = dsr.objective_and_gradients(controller, travs,
-                                                    advantages, config)
+                                                    advantages, config,
+                                                    record)
                 flat[i] = orig - h
                 Jm, _ = dsr.objective_and_gradients(controller, travs,
-                                                    advantages, config)
+                                                    advantages, config,
+                                                    record)
                 flat[i] = orig
                 fd = (Jp - Jm) / (2 * h)
                 # floor 1e-5: central differences at h=1e-5 carry ~1e-10
@@ -624,28 +717,52 @@ class TestTrainStep:
         X = {"x1": np.linspace(-1, 1, 20)}
         y = X["x1"] ** 2
         for _ in range(100):
-            travs = sample_batch(controller, model, config, rng)
+            record = []
+            travs = sample_batch(controller, model, config, rng, record)
             batch = [(t, tree_reward(traversal_to_tree(t, slib), X, y)[0])
                      for t in travs]
-            train_step(controller, batch, config, opt, mlm_model=model)
+            train_step(controller, batch, config, opt, record)
         assert model.equal(snapshot)
 
     def test_replay_uses_the_sampling_constraint_set(self):
-        # add(exp(log(x)), x) breaks the inverse-pair rule, so the replay
+        # add(exp(log(x)), x) breaks the inverse-pair rule, so training
         # masks the token sampling could not have drawn: its log-prob is -inf
         lib = builtin_benchmarks()["nguyen-7"].library()
         config = SRConfig(library=lib)
         controller = Controller(lib, dsr.HIDDEN_SIZE, seed=0)
         trav = Traversal([lib.index_of(n)
                           for n in ("add", "exp", "log", "x", "x")])
-        J, _ = dsr.objective_and_gradients(controller, [trav], [0.5], config)
+        record = recorded(controller, None, config, [trav])
+        J, _ = dsr.objective_and_gradients(controller, [trav], [0.5], config,
+                                           record)
         assert J == NEG_INF
+
+    @pytest.mark.parametrize("with_mlm", [False, True])
+    def test_trains_on_the_top_rows_of_the_record(self, with_mlm):
+        lib = builtin_benchmarks()["nguyen-5"].library()
+        config = cfg(lib, lam=0.5, batch_size=100)
+        controller, model = perturbed_models(lib, with_mlm)
+        controller.b_out[lib.index_of("x")] += 2.0
+        record = []
+        travs = sample_batch(controller, model, config,
+                             np.random.default_rng(3), record)
+        rewards = np.random.default_rng(4).uniform(size=100)
+        top = np.argsort(-rewards, kind="stable")[:5]
+        prior = None
+        if model is not None:
+            prior = batch_prior_logits(model, travs)[:, top]
+        want_J, _ = reference_objective_and_gradients(
+            controller, [travs[i] for i in top],
+            rewards[top] - np.quantile(rewards, 0.95), config, prior)
+        J = train_step(controller, list(zip(travs, rewards)), config,
+                       Adam(dsr.LEARNING_RATE), record)
+        assert J == want_J
 
     def test_empty_batch(self, slib):
         config = cfg(slib)
         controller = Controller(slib, dsr.HIDDEN_SIZE, seed=0)
         with pytest.raises(ValueError):
-            train_step(controller, [], config, Adam(0.001))
+            train_step(controller, [], config, Adam(0.001), [])
 
 
 class TestLambdaZeroEquivalence:
@@ -661,16 +778,16 @@ class TestLambdaZeroEquivalence:
             y = X["x1"] ** 3 + X["x1"]
             trajectory = []
             for _ in range(config.max_steps):
+                record = []
                 travs = sample_batch(controller,
                                      model if with_model else None, config,
-                                     rng)
+                                     rng, record)
                 trajectory.extend(t.seq for t in travs)
                 rewards, _ = dsr.batch_rewards(*dsr._padded(travs),
                                                slib.tokens, X, y,
                                                target_spread(y))
                 batch = list(zip(travs, rewards))
-                train_step(controller, batch, config, opt,
-                           mlm_model=model if with_model else None)
+                train_step(controller, batch, config, opt, record)
             return trajectory
 
         assert run(True) == run(False)
