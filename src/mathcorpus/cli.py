@@ -15,7 +15,12 @@ import math
 import os
 import re
 import sys
+import tempfile
+from collections import namedtuple
 from functools import partial
+from itertools import count, groupby, islice
+from json.encoder import encode_basestring
+from operator import attrgetter
 
 from . import corpus as corpus_mod
 from . import dsr, mlm, wiki_extract
@@ -75,6 +80,38 @@ def _category_tree(root, links_path, page_path, depth):
         raise UsageError(str(e))
 
 
+_Line = namedtuple("_Line", "page_id text")  # a JSONL record and its page
+
+
+def _jsonl(exprs):
+    """The lines of one page's expressions, as ``json.dumps(...,
+    ensure_ascii=False)`` writes them; the title is encoded once."""
+    head = (f'{{"page_id": {exprs[0].page_id}, "page_title": '
+            f'{encode_basestring(exprs[0].page_title)}, "offset": ')
+    return [_Line(e.page_id, f'{head}{e.char_offset}, "latex": '
+                             f'{encode_basestring(e.latex)}}}\n')
+            for e in exprs]
+
+
+def _write_kept(tree, lines, f):
+    """Write the lines of pages in the tree, or every line without a tree;
+    returns how many were written."""
+    if tree is not None:
+        lines = wiki_extract.filter_pages_by_category(tree, lines)
+    f.writelines(line.text for line in lines)
+    return len(lines)
+
+
+def _write_held(tree, held, f):
+    """``_write_kept`` for each page in the spill file; returns how many
+    lines were written."""
+    held.seek(0)
+    lines = (_Line(int(page_id), text) for page_id, text
+             in (entry.split("\t", 1) for entry in held))
+    return sum(_write_kept(tree, list(page), f)
+               for _, page in groupby(lines, attrgetter("page_id")))
+
+
 def cmd_extract(args):
     source = sys.stdin.buffer if args.dump in (None, "-") else args.dump
     if args.category:  # before anything is read, so bad flags fail fast
@@ -87,32 +124,38 @@ def cmd_extract(args):
                     args.sql_page, args.depth)
     jobs = usable_cpus() if args.category else 1
     tally = {}
-    expressions = []
-    n_pages = 0
+    n_pages = n_kept = 0
     # the output is opened before the dump is read, so an unwritable one
     # fails fast; fork_call makes a category error win over any other
     with (fork_call(build, jobs) as tree,
-          open(args.out, "w", encoding="utf-8") as f):
+          open(args.out, "w", encoding="utf-8") as f,
+          tempfile.TemporaryFile("w+", encoding="utf-8") as spill):
+        held, whole = spill, False  # pages read before the tree arrives
         try:
             for page in wiki_extract.stream_pages(source):
-                if tree.done():
-                    tree.result()  # a category error ends the read at once
+                if held is not None and tree.done():
+                    # a category error ends the read at once
+                    n_kept += _write_held(tree.result(), held, f)
+                    held = None
                 n_pages += 1
-                if page.namespace != wiki_extract.NS_MAIN:
+                if page.namespace != wiki_extract.NS_MAIN or not (
+                        exprs := wiki_extract.extract_math(page, tally)):
                     continue
-                expressions.extend(wiki_extract.extract_math(page, tally))
+                if held is None:
+                    n_kept += _write_kept(tree.result(), _jsonl(exprs), f)
+                else:
+                    held.writelines(f"{line.page_id}\t{line.text}"
+                                    for line in _jsonl(exprs))
+            if held is not None:
+                n_kept += _write_held(tree.result(), held, f)
+            whole = True
         except wiki_extract.WikiError as e:
             raise UsageError(f"malformed dump: {e}")
-        if args.category:
-            expressions = wiki_extract.filter_pages_by_category(
-                tree.result(), expressions)
-        for e in expressions:
-            f.write(json.dumps({"page_id": e.page_id,
-                                "page_title": e.page_title,
-                                "offset": e.char_offset,
-                                "latex": e.latex}, ensure_ascii=False) + "\n")
+        finally:
+            if not whole:  # a failed extract leaves no partial output
+                f.truncate(0)
     unterminated = tally.get("unterminated", 0)
-    print(f"pages={n_pages} expressions={len(expressions)} "
+    print(f"pages={n_pages} expressions={n_kept} "
           f"unterminated={unterminated}")
     return 0
 
@@ -152,22 +195,20 @@ def cmd_corpus(args):
     if args.max_vars < 1:
         raise UsageError("--max-vars must be >= 1")
     lib = _library_by_name(args.library)
-    with open(args.infile, encoding="utf-8") as f:
-        lines = f.readlines()
-    n = CORPUS_CHUNK_LINES
-    chunks = [(start + 1, lines[start:start + n])
-              for start in range(0, len(lines), n)]
     encode = partial(_encode_lines, path=args.infile, lib=lib,
                      policy=args.policy, max_vars=args.max_vars)
-    # an unwritable output fails before the build, not after it, and
-    # the check leaves no file behind
-    existed = os.path.exists(args.out)
-    open(args.out, "a").close()
-    if not existed:
-        os.remove(args.out)
-    encoded = fork_map(encode, chunks, usable_cpus())
-    samples, stats = corpus_mod.collect_samples(
-        (record for chunk in encoded for record in chunk), lib)
+    with open(args.infile, encoding="utf-8") as f:
+        # an unwritable output fails before the build, not after it, and
+        # the check leaves no file behind
+        existed = os.path.exists(args.out)
+        open(args.out, "a").close()
+        if not existed:
+            os.remove(args.out)
+        n = CORPUS_CHUNK_LINES  # the input is read a chunk at a time
+        chunks = zip(count(1, n), iter(lambda: list(islice(f, n)), []))
+        encoded = fork_map(encode, chunks, usable_cpus())
+        samples, stats = corpus_mod.collect_samples(
+            (record for chunk in encoded for record in chunk), lib)
     corpus_mod.write_corpus(samples, args.out, lib)
     with open(args.out + ".stats.json", "w") as f:
         json.dump(stats.to_dict(), f, indent=2, sort_keys=True)
@@ -220,9 +261,9 @@ def _load_spec(args):
     try:
         return dsr.BenchmarkSpec(
             name=raw["name"], expression=raw["expression"],
-            variables=list(raw["variables"]),
+            variables=raw["variables"],
             n_points=raw.get("n_points", 20), ranges=raw.get("range", {}),
-            library_tokens=list(raw["library"]),
+            library_tokens=raw["library"],
         )
     except KeyError as e:
         raise UsageError(f"spec missing field {e}")

@@ -355,16 +355,22 @@ class BenchmarkSpec:
     library_tokens: list = field(default_factory=list)
 
     def __post_init__(self):
+        if not isinstance(self.expression, str) or not all(
+                isinstance(v, list) and all(isinstance(n, str) for n in v)
+                for v in (self.variables, self.library_tokens)):
+            raise DsrError("expression must be a string, and variables and "
+                           "library lists of names")
         if not isinstance(self.n_points, int) or self.n_points < 1:
             raise DsrError(f"n_points must be an integer >= 1, "
                            f"not {self.n_points!r}")
         if not isinstance(self.ranges, dict) or not all(
-                isinstance(r, (list, tuple)) and len(r) == 2
-                and all(isinstance(b, (int, float)) for b in r)
+                v in self.variables and isinstance(r, (list, tuple))
+                and len(r) == 2 and all(isinstance(b, (int, float)) for b in r)
                 and np.isfinite(r).all() and r[0] < r[1]
-                for r in self.ranges.values()):
+                for v, r in self.ranges.items()):
             raise DsrError(f"range must map variables to [lo, hi] pairs of "
-                           f"finite numbers with lo < hi, not {self.ranges!r}")
+                           f"finite numbers with lo < hi, and name declared "
+                           f"variables only, not {self.ranges!r}")
         for name in self.library_tokens:
             if not (name in OPS or name in self.variables
                     or constant_value(Token(name, 0, CONSTANT)) is not None):
@@ -520,7 +526,7 @@ def run_benchmark(spec, config, n_runs, mlm_model=None, base_seed=0, jobs=1):
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     run = partial(run_search, spec, config, mlm_model=mlm_model)
-    return fork_map(run, range(base_seed, base_seed + n_runs), jobs)
+    return list(fork_map(run, range(base_seed, base_seed + n_runs), jobs))
 
 
 CSV_HEADER = ["benchmark", "run", "seed", "lambda", "with_mlm", "recovered",

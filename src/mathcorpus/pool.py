@@ -1,13 +1,14 @@
-"""The one process pool: a map over forked workers, used for the
-independent runs of ``sr`` and the input chunks of ``corpus``; one call
-in a forked worker, used for the category tree of ``extract``; and a
-forked worker serving calls in lockstep, used by ``mlm.train``."""
+"""The one process pool: an ordered, bounded map over forked workers, used
+for the runs of ``sr`` and the input chunks of ``corpus`` as they are read;
+one call in a forked worker, used for the category tree of ``extract``; and
+a forked worker serving calls in lockstep, used by ``mlm.train``."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
 from functools import partial
+from itertools import chain, islice
 
 
 def usable_cpus():
@@ -16,24 +17,33 @@ def usable_cpus():
 
 
 def fork_map(fn, items, jobs):
-    """``[fn(x) for x in items]``, in item order.  With ``jobs`` > 1 and
-    more than one item, the calls are shared among min(jobs, len(items))
-    forked worker processes, which end before this returns or raises; the
-    first exception in item order is raised here.  ``fn``, the items and
-    the results must pickle.  Workers are forked, not spawned: they start
+    """``fn(x)`` for each item, yielded in item order.  With ``jobs`` > 1
+    and more than one item, the calls are shared among up to ``jobs``
+    forked worker processes, at most two items per worker are drawn ahead
+    of the consumer, and the workers end with the generator; the first
+    exception in item order is raised here.  ``fn``, the items and the
+    results must pickle.  Workers are forked, not spawned: they start
     without re-importing numpy, and they see module attributes as the
     caller left them.  Forking is safe because the program starts no
-    thread of its own, and the pool forks all workers before its own
-    manager thread starts."""
-    items = list(items)
-    workers = min(jobs, len(items))
+    thread of its own, the pool forks all workers before its own manager
+    thread starts, and the consumer does not fork while it runs."""
+    items = iter(items)
+    head = list(islice(items, jobs))  # no more workers than items
+    workers = len(head)
     if workers <= 1:
-        return [fn(x) for x in items]
+        yield from map(fn, chain(head, items))
+        return
     from concurrent.futures import ProcessPoolExecutor  # only for a pool
     from multiprocessing import get_context
 
     with ProcessPoolExecutor(workers, mp_context=get_context("fork")) as pool:
-        return list(pool.map(fn, items))
+        pending = []
+        for x in chain(head, items):
+            if len(pending) == 2 * workers:
+                yield pending.pop(0).result()
+            pending.append(pool.submit(fn, x))
+        while pending:
+            yield pending.pop(0).result()
 
 
 @contextmanager

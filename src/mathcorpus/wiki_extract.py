@@ -16,6 +16,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 NS_MAIN = 0
 NS_CATEGORY = 14
@@ -306,11 +307,10 @@ class CategoryTree:
     root: str
     nodes: dict
 
-    def all_page_ids(self):
-        out = set()
-        for n in self.nodes.values():
-            out.update(n.page_ids)
-        return out
+    @cached_property
+    def page_ids(self):
+        """Every page id in the tree, collected on first use."""
+        return frozenset(i for n in self.nodes.values() for i in n.page_ids)
 
 
 def build_category_tree(root, links, pages, max_depth):
@@ -358,6 +358,5 @@ def build_category_tree(root, links, pages, max_depth):
 
 
 def filter_pages_by_category(tree, expressions):
-    """Keep exactly the expressions whose page appears in the tree."""
-    keep = tree.all_page_ids()
-    return [e for e in expressions if e.page_id in keep]
+    """Keep exactly the expressions whose ``page_id`` is in the tree."""
+    return [e for e in expressions if e.page_id in tree.page_ids]

@@ -131,7 +131,7 @@ def test_criterion_04_extraction_fixtures():
     tree = wx.build_category_tree("A", links, pages, max_depth=3)
     elapsed = time.monotonic() - start
     sql_ok = elapsed < 1.0 and set(tree.nodes) == {"A", "B"} \
-        and tree.all_page_ids() == {100, 200}
+        and tree.page_ids == {100, 200}
     report(4, "extraction fixtures", xml_ok and sql_ok,
            f"records={len(records)} cycle={elapsed * 1000:.0f}ms")
 

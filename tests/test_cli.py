@@ -7,6 +7,8 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
@@ -332,6 +334,31 @@ class TestExtractWorkers:
         assert code == 2
         assert err == "error: category 'Nope' not found\n"
 
+    @pytest.mark.parametrize("category", [False, True],
+                             ids=["all", "category"])
+    @pytest.mark.parametrize("tail", [b"", b"<page><title>x</tite></page>"],
+                             ids=["truncated", "malformed"])
+    def test_failed_read_leaves_an_empty_output(self, monkeypatch, tmp_path,
+                                                capsys, generated_dumps,
+                                                tail, category):
+        paths, _ = generated_dumps[1]
+        paths = dict(paths)
+        xml = paths["dump"].read_bytes()
+        cut = xml.index(b"<page>", len(xml) * 4 // 5)  # most pages are read
+        paths["dump"] = tmp_path / "bad.xml"
+        paths["dump"].write_bytes(xml[:cut] + tail)
+        out = tmp_path / "o.jsonl"
+        argv = category_argv(paths, out, perfbench_gen().ROOT_CATEGORY)
+        for n_cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, n=n_cpus: set(range(n)))
+            out.write_text("an older output\n")
+            code = main(argv if category else argv[:5])
+            assert multiprocessing.active_children() == []
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: malformed dump")
+            assert out.read_bytes() == b""
+
     def test_root_typo_ends_the_read_early(self, monkeypatch, tmp_path,
                                            capsys, generated_dumps):
         n_pages = 10_000  # 10 s or more, at 1 ms a page
@@ -438,6 +465,26 @@ class TestCorpusWorkers:
         assert corpus is None and stats is None
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_first_malformed_line_named_beyond_the_look_ahead(
+            self, monkeypatch, tmp_path, capsys, generated_jsonl, n_cpus):
+        # the pool draws at most 2 chunks per worker ahead of the parent
+        n = 100
+        monkeypatch.setattr(cli, "CORPUS_CHUNK_LINES", n)
+        lines = generated_jsonl.read_text().splitlines(keepends=True)
+        first = (2 * 2 + 2) * n + 50  # in the 7th chunk
+        for lineno in (first, first + n, 2 * first):
+            lines[lineno - 1] = '{"page_id": 2,\n'
+        jsonl = tmp_path / "bad.jsonl"
+        jsonl.write_text("".join(lines))
+        code, corpus, stats, _ = self._corpus(monkeypatch, tmp_path, jsonl,
+                                              n_cpus)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {jsonl}, line {first}: not a JSON object with an "
+            f"integer page_id and a string latex\n")
+        assert corpus is None and stats is None
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_unwritable_out_fails_before_the_first_parse(
             self, monkeypatch, tmp_path, capsys, generated_jsonl, n_cpus):
         out = tmp_path / "no-such-dir" / "c.corpus"
@@ -499,6 +546,78 @@ class TestCorpusWorkers:
                                           generated_jsonl, 2, parse=parse)
         assert code == 1 and corpus is None
         assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+
+@pytest.fixture(scope="module")
+def scaled_dumps(tmp_path_factory):
+    """Pages -> (paths, unfiltered ``extract`` output) of ``perfbench/gen.py``
+    dumps of 5,000 and 20,000 pages, seed 1."""
+    gen = perfbench_gen()
+    work = tmp_path_factory.mktemp("scaled")
+    out = {}
+    for pages in (5000, 20000):
+        paths, _ = gen.write_dump(work / str(pages), 1, pages)
+        jsonl = work / str(pages) / "exprs.jsonl"
+        assert main(["extract", "--dump", str(paths["dump"]),
+                     "--out", str(jsonl)]) == 0
+        out[pages] = paths, jsonl
+    return out
+
+
+def traced_peak(argv, capsys):
+    """The peak of memory allocated while ``main(argv)`` ran in process."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        capsys.readouterr()
+
+
+class TestBoundedMemory:
+    """The process that runs ``extract`` or ``corpus`` holds a page or a few
+    chunks of the input at a time, not the dump: on a dump 4 times as
+    large, its peak allocation is less than twice as large."""
+
+    class TreeNotYet:
+        """A future of the category tree that arrives only after the
+        dump's read, so every page waits for it."""
+
+        def __init__(self, tree):
+            self.tree = tree
+
+        def done(self):
+            return False
+
+        def result(self):
+            return self.tree
+
+    def test_extract_waiting_for_the_tree(self, monkeypatch, tmp_path,
+                                          capsys, scaled_dumps):
+        gen = perfbench_gen()
+        peaks = []
+        for pages, (paths, _) in scaled_dumps.items():
+            tree = cli._category_tree(gen.ROOT_CATEGORY, paths["links_sql"],
+                                      paths["page_sql"], gen.FILTER_DEPTH)
+            tree.page_ids  # built outside the traced read, as in a worker
+            monkeypatch.setattr(cli, "fork_call", lambda build, jobs, t=tree:
+                                nullcontext(self.TreeNotYet(t)))
+            out = tmp_path / f"{pages}.jsonl"
+            peaks.append(traced_peak(category_argv(paths, out,
+                                                   gen.ROOT_CATEGORY), capsys))
+        assert peaks[1] < 2 * peaks[0], peaks
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_corpus(self, monkeypatch, tmp_path, capsys, scaled_dumps,
+                    n_cpus):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)))
+        peaks = [traced_peak(["corpus", "--in", str(jsonl),
+                              "--out", str(tmp_path / f"{pages}.corpus")],
+                             capsys)
+                 for pages, (_, jsonl) in scaled_dumps.items()]
+        assert peaks[1] < 2 * peaks[0], peaks
 
 
 def write_tiny_corpus(path, lines=("1\tnone\tadd x1 1", "2\tnone\tsin x1")):
@@ -779,8 +898,13 @@ class TestSr:
         ({**LIN, "range": {"x": [1]}}, "range must map variables"),
         ({**LIN, "n_points": -3}, "n_points must be an integer >= 1"),
         ({**LIN, "n_points": 0}, "n_points must be an integer >= 1"),
+        ({**LIN, "library": 5}, "library lists of names"),
+        ({**LIN, "variables": 5}, "library lists of names"),
+        ({**LIN, "expression": 5}, "expression must be a string"),
+        ({**LIN, "range": {"z": [0, 1]}}, "name declared variables only"),
     ], ids=["list", "range-number", "range-one-bound", "negative-points",
-            "no-points"])
+            "no-points", "library-number", "variables-number",
+            "expression-number", "range-undeclared"])
     def test_malformed_spec_field_exit_2(self, tmp_path, capsys, spec,
                                          message):
         path = tmp_path / "spec.json"

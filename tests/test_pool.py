@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mathcorpus.pool import fork_call, fork_server
+from mathcorpus.pool import fork_call, fork_map, fork_server
 from mathcorpus.wiki_extract import SqlSyntax
 
 
@@ -21,6 +21,69 @@ def raise_(exc, after=0.0):
 
 def kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def sleep_then_return(x):
+    time.sleep(0.002 * (x % 4))  # later items may finish first
+    return x
+
+
+def fail_at_3_and_5(x):
+    if x == 3:
+        raise_(ValueError("item 3"), after=0.1)  # after item 5 has failed
+    if x == 5:
+        raise KeyError("item 5")
+    return x
+
+
+class TestForkMap:
+    """``fork_map`` in process at ``jobs=1`` and over two forked workers at
+    ``jobs=2``; never more than 2 workers here."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_come_back_in_item_order(self, jobs):
+        assert list(fork_map(sleep_then_return, range(40), jobs)) \
+            == list(range(40))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_exception_in_item_order_is_raised(self, jobs):
+        got = []
+        with pytest.raises(ValueError, match="item 3"):
+            for x in fork_map(fail_at_3_and_5, range(20), jobs):
+                got.append(x)
+        assert got == [0, 1, 2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_draws_at_most_two_items_per_job_ahead(self, jobs):
+        drawn = []
+
+        def items():
+            for x in range(30):
+                drawn.append(x)
+                yield x
+
+        for consumed, x in enumerate(fork_map(abs, items(), jobs), 1):
+            assert x == consumed - 1
+            assert len(drawn) - consumed <= 2 * jobs
+        assert len(drawn) == 30
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_child_left_after_the_consumer_stops_early(self, jobs):
+        start = time.monotonic()
+        results = fork_map(sleep_then_return, range(1000), jobs)
+        assert next(results) == 0
+        results.close()
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 1  # the rest was not waited for
+
+    @pytest.mark.parametrize("n_items, jobs, same_pid", [
+        (3, 1, True), (1, 2, True), (3, 2, False)])
+    def test_runs_in_process_at_one_job_or_item(self, n_items, jobs,
+                                                same_pid):
+        pids = set(fork_map(pid_of_caller, range(n_items), jobs))
+        assert (pids == {os.getpid()}) == same_pid
 
 
 class TestForkCall:

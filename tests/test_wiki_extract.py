@@ -251,7 +251,7 @@ class TestCategoryTree:
         assert tree.nodes["A"].depth == 0
         assert tree.nodes["B"].depth == 1
         assert tree.nodes["B"].subcategories == []  # A not re-added
-        assert tree.all_page_ids() == {100, 200}
+        assert tree.page_ids == {100, 200}
 
     def test_max_depth_zero(self):
         links, pages = category_fixture()
