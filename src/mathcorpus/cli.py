@@ -163,7 +163,7 @@ def cmd_extract(args):
 CORPUS_CHUNK_LINES = 1000  # lines per task: small, so workers finish together
 
 
-def _encode_lines(chunk, path, lib, policy, max_vars):
+def _encode_lines(chunk, path, lib, policy):
     """(page_id, encoded pieces) for each record of one chunk of JSONL
     lines, in order; a record whose LaTeX does not parse is one dropped
     piece.  Runs in a forked worker when there is a pool, so the trees
@@ -184,7 +184,7 @@ def _encode_lines(chunk, path, lib, policy, max_vars):
                              f"an integer page_id and a string latex")
         try:
             pieces = corpus_mod.encode_trees(parse_latex(rec["latex"]).trees,
-                                             lib, policy, max_vars)
+                                             lib, policy)
         except LatexError:
             pieces = [corpus_mod.DROPPED]
         out.append((rec["page_id"], pieces))
@@ -192,11 +192,9 @@ def _encode_lines(chunk, path, lib, policy, max_vars):
 
 
 def cmd_corpus(args):
-    if args.max_vars < 1:
-        raise UsageError("--max-vars must be >= 1")
     lib = _library_by_name(args.library)
     encode = partial(_encode_lines, path=args.infile, lib=lib,
-                     policy=args.policy, max_vars=args.max_vars)
+                     policy=args.policy)
     with open(args.infile, encoding="utf-8") as f:
         # an unwritable output fails before the build, not after it, and
         # the check leaves no file behind
@@ -427,7 +425,6 @@ def build_parser():
     pc.add_argument("--library", default="std2")
     pc.add_argument("--policy", default="replace_and_split",
                     choices=corpus_mod.POLICIES)
-    pc.add_argument("--max-vars", type=int, default=2)
     pc.add_argument("--config")
     pc.set_defaults(handler=cmd_corpus, sub_parser=pc)
 

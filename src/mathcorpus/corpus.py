@@ -90,10 +90,10 @@ def split_fragments(tree):
     return out
 
 
-def _encode(tree, lib, max_vars):
+def _encode(tree, lib):
     """Library indices of the tree in pre-order, its variables renamed
-    x1..xk in order of first appearance; None when more than max_vars
-    distinct variables occur or a token is not in the library."""
+    x1..xk in order of first appearance; None when a token is not in the
+    library, a variable beyond the library's ones among them."""
     renamed, seq = {}, []
 
     def visit(n):
@@ -108,13 +108,13 @@ def _encode(tree, lib, max_vars):
         visit(tree)
     except ExprError:  # a token outside the library
         return None
-    return Traversal(seq) if len(renamed) <= max_vars else None
+    return Traversal(seq)
 
 
 DROPPED = (None, "none")  # an encoded piece that makes no sample
 
 
-def encode_trees(trees, lib, policy, max_vars):
+def encode_trees(trees, lib, policy):
     """(seq, augmentation) for each piece the policy makes of one parse
     outcome's trees, in order: seq is the piece's library indices, or None
     for a dropped piece.  A tree too deep for the recursive walks ends its
@@ -136,7 +136,7 @@ def encode_trees(trees, lib, policy, max_vars):
                 first, *rest = augment_split(tree, placeholder)
                 pieces = [(first, "replaced")] + [(f, "split") for f in rest]
             for piece, augmentation in pieces:
-                trav = _encode(piece, lib, max_vars)
+                trav = _encode(piece, lib)
                 out.append(DROPPED if trav is None
                            else (trav.seq, augmentation))
         except RecursionError:
@@ -170,15 +170,13 @@ def collect_samples(encoded, lib):
     return samples, stats
 
 
-def build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
+def build_corpus(parsed, lib, policy="replace_and_split"):
     """Turn (page_id, ParseOutcome) pairs into a deduplicated sample list
     plus statistics.  Per-sample failures are dropped, never raised."""
     if policy not in POLICIES:
         raise ValueError(f"policy must be one of {POLICIES}")
-    if max_vars < 1:
-        raise ValueError("max_vars must be >= 1")
     return collect_samples(
-        ((page_id, encode_trees(outcome.trees, lib, policy, max_vars))
+        ((page_id, encode_trees(outcome.trees, lib, policy))
          for page_id, outcome in parsed), lib)
 
 

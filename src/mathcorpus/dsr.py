@@ -30,7 +30,7 @@ from .expr_core import (
     render_infix,
     traversal_to_tree,
 )
-from .latex_parser import LatexError, normalize, parse_plain
+from .latex_parser import LatexError, normalize, parse_latex
 from .pool import fork_map
 from .recurrent import Adam, GRUReadout, draw, log_softmax, softmax
 
@@ -377,7 +377,7 @@ class BenchmarkSpec:
                 raise DsrError(f"library token {name!r} is not an operator, "
                                f"a declared variable or a numeric constant")
         try:
-            tree = self.target_tree(self.library())
+            tree = self.target_tree()
         except LatexError as e:
             raise DsrError(f"target {self.expression!r} does not parse: {e}")
         for tok in (n.root for n in tree.iter_nodes()):
@@ -391,15 +391,23 @@ class BenchmarkSpec:
                         for name in self.library_tokens],
                        name=f"bench:{self.name}")
 
-    def target_tree(self, lib):
-        return parse_plain(self.expression, lib)
+    def target_tree(self):
+        """The one tree of the LaTeX target; a relation or a construct
+        outside the grammar is a LatexError."""
+        out = parse_latex(self.expression)
+        if out.unsupported:
+            raise LatexError(f"unsupported {out.unsupported[0][0]!r}",
+                             out.unsupported[0][1])
+        if len(out.trees) != 1:
+            raise LatexError(f"{len(out.trees)} expressions, not one")
+        return out.trees[0]
 
     def dataset(self, rng):
         X = {}
         for v in self.variables:
             lo, hi = self.ranges.get(v, (-1.0, 1.0))
             X[v] = rng.uniform(lo, hi, self.n_points)
-        tree = self.target_tree(self.library())
+        tree = self.target_tree()
         y, ok = evaluate_batch(tree, X)
         if not ok:
             raise DsrError(f"target {self.expression!r} invalid on sampled points")
@@ -410,7 +418,7 @@ _BASE_OPS = ["add", "sub", "mul", "div", "sin", "cos", "exp", "log"]
 
 
 def builtin_benchmarks():
-    """The twelve benchmark targets of the evaluation table."""
+    """The twelve benchmark targets of the evaluation table, in LaTeX."""
     def spec(name, expr, variables, ranges=None, extra=(), n_points=20):
         return BenchmarkSpec(
             name=name, expression=expr, variables=list(variables),
@@ -425,19 +433,19 @@ def builtin_benchmarks():
             spec("nguyen-2", "x^4 + x^3 + x^2 + x", "x"),
             spec("nguyen-3", "x^5 + x^4 + x^3 + x^2 + x", "x"),
             spec("nguyen-4", "x^6 + x^5 + x^4 + x^3 + x^2 + x", "x"),
-            spec("nguyen-5", "sin(x^2) * cos(x) - 1", "x"),
-            spec("nguyen-6", "sin(x) + sin(x + x^2)", "x"),
-            spec("nguyen-7", "log(x + 1) + log(x^2 + 1)", "x",
+            spec("nguyen-5", r"\sin(x^2) \cos(x) - 1", "x"),
+            spec("nguyen-6", r"\sin(x) + \sin(x + x^2)", "x"),
+            spec("nguyen-7", r"\log(x + 1) + \log(x^2 + 1)", "x",
                  ranges={"x": (0.0, 2.0)}),
-            spec("nguyen-8", "sqrt(x)", "x", ranges={"x": (0.0, 4.0)},
+            spec("nguyen-8", r"\sqrt{x}", "x", ranges={"x": (0.0, 4.0)},
                  extra=["sqrt"]),
-            spec("nguyen-9", "sin(x) + sin(y^2)", "xy",
+            spec("nguyen-9", r"\sin(x) + \sin(y^2)", "xy",
                  ranges={"x": (0.0, 1.0), "y": (0.0, 1.0)}),
-            spec("nguyen-10", "2 * sin(x) * cos(y)", "xy",
+            spec("nguyen-10", r"2 \sin(x) \cos(y)", "xy",
                  ranges={"x": (0.0, 1.0), "y": (0.0, 1.0)}),
             spec("nguyen-11", "x^y", "xy",
                  ranges={"x": (0.0, 1.0), "y": (0.0, 1.0)}),
-            spec("nguyen-12", "x^4 - x^3 + 1/2 * y^2 - y", "xy",
+            spec("nguyen-12", r"x^4 - x^3 + \frac{1}{2} y^2 - y", "xy",
                  extra=["pow", "1", "2"]),
         ]
     }
@@ -455,8 +463,7 @@ class RunMetrics:
 def recovered(candidate, spec, grid_points=1000):
     """Exact-recovery test: canonical structural match, with a dense-grid
     numeric fallback for algebraically equal forms."""
-    lib = spec.library()
-    target = normalize(spec.target_tree(lib))
+    target = spec.target_tree()
     cand = normalize(candidate)
     if cand == target:
         return True

@@ -1,4 +1,5 @@
-"""LaTeX math (practical subset) and plain-math parsing into expression trees.
+"""LaTeX math (practical subset) parsing into expression trees, and the
+reader of ``render_infix``'s text.
 
 The LaTeX grammar covers arithmetic, \\frac, \\sqrt[n], powers, implicit
 multiplication, the usual elementary functions, Greek/decorated variables,
@@ -478,131 +479,65 @@ def normalize(tree):
 
 
 # ---------------------------------------------------------------------------
-# Plain-math grammar (the render_infix output language; also used for
-# benchmark target expressions).
+# The reader of render_infix's output, the metrics CSV's best_expression.
 
-_PLAIN_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
-)
-
-
-def _plain_lex(text):
-    """The tokens of ``text``, then an end-of-input token at len(text)."""
-    out, i = [], 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _PLAIN_TOKEN_RE.match(text, i)
-        if not m or m.start() != i:
-            raise PlainSyntaxError("unexpected character", i)
-        if m.group("num"):
-            out.append(("num", m.group("num"), i))
-        elif m.group("name"):
-            out.append(("name", m.group("name"), i))
-        else:
-            out.append(("op", m.group("op"), i))
-        i = m.end()
-    return out + [("end", None, len(text))]
-
-
-class _PlainParser:
-    def __init__(self, tokens, lib):
-        self.toks = tokens
-        self.lib = lib
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def expect_op(self, op):
-        kind, val, off = self.peek()
-        if kind != "op" or val != op:
-            raise PlainSyntaxError(f"expected {op!r}", off)
-        self.pos += 1
-
-    def expr(self):
-        left = self.term()
-        while (tk := self.peek())[0] == "op" and tk[1] in "+-":
-            self.pos += 1
-            right = self.term()
-            left = node(T_ADD if tk[1] == "+" else T_SUB, left, right)
-        return left
-
-    def term(self):
-        left = self.factor()
-        while (tk := self.peek())[0] == "op" and tk[1] in "*/":
-            self.pos += 1
-            right = self.factor()
-            left = node(T_MUL if tk[1] == "*" else T_DIV, left, right)
-        return left
-
-    def factor(self):
-        if self.peek()[:2] == ("op", "-"):
-            self.pos += 1
-            return node(T_NEG, self.factor())
-        return self.poweret()
-
-    def poweret(self):
-        base = self.primary()
-        if self.peek()[:2] == ("op", "^"):
-            self.pos += 1
-            return node(T_POW, base, self.factor())
-        return base
-
-    def primary(self):
-        kind, val, off = self.peek()
-        if kind == "end":
-            raise PlainSyntaxError("unexpected end of input", off)
-        if kind == "num":
-            self.pos += 1
-            return node(constant_token(val))
-        if kind == "op" and val == "(":
-            self.pos += 1
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        if kind == "name":
-            self.pos += 1
-            if self.peek()[:2] == ("op", "("):
-                self.pos += 1
-                args = [self.expr()]
-                while self.peek()[:2] == ("op", ","):
-                    self.pos += 1
-                    args.append(self.expr())
-                self.expect_op(")")
-                return self._call(val, args, off)
-            if self.lib is not None and val in self.lib:
-                tok = self.lib.get(val)
-                if tok.arity != 0:
-                    raise PlainSyntaxError(f"{val} needs arguments", off)
-                return node(tok)
-            return node(variable_token(val))
-        raise PlainSyntaxError(f"unexpected {val!r}", off)
-
-    def _call(self, name, args, off):
-        if self.lib is not None and name in self.lib:
-            tok = self.lib.get(name)
-        elif name in OPS:
-            tok = OPS[name].token
-        else:
-            tok = _FUNCTIONS.get(name)
-        if tok is None:
-            raise PlainSyntaxError(f"unknown function {name!r}", off)
-        if tok.arity != len(args):
-            raise PlainSyntaxError(
-                f"{name} takes {tok.arity} argument(s), got {len(args)}", off)
-        return ExprTree(tok, args)
+_RENDERED_RE = re.compile(r"\s*(?:(?P<name>\d+(?:\.\d+)?|[A-Za-z_]\w*)"
+                          r"|(?P<sym>[-+*/^()])|(?P<bad>\S))")
+_INFIX = {op.infix: op.token for op in OPS.values() if op.infix}
 
 
 def parse_plain(text, lib=None):
-    """Parse the plain infix grammar produced by render_infix; normalized."""
-    tokens = _plain_lex(text)
-    if len(tokens) == 1:
+    """Read back render_infix's text: ``(a op b)``, ``(-a)``, ``f(a)`` and
+    terminals, the parentheses round the whole optional; normalized.  A
+    terminal is ``lib``'s token of that name, else a constant if it is a
+    number and a variable if not."""
+    toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+            for m in _RENDERED_RE.finditer(text)] + [("end", None, len(text))]
+    if len(toks) == 1:
         raise EmptyInput("empty input")
-    p = _PlainParser(tokens, lib)
-    tree = p.expr()
-    if p.peek()[0] != "end":
-        raise PlainSyntaxError("trailing input", p.peek()[2])
+    pos = 0
+
+    def take(expected=None):
+        nonlocal pos
+        kind, value, offset = toks[pos]
+        if kind in ("end", "bad") or expected not in (None, value):
+            what = "end of input" if kind == "end" else repr(value)
+            raise PlainSyntaxError(f"unexpected {what}", offset)
+        pos += 1
+        return kind, value, offset
+
+    def operand():
+        kind, value, offset = take()
+        if value == "-":
+            return node(T_NEG, operand())
+        if value == "(":
+            tree = expr()
+            take(")")
+            return tree
+        if kind != "name":
+            raise PlainSyntaxError(f"unexpected {value!r}", offset)
+        if toks[pos][1] == "(":  # f(a)
+            op = OPS.get(value)
+            if op is None or op.token.arity != 1:
+                raise PlainSyntaxError(f"unknown function {value!r}", offset)
+            return node(op.token, operand())
+        if lib is not None and value in lib:
+            tok = lib.get(value)
+        else:
+            tok = (constant_token if value[0].isdigit() else variable_token)(value)
+        if tok.arity:
+            raise PlainSyntaxError(f"{value} needs an argument", offset)
+        return node(tok)
+
+    def expr():
+        nonlocal pos
+        left = operand()
+        if (op := _INFIX.get(toks[pos][1])) is None:
+            return left
+        pos += 1
+        return node(op, left, operand())
+
+    tree = expr()
+    if toks[pos][0] != "end":
+        raise PlainSyntaxError("trailing input", toks[pos][2])
     return normalize(tree)

@@ -21,6 +21,7 @@ from itertools import chain
 
 import numpy as np
 
+from .expr_core import VARIABLE
 from .pool import fork_server, usable_cpus
 from .recurrent import GRUReadout, MomentumSGD, log_softmax, softmax
 
@@ -261,7 +262,32 @@ def save(model, path):
             f.write(arr.tobytes())
 
 
+def _aligned(model, lib):
+    """The model cut down to ``lib``'s tokens, in ``lib``'s order.  Each
+    token reads the model's token of its name; a variable without one reads
+    the model's x{k}, k its place among ``lib``'s variables.  The other
+    model tokens fall out of the read-out, so the softmax renormalises over
+    ``lib``."""
+    names = model.vocab_names
+    variables = [t.name for t in lib if t.kind == VARIABLE]
+    cols = []
+    for tok in lib:
+        name = tok.name
+        if name not in names and tok.kind == VARIABLE:
+            name = f"x{variables.index(name) + 1}"
+        if name not in names:
+            raise VocabAlignmentError(
+                f"library token {tok.name!r} has no counterpart in the "
+                f"weight vocabulary {names}")
+        cols.append(names.index(name))
+    model.E = model.E[cols + [model.bos]]
+    model.W_out, model.b_out = model.W_out[:, cols], model.b_out[cols]
+    model.vocab_names = [t.name for t in lib]
+    return model
+
+
 def load(path, lib=None):
+    """The saved model; with ``lib``, cut down to it (``_aligned``)."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != MAGIC:
@@ -270,13 +296,7 @@ def load(path, lib=None):
         header = json.loads(f.read(hlen).decode("utf-8"))
         if header.get("version") != FORMAT_VERSION:
             raise FormatVersion(f"unsupported version {header.get('version')}")
-        vocab = header["vocab"]
-        if lib is not None:
-            lib_names = [t.name for t in lib]
-            if lib_names != vocab:
-                raise VocabAlignmentError(
-                    f"weight vocabulary {vocab} does not match library {lib_names}")
-        model = MLMModel(vocab, header["d_emb"], header["H"],
+        model = MLMModel(header["vocab"], header["d_emb"], header["H"],
                          np.random.default_rng(0))
         params = model.params()
         for name in _ARRAY_ORDER:
@@ -285,4 +305,4 @@ def load(path, lib=None):
             if len(data) != arr.size * 8:
                 raise FormatVersion("truncated weight file")
             arr[...] = np.frombuffer(data, dtype="<f8").reshape(arr.shape)
-    return model
+    return model if lib is None else _aligned(model, lib)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import multiprocessing
@@ -209,11 +210,12 @@ class TestCorpus:
         assert code == 2
         assert f"{jsonl}, line 3:" in capsys.readouterr().err
 
-    def test_max_vars_zero_rejected_before_reading(self, tmp_path, capsys):
+    def test_max_vars_flag_is_gone(self, tmp_path, capsys):
+        # the library's variable count is the limit
         code = main(["corpus", "--in", str(tmp_path / "absent.jsonl"),
                      "--out", str(tmp_path / "c.corpus"), "--max-vars", "0"])
         assert code == 2
-        assert "--max-vars" in capsys.readouterr().err
+        assert "unrecognized arguments: --max-vars" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["std-1", "std+3", "std 2", "std0"])
     def test_bad_library_name_rejected_before_reading(self, tmp_path, capsys,
@@ -916,6 +918,32 @@ class TestSr:
         assert err.startswith(f"error: {path}: ") and message in err
 
 
+class TestPipeline:
+    def test_sr_with_a_cli_trained_prior(self, tmp_path, capsys):
+        """extract -> corpus -> mlm-train -> sr --with-mlm on a generated
+        dump: the std2 model is cut down to each benchmark's library."""
+        paths, _ = perfbench_gen().write_dump(tmp_path, 1, 300)
+        exprs, corpus = tmp_path / "exprs.jsonl", tmp_path / "math.corpus"
+        prior = tmp_path / "math.mlm"
+        for argv in (["extract", "--dump", str(paths["dump"]),
+                      "--out", str(exprs)],
+                     ["corpus", "--in", str(exprs), "--out", str(corpus)],
+                     ["mlm-train", "--corpus", str(corpus), "--out",
+                      str(prior), "--hidden", "8", "--emb", "4",
+                      "--epochs", "2"]):
+            assert main(argv) == 0
+        for bench in ("nguyen-1", "nguyen-8", "nguyen-12"):
+            out = tmp_path / f"{bench}.csv"
+            assert main(["sr", "--benchmark", bench, "--with-mlm", str(prior),
+                         "--lambda", "0", "0.5", "--runs", "1",
+                         "--max-steps", "2", "--batch-size", "30",
+                         "--out", str(out)]) == 0
+            rows = list(csv.DictReader(out.open()))
+            assert [(r["lambda"], r["with_mlm"]) for r in rows] == [
+                ("0.0", "1"), ("0.5", "1")]
+        assert capsys.readouterr().err == ""
+
+
 class TestJobs:
     """``sr`` shares its runs among the usable CPUs, one or two here."""
 
@@ -955,8 +983,9 @@ class TestJobs:
     @pytest.mark.parametrize("expression, message", [
         ("x + z", "undeclared variable 'z'"),
         ("x +", "does not parse"),
-        ("log(x)", "invalid on sampled points"),  # per run, in the workers
-    ], ids=["undeclared", "unparsable", "invalid-on-points"])
+        ("x = x^2", "does not parse"),
+        (r"\log(x)", "invalid on sampled points"),  # per run, in the workers
+    ], ids=["undeclared", "unparsable", "relation", "invalid-on-points"])
     def test_bad_spec_target_exit_2(self, monkeypatch, tmp_path, capsys,
                                     expression, message):
         spec = tmp_path / "spec.json"

@@ -147,9 +147,12 @@ class TestCanonicalize:
         assert sa == sb and len(sa) == 1
         assert ta.to_dict() == tb.to_dict()
 
-    def test_max_vars_validation(self, lib):
-        with pytest.raises(ValueError):
-            build_corpus([], lib, max_vars=0)
+    def test_library_variable_count_is_the_limit(self):
+        parsed = [(1, outcome("a + b c"))]
+        for n_vars, n_samples in (1, 0), (2, 0), (3, 1):
+            samples, stats = build_corpus(parsed, default_library(n_vars))
+            assert (stats.n_samples, stats.n_dropped) == (n_samples,
+                                                          1 - n_samples)
 
 
 def outcome(*latex):

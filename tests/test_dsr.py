@@ -33,7 +33,7 @@ from mathcorpus.expr_core import (
     is_complete,
     traversal_to_tree,
 )
-from mathcorpus.latex_parser import parse_plain
+from mathcorpus.latex_parser import parse_latex, parse_plain
 from mathcorpus.recurrent import Adam, log_softmax, softmax
 
 NEG_INF = float("-inf")
@@ -565,7 +565,7 @@ class TestPriorInput:
 
 class TestReward:
     def test_exact_target_reward_one(self, slib):
-        tree = parse_plain("x1^2 + x1", slib)
+        tree = parse_plain("((x1 ^ 2) + x1)", slib)
         X = {"x1": np.linspace(-1, 1, 20)}
         y = X["x1"] ** 2 + X["x1"]
         r, invalid = tree_reward(tree, X, y)
@@ -588,7 +588,7 @@ class TestReward:
     def test_bounds(self, slib, rng):
         X = {"x1": rng.uniform(-1, 1, 20)}
         y = X["x1"] ** 2
-        for expr in ("x1", "x1*3", "sin(x1)", "exp(exp(exp(x1*30)))"):
+        for expr in ("x1", "(x1 * 3)", "sin(x1)", "exp(exp(exp((x1 * 30))))"):
             r, _ = tree_reward(parse_plain(expr, slib), X, y)
             assert 0.0 <= r <= 1.0
 
@@ -798,33 +798,74 @@ class TestBenchmarksAndRecovery:
         specs = builtin_benchmarks()
         assert len(specs) == 12
         for spec in specs.values():
-            lib = spec.library()
-            tree = spec.target_tree(lib)
+            tree = spec.target_tree()
             assert tree.size() >= 1
             X, y = spec.dataset(np.random.default_rng(0))
             assert len(y) == spec.n_points
 
+    PINNED = {
+        "nguyen-1": "add(add(pow(x, 3), pow(x, 2)), x)",
+        "nguyen-2": "add(add(add(pow(x, 4), pow(x, 3)), pow(x, 2)), x)",
+        "nguyen-3": "add(add(add(add(pow(x, 5), pow(x, 4)), pow(x, 3)), "
+                    "pow(x, 2)), x)",
+        "nguyen-4": "add(add(add(add(add(pow(x, 6), pow(x, 5)), pow(x, 4)), "
+                    "pow(x, 3)), pow(x, 2)), x)",
+        "nguyen-5": "sub(mul(sin(pow(x, 2)), cos(x)), 1)",
+        "nguyen-6": "add(sin(x), sin(add(x, pow(x, 2))))",
+        "nguyen-7": "add(log(add(x, 1)), log(add(pow(x, 2), 1)))",
+        "nguyen-8": "sqrt(x)",
+        "nguyen-9": "add(sin(x), sin(pow(y, 2)))",
+        "nguyen-10": "mul(mul(2, sin(x)), cos(y))",
+        "nguyen-11": "pow(x, y)",
+        "nguyen-12": "sub(add(sub(pow(x, 4), pow(x, 3)), "
+                     "mul(div(1, 2), pow(y, 2))), y)",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_builtin_target_is_pinned(self, name):
+        spec = builtin_benchmarks()[name]
+        assert repr(spec.target_tree()) == self.PINNED[name]
+
+    @pytest.mark.parametrize("expression, variables", [
+        ("x_1^2 + x_1", ["x_1"]), (r"\mathrm{x1}^2 + \mathrm{x1}", ["x1"])])
+    def test_spec_variable_with_a_digit(self, expression, variables):
+        spec = BenchmarkSpec(name="t", expression=expression,
+                             variables=variables,
+                             library_tokens=["add", "mul", *variables])
+        assert repr(spec.target_tree()) == f"add(pow({variables[0]}, 2), " \
+                                           f"{variables[0]})"
+
+    def test_spec_variable_x1_reads_as_a_product(self):
+        # LaTeX's x1 is x times 1, so the target reads x, not x1
+        with pytest.raises(dsr.DsrError, match="undeclared variable 'x'"):
+            BenchmarkSpec(name="t", expression="x1^2 + x1", variables=["x1"],
+                          library_tokens=["add", "mul", "x1"])
+
+    @pytest.mark.parametrize("expression", [r"\int x dx", r"x + \infty"])
+    def test_target_must_be_one_supported_expression(self, expression):
+        # a relation is tested through sr --spec in test_cli
+        with pytest.raises(dsr.DsrError, match="does not parse"):
+            BenchmarkSpec(name="t", expression=expression, variables=["x"],
+                          library_tokens=["add", "x"])
+
     def test_recovered_exact_match(self):
         spec = builtin_benchmarks()["nguyen-1"]
-        lib = spec.library()
-        assert recovered(spec.target_tree(lib), spec)
+        assert recovered(spec.target_tree(), spec)
 
     def test_recovered_numeric_fallback(self):
         spec = builtin_benchmarks()["nguyen-1"]
-        lib = spec.library()
         # x*x*x + x*x + x: same function, different structure
-        cand = parse_plain("x*x*x + x*x + x", lib)
+        cand = parse_latex(r"x \cdot x \cdot x + x \cdot x + x").trees[0]
         assert recovered(cand, spec)
 
     def test_recovered_rejects_near_miss(self):
         spec = builtin_benchmarks()["nguyen-1"]
-        lib = spec.library()
-        assert not recovered(parse_plain("x*x*x + x*x", lib), spec)
+        cand = parse_latex(r"x \cdot x \cdot x + x \cdot x").trees[0]
+        assert not recovered(cand, spec)
 
     def test_two_variable_grid(self):
         spec = builtin_benchmarks()["nguyen-9"]
-        lib = spec.library()
-        cand = parse_plain("sin(x) + sin(y*y)", lib)
+        cand = parse_latex(r"\sin(x) + \sin(y y)").trees[0]
         assert recovered(cand, spec, grid_points=50)
 
     def test_run_benchmark_minimal(self):
@@ -871,7 +912,7 @@ class TestParallelRuns:
 
     def test_worker_error_keeps_its_type_and_ends_the_pool(self):
         # log(x) has no value on the negative half of [-1, 1]
-        spec = BenchmarkSpec(name="t", expression="log(x)", variables=["x"],
+        spec = BenchmarkSpec(name="t", expression=r"\log(x)", variables=["x"],
                              library_tokens=["add", "log", "x"])
         config = SRConfig(library=spec.library(), max_steps=1, batch_size=30)
         with pytest.raises(dsr.DsrError, match="invalid on sampled points"):

@@ -26,6 +26,7 @@ from mathcorpus.expr_core import (
     OPERATOR,
     Token,
     VARIABLE,
+    default_library,
     node,
     tree_to_traversal,
 )
@@ -275,7 +276,7 @@ def reference_build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
 
 def foreign_library(lib):
     """The corpus library plus variables it lacks and an operator outside
-    it, so that renaming, the max_vars limit and the vocabulary drop all
+    it, so that renaming, the variable limit and the vocabulary drop all
     occur."""
     return Library(list(lib) + [Token("a", 0, VARIABLE),
                                 Token("b", 0, VARIABLE),
@@ -305,12 +306,14 @@ def test_augment_split_matches_reference(lib, parsed):
                     == reference_augment_split(tree, placeholder))
 
 
-@pytest.mark.parametrize("max_vars", [1, 2, 3])
+@pytest.mark.parametrize("n_vars", [1, 2, 3])
 @pytest.mark.parametrize("policy", POLICIES)
-def test_build_corpus_matches_reference(lib, parsed, policy, max_vars):
-    samples, stats = build_corpus(parsed, lib, policy, max_vars)
+def test_build_corpus_matches_reference(parsed, policy, n_vars):
+    # the library's variable count is the limit the reference applies
+    lib = default_library(n_vars)
+    samples, stats = build_corpus(parsed, lib, policy)
     ref_samples, ref_stats = reference_build_corpus(parsed, lib, policy,
-                                                    max_vars)
+                                                    max_vars=n_vars)
     assert samples == ref_samples
     assert stats.to_dict() == ref_stats.to_dict()
     assert stats.n_dropped > 0 and stats.n_samples > 0

@@ -4,6 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mathcorpus.expr_core import (
+    CONSTANT,
+    OPS,
+    VARIABLE,
+    Library,
+    Token,
     default_library,
     evaluate_batch,
     render_infix,
@@ -128,6 +133,20 @@ class TestParseLatex:
         assert shape(parse_latex("-x").trees[0]) == "neg(x)"
         assert shape(parse_latex("--x").trees[0]) == "x"
 
+    def test_precedence(self):
+        # ^ binds tightest, then the sign, then products, then sums
+        assert shape(parse_latex("2 x^3").trees[0]) == "mul(2,pow(x,3))"
+        assert shape(parse_latex("x^{2^3}").trees[0]) == "pow(x,pow(2,3))"
+        assert shape(parse_latex("-x + 1").trees[0]) == "add(neg(x),1)"
+        assert shape(parse_latex("-x^2").trees[0]) == "neg(pow(x,2))"
+
+    def test_digit_after_a_letter_is_a_product(self):
+        # so a variable named x1 is written x_1 or \mathrm{x1}
+        assert shape(parse_latex("x1").trees[0]) == "x"
+        assert shape(parse_latex("x1^2").trees[0]) == "mul(x,pow(1,2))"
+        assert shape(parse_latex("x_1^2").trees[0]) == "pow(x_1,2)"
+        assert shape(parse_latex(r"\mathrm{x1}^2").trees[0]) == "pow(x1,2)"
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             parse_latex("   ")
@@ -157,8 +176,8 @@ class TestNormalize:
 
     def test_left_fold(self):
         lib = default_library(n_vars=2)
-        a = normalize(parse_plain("add(x1, add(x2, 1))", lib))
-        b = normalize(parse_plain("add(add(x1, x2), 1)", lib))
+        a = normalize(parse_plain("(x1 + (x2 + 1))", lib))
+        b = normalize(parse_plain("((x1 + x2) + 1)", lib))
         assert tree_to_traversal(a, lib).seq == tree_to_traversal(b, lib).seq
 
     def test_idempotent_on_random_trees(self, rng):
@@ -174,24 +193,32 @@ class TestParsePlain:
         assert shape(parse_plain("(x + 1)")) == "add(x,1)"
 
     def test_precedence(self):
-        # ^ binds tightest and right-assoc; unary minus above mul
-        assert shape(parse_plain("2 * x ^ 3")) == "mul(2,pow(x,3))"
-        assert shape(parse_plain("x ^ 2 ^ 3")) == "pow(x,pow(2,3))"
+        # render_infix parenthesises every operation but the outermost, so
+        # the parentheses give the tree and there is no precedence to guess
+        assert shape(parse_plain("(2 * (x ^ 3))")) == "mul(2,pow(x,3))"
+        assert shape(parse_plain("(x ^ (2 ^ 3))")) == "pow(x,pow(2,3))"
+        assert shape(parse_plain("((-x) + 1)")) == "add(neg(x),1)"
         assert shape(parse_plain("-x + 1")) == "add(neg(x),1)"
+        for text in ("2 * x ^ 3", "x ^ 2 ^ 3", "x + y + 1"):
+            with pytest.raises(PlainSyntaxError):
+                parse_plain(text)
 
     def test_benchmark_value(self):
-        tree = parse_plain("x^4 - x^3 + 1/2 * y^2 - y")
+        tree = parse_plain("((((x ^ 4) - (x ^ 3)) + ((1 / 2) * (y ^ 2))) - y)")
         values, ok = evaluate_batch(tree, {"x": [1.0], "y": [1.0]})
         assert ok is True and values.tolist() == [-0.5]
 
     def test_benchmark_trig(self):
-        tree = parse_plain("sin(x^2) * cos(x) - 1")
+        tree = parse_plain("((sin((x ^ 2)) * cos(x)) - 1)")
         assert shape(tree) == "sub(mul(sin(pow(x,2)),cos(x)),1)"
 
     def test_function_calls(self):
         assert shape(parse_plain("sqrt(x)")) == "sqrt(x)"
-        assert shape(parse_plain("pow(x, 2)")) == "pow(x,2)"
-        assert shape(parse_plain("ln(x)")) == "log(x)"
+        assert shape(parse_plain("log((x + 1))")) == "log(add(x,1))"
+        # render_infix writes pow infix and log by its own name
+        for text in ("pow(x, 2)", "ln(x)", "add(x)"):
+            with pytest.raises(PlainSyntaxError, match="unknown function"):
+                parse_plain(text)
 
     def test_errors(self):
         with pytest.raises(EmptyInput):
@@ -219,11 +246,15 @@ class TestParsePlain:
         assert tree.children[0].root is lib.get("x1")
 
     def test_render_roundtrip_random(self, rng):
-        lib = default_library(n_vars=2)
-        for _ in range(300):
+        # every operator, single- and multi-letter variables, and integer,
+        # decimal and named constants
+        lib = Library([op.token for op in OPS.values()]
+                      + [Token(name, 0, VARIABLE) for name in ("x", "y", "x1")]
+                      + [Token(name, 0, CONSTANT)
+                         for name in ("0", "1", "2", "3", "pi", "0.5")])
+        for _ in range(3000):
             t = normalize(random_tree(lib, rng, max_depth=6))
-            back = parse_plain(render_infix(t), lib)
-            assert tree_to_traversal(back, lib).seq == tree_to_traversal(t, lib).seq
+            assert parse_plain(render_infix(t), lib) == t
 
 
 class TestFuzz:

@@ -522,6 +522,28 @@ class TestSaveLoad:
         with pytest.raises(mlm.VocabAlignmentError):
             mlm.load(path, default_library(n_vars=2))
 
+    def test_load_cuts_the_model_to_the_library(self, tmp_path, rng):
+        model = mlm.init(default_library(n_vars=2), 4, 6, seed=0)
+        model.W_out += rng.normal(size=model.W_out.shape)
+        model.b_out += rng.normal(size=model.b_out.shape)
+        path = tmp_path / "m.mlm"
+        mlm.save(model, path)
+        # x reads the model's x1 and y its x2, by their place
+        lib = Library([Token("x", 0, VARIABLE), Token("sin", 1, OPERATOR),
+                       Token("y", 0, VARIABLE), Token("2", 0, CONSTANT)])
+        cut = mlm.load(path, lib)
+        assert cut.vocab_names == ["x", "sin", "y", "2"]
+        cols = [model.vocab_names.index(n) for n in ("x1", "sin", "x2", "2")]
+        # the same inputs, BOS included, give the model's logits at the
+        # library's columns
+        h, h_cut = model.initial_state(2), cut.initial_state(2)
+        for full, mine in (([model.bos] * 2, [cut.bos] * 2),
+                           ([cols[1], cols[3]], [1, 3])):
+            logits, h = model.step_batch(full, h)
+            l_cut, h_cut = cut.step_batch(mine, h_cut)
+            np.testing.assert_allclose(l_cut, logits[:, cols], rtol=1e-12)
+            assert np.array_equal(h_cut, h)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.mlm"
         path.write_bytes(b"NOPE" + b"\0" * 16)
