@@ -22,6 +22,10 @@ from itertools import count, groupby, islice
 from json.encoder import encode_basestring
 from operator import attrgetter
 
+# one BLAS thread unless set, before numpy loads: each worker starts its own
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from . import corpus as corpus_mod
 from . import dsr, mlm, wiki_extract
 from .expr_core import default_library

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, replace as dc_replace
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -75,13 +76,14 @@ class SRConfig:
 class _SlotState:
     """Pre-order slot bookkeeping for B sequences at once, in arrays.
 
-    Row b's open operators form a stack in columns [1, depth[b]] of tok
-    (library index), rem (children still to fill) and last (root of the
-    most recently completed child, -1 for none); column 0 stands for the
-    empty stack, with no parent and no sibling.  n is the length so far,
-    open the dangling slot count d_k, trig the trig operators among the
-    open ancestors.  The constraint masks of every key ``mask`` reads are
-    tabulated once per state.
+    Row b's open slots form a stack, the next to fill on top, in columns
+    [1, open[b]] of par (the parent's library index), sib (the sibling's,
+    -1 until drawn), trig (the trig operators among the slot's ancestors)
+    and more (the parent's next child's slot lies just below), (B, width)
+    arrays stored flat from base[b]; column 0 is a finished row's empty
+    stack, with no parent and no sibling.  n is the length so far and open
+    the dangling slot count d_k.  The constraint masks of every key
+    ``mask`` reads are tabulated once per state.
     """
 
     def __init__(self, lib, B, max_len):
@@ -103,52 +105,41 @@ class _SlotState:
                 masked[..., lib.index[op.inverse]] |= parent[..., 0] == i + 1
         self.table = np.where(masked, NEG_INF, 0.0)
         self.infeasible = masked.all(axis=-1)
+        self.children = np.arange(self.arities.max())
+        # up to 1 + n * (max arity - 1) slots, plus a push's max-arity writes
+        width = 2 + max_len * max(len(self.children) - 1, 0)
         self.seq = np.zeros((B, max_len), dtype=np.int64)
-        self.tok = np.full((B, max_len + 1), -1, dtype=np.int64)
-        self.rem = np.zeros((B, max_len + 1), dtype=np.int64)
-        self.last = np.full((B, max_len + 1), -1, dtype=np.int64)
-        self.depth = np.zeros(B, dtype=np.int64)
+        self.base = np.arange(B) * width
+        self.par = np.full(B * width, -1, dtype=np.int64)
+        self.sib = np.full(B * width, -1, dtype=np.int64)
+        self.trig = np.zeros(B * width, dtype=np.int64)
+        self.more = np.zeros(B * width, dtype=bool)
         self.n = np.zeros(B, dtype=np.int64)
         self.open = np.ones(B, dtype=np.int64)
-        self.trig = np.zeros(B, dtype=np.int64)
-        self.done = np.zeros(B, dtype=bool)
 
-    def parent_sibling(self, rows):
-        """Parent and sibling of each row's next slot; -1 for empty."""
-        top = self.depth[rows]
-        return self.tok[rows, top], self.last[rows, top]
+    def slot(self, rows):
+        """Parent, sibling (-1 for none) and trig ancestor count of each
+        row's next slot; -1, -1 and 0 on a finished row."""
+        top = self.base[rows] + self.open[rows]
+        return self.par[top], self.sib[top], self.trig[top]
 
     def push(self, rows, picks):
-        """Append picks[i] to row rows[i]; rows must be distinct."""
-        if self.done[rows].any():
+        """Append picks[i] to row rows[i]; rows must be distinct.  A pick
+        pops its slot and pushes one slot per child, the first on top."""
+        depth = self.open[rows]
+        if not depth.all():
             raise CompleteTraversal("expression already complete")
-        ar = self.arities[picks]
         self.seq[rows, self.n[rows]] = picks
         self.n[rows] += 1
-        self.open[rows] += ar - 1
-        is_op = ar > 0
-        r, p = rows[is_op], picks[is_op]
-        self.depth[r] += 1
-        top = self.depth[r]
-        self.tok[r, top] = p
-        self.rem[r, top] = ar[is_op]
-        self.last[r, top] = -1
-        self.trig[r] += self.is_trig[p]
-        # a terminal completes a subtree: close the operators it finishes,
-        # one tree level per pass
-        r, root = rows[~is_op], picks[~is_op]
-        while r.size:
-            empty = self.depth[r] == 0
-            self.done[r[empty]] = True
-            r, root = r[~empty], root[~empty]
-            top = self.depth[r]
-            self.rem[r, top] -= 1
-            self.last[r, top] = root
-            closed = self.rem[r, top] == 0
-            r, top = r[closed], top[closed]
-            root = self.tok[r, top]
-            self.trig[r] -= self.is_trig[root]
-            self.depth[r] -= 1
+        top = self.base[rows] + depth
+        first = self.more[top]  # the pick is its next child's sibling
+        self.sib[top[first] - 1] = picks[first]
+        kids = top[:, None] + self.children
+        self.par[kids] = picks[:, None]
+        self.sib[kids] = -1
+        self.trig[kids] = (self.trig[top] + self.is_trig[picks])[:, None]
+        self.more[kids] = self.children > 0
+        self.open[rows] = depth + self.arities[picks] - 1
 
     def mask(self, n, d, trig, parent, min_length, max_length):
         """Constraint logits, 0 or -inf, of rows at length n with d open
@@ -189,40 +180,53 @@ class Controller(GRUReadout):
 def sample_batch(controller, mlm_model, config, rng, record=None):
     """Vectorized draw of config.batch_size COMPLETE traversals.
 
-    Steps the policy for all sequences at once: controller logits, plus
-    lambda times the prior's, plus the constraint mask, all read from one
-    slot state.  The prior reads the token drawn last (BOS first), as in
-    its training, so its share is the prior's own sequence log-probability.
-    A finished row keeps its lane and sees the controller inputs of an
-    empty prefix, but its draws are discarded.  When ``record`` is a list,
-    each step appends what training reads back: the controller inputs
-    (parent, sibling), the constraint mask and the prior's unscaled logits
-    (None without a prior), each with one row per sequence.
+    Steps the policy for all unfinished sequences at once: controller
+    logits, plus lambda times the prior's, plus the constraint mask, all
+    read from one slot state.  The prior reads the token drawn last (BOS
+    first), as in its training, so its share is the prior's own sequence
+    log-probability.  The recurrent states drop the finished rows once they
+    are an eighth of those stepped; until then those rows are stepped with
+    the inputs of an empty prefix and their logits discarded.  When
+    ``record`` is a list, each step appends what training reads back, for
+    the unfinished rows only: their batch rows (ascending), controller
+    inputs (parent, sibling), constraint masks and the prior's unscaled
+    logits (None without a prior).
     """
     B = config.batch_size
     st = _SlotState(config.library, B, MAX_LENGTH)
-    rows = np.arange(B)
+    rows = np.arange(B)  # the rows stepped, the unfinished ones among them
     h = controller.initial_state(B)
     l_mlm = None
     if mlm_model is not None:
         h_mlm = mlm_model.initial_state(B)
         prev = np.full(B, mlm_model.bos, dtype=np.int64)
     for _ in range(MAX_LENGTH):
-        live = ~st.done
+        live = st.open[rows] > 0
         if not live.any():
             break
-        parent, sibling = st.parent_sibling(rows)  # -1 on finished rows
-        masks = st.mask(np.where(live, st.n, 0), np.where(live, st.open, 1),
-                        st.trig, parent, MIN_LENGTH, MAX_LENGTH)
+        if len(rows) > 2 and 8 * np.count_nonzero(~live) >= len(rows):
+            # never one row alone: numpy steps it with gemv, which rounds
+            # unlike gemm, so one finished row stays beside it
+            keep = live.copy()
+            keep[np.argmin(live)] |= np.count_nonzero(live) == 1
+            rows, h, live = rows[keep], h[keep], live[keep]
+            if mlm_model is not None:
+                h_mlm, prev = h_mlm[keep], prev[keep]
+        parent, sibling, trig = st.slot(rows)
         logits, h, _ = controller.forward(
             controller.input_batch(parent, sibling), h)
         if mlm_model is not None:
             l_mlm, h_mlm = mlm_model.step_batch(prev, h_mlm)
             logits = logits + config.lam * l_mlm
+            l_mlm = l_mlm[live]
+        u = rng.random(B)
+        r, parent, sibling = rows[live], parent[live], sibling[live]
+        masks = st.mask(st.n[r], st.open[r], trig[live], parent, MIN_LENGTH,
+                        MAX_LENGTH)
         if record is not None:
-            record.append((parent, sibling, masks, l_mlm))
-        picks = draw(softmax(logits + masks, axis=1), rng.random(B))[live]
-        st.push(rows[live], picks)
+            record.append((r, parent, sibling, masks, l_mlm))
+        picks = draw(softmax(logits[live] + masks, axis=1), u[r])
+        st.push(r, picks)
         if mlm_model is not None:
             prev[live] = picks
     return [Traversal(s[:k]) for s, k in zip(st.seq.tolist(), st.n)]
@@ -263,43 +267,58 @@ def reward(tokens, X, y, sd):
 def _padded(traversals):
     """The traversals as a (k, T) index matrix padded with token 0, and
     their lengths."""
-    lengths = np.array([len(t.seq) for t in traversals])
-    T = int(lengths.max())
-    return (np.array([t.seq + (0,) * (T - len(t.seq)) for t in traversals]),
-            lengths)
+    lengths = np.fromiter(map(len, traversals), dtype=np.int64,
+                          count=len(traversals))
+    seqs = np.zeros((len(traversals), lengths.max()), dtype=np.int64)
+    seqs[np.arange(seqs.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(t.seq for t in traversals), dtype=np.int64,
+        count=lengths.sum())
+    return seqs, lengths
 
 
 def objective_and_gradients(controller, traversals, advantages, config,
-                            record):
+                            record, rows):
     """Risk-seeking surrogate objective and its exact controller gradients.
 
     J = mean_i adv_i * log p(tau_i) + ENTROPY_WEIGHT * mean_i sum_t H_t.
-    ``record`` is ``sample_batch``'s record of the draws, with the rows of
-    ``traversals``.  The controller reruns on the recorded parents and
-    siblings, and its logits are combined as sampling combined them, so
-    training scores exactly the distribution that drew the tokens.  The
-    prior logits and constraint masks are constants; gradients flow only
-    through the controller logits.
+    ``record`` is ``sample_batch``'s record of the draws, and ``rows`` the
+    batch rows of ``traversals`` in it.  The controller reruns on the
+    recorded parents and siblings, and its logits are combined as sampling
+    combined them, so training scores exactly the distribution that drew
+    the tokens.  The prior logits and constraint masks are constants;
+    gradients flow only through the controller logits.
     """
     seqs, lengths = _padded(traversals)
     k, T = seqs.shape
+    live = np.arange(T)[:, None] < lengths
+    # past a row's end: the empty prefix of every row's first step, and
+    # prior logits 0; those steps add nothing to J but must stay finite
+    parent, sibling = np.full((2, T, k), -1)
+    masks = np.tile(record[0][3][0], (T, k, 1))
+    prior = None if record[0][4] is None else np.zeros(masks.shape)
+    for t, (r, p, s, m, l_mlm) in enumerate(record[:T]):
+        i = live[t]
+        at = np.searchsorted(r, rows[i])
+        parent[t, i], sibling[t, i], masks[t, i] = p[at], s[at], m[at]
+        if prior is not None:
+            prior[t, i] = l_mlm[at]
+    x = controller.input_batch(parent.ravel(), sibling.ravel())
     h = controller.initial_state(k)
     logits, hs, caches = [], [], []
-    for parent, sibling, masks, l_mlm in record[:T]:
-        l, h, cache = controller.forward(
-            controller.input_batch(parent, sibling), h)
-        if l_mlm is not None:
-            l = l + config.lam * l_mlm
-        logits.append(l + masks)
+    for x_t in x.reshape(T, k, -1):
+        l, h, cache = controller.forward(x_t, h)
+        logits.append(l)
         hs.append(h)
         caches.append(cache)
 
     # every step's share of J and its logit gradients at once, over (T, k, V)
     # arrays; padded steps add nothing
     logits = np.stack(logits)
+    if prior is not None:
+        logits = logits + config.lam * prior
+    logits = logits + masks
     adv = np.asarray(advantages, dtype=float)
     target = seqs.T[..., None]
-    live = np.arange(T)[:, None] < lengths
     on = live.astype(float)
     p = softmax(logits, axis=2)
     lp = log_softmax(logits, axis=2)
@@ -336,8 +355,7 @@ def train_step(controller, batch, config, optimizer, record):
     top = np.argsort(-rewards, kind="stable")[:k]
     J, grads = objective_and_gradients(
         controller, [batch[i][0] for i in top],
-        [rewards[i] - baseline for i in top], config,
-        [[a if a is None else a[top] for a in step] for step in record])
+        [rewards[i] - baseline for i in top], config, record, top)
     neg = {n: -g for n, g in grads.items()}
     optimizer.update(controller.params(), neg)
     return J

@@ -1226,6 +1226,27 @@ def test_unwritable_output_exit_2_names_it(tmp_path, dump, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot open {out}:")
 
 
+@pytest.mark.parametrize("value, want", [(None, "1"), ("3", "3")])
+def test_blas_threads_default_to_one(value, want):
+    # a fresh interpreter, so that numpy loads after the CLI module's
+    # default, as it does for the console script
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    script = ("import os, sys; import mathcorpus.cli; "
+              "assert 'numpy' in sys.modules; "
+              "print(*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', "
+              "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [want, "1", "1"]
+
+
 def test_readme_pipeline_commands_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text(
         encoding="utf-8")

@@ -5,8 +5,9 @@ from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from mathcorpus import dsr, mlm
+from mathcorpus import dsr, mlm, recurrent
 from mathcorpus.dsr import (
     BenchmarkSpec,
     Controller,
@@ -76,7 +77,7 @@ def replayed(lib, prefix):
 def parent_sibling(lib, prefix):
     """The slot state's parent and sibling of the next slot, None for
     empty."""
-    parent, sibling = replayed(lib, prefix).parent_sibling(ROW)
+    parent, sibling, _ = replayed(lib, prefix).slot(ROW)
     return tuple(int(i) if i >= 0 else None for i in (*parent, *sibling))
 
 
@@ -84,8 +85,8 @@ def constraint_mask(lib, prefix, min_length=dsr.MIN_LENGTH,
                     max_length=dsr.MAX_LENGTH):
     """The slot state's constraint logits for the token after ``prefix``."""
     st = replayed(lib, prefix)
-    parent, _ = st.parent_sibling(ROW)
-    return st.mask(st.n, st.open, st.trig, parent, min_length, max_length)[0]
+    parent, _, trig = st.slot(ROW)
+    return st.mask(st.n, st.open, trig, parent, min_length, max_length)[0]
 
 
 class TestParentSibling:
@@ -105,7 +106,7 @@ class TestParentSibling:
     def test_complete_traversal_rejected(self, slib):
         x = slib.index_of("x1")
         st = replayed(slib, [x])
-        assert st.done[0]
+        assert st.open[0] == 0
         with pytest.raises(dsr.CompleteTraversal):
             st.push(ROW, np.array([x]))
 
@@ -144,6 +145,74 @@ def naive_parent_sibling(prefix, lib):
         return (None, None)
     parent_idx, _, last = stack[-1]
     return (parent_idx, last)
+
+
+# a library with a ternary operator, beyond the arity of any in OPS
+TERNARY = Library([OPS["add"].token, OPS["sin"].token, OPS["cos"].token,
+                   OPS["exp"].token, OPS["log"].token,
+                   Token("fma", 3, OPERATOR), Token("x", 0, VARIABLE)],
+                  name="ternary")
+SLOT_LIBRARIES = [default_library(n_vars=1, name="search1"),
+                  builtin_benchmarks()["nguyen-12"].library(), TERNARY]
+
+
+def _open_at(prefix, i, lib):
+    """Whether the subtree rooted at prefix[i] is still open."""
+    slots = 1
+    for idx in prefix[i:]:
+        slots += lib[idx].arity - 1
+        if slots == 0:
+            return False
+    return True
+
+
+def trig_ancestors(prefix, lib):
+    """The trig operators among the open subtrees' roots in ``prefix``."""
+    return sum(OPS[lib[idx].name].trig for i, idx in enumerate(prefix)
+               if lib[idx].name in OPS and _open_at(prefix, i, lib))
+
+
+class TestSlotStack:
+    @settings(max_examples=150, deadline=None)
+    @given(lib=strategies.sampled_from(SLOT_LIBRARIES),
+           draws=strategies.lists(
+               strategies.lists(strategies.integers(0, 99), max_size=24),
+               min_size=1, max_size=5))
+    def test_matches_the_prefix_on_every_row(self, lib, draws):
+        # each row draws tokens until its traversal is complete; rows are
+        # pushed together, the unfinished ones at each step
+        prefixes = []
+        for raw in draws:
+            prefix = []
+            for r in raw:
+                if prefix and is_complete(Traversal(prefix), lib):
+                    break
+                prefix.append(r % len(lib))
+            prefixes.append(prefix)
+        B, max_len = len(prefixes), 24
+        state = dsr._SlotState(lib, B, max_len)
+        for t in range(max_len + 1):
+            rows = np.arange(B)
+            parent, sibling, trig = state.slot(rows)
+            for b, prefix in enumerate(prefixes):
+                seen = prefix[:t]
+                want_p, want_s = naive_parent_sibling(seen, lib)
+                assert (parent[b], sibling[b]) == (
+                    -1 if want_p is None else want_p,
+                    -1 if want_s is None else want_s)
+                assert state.n[b] == len(seen)
+                assert state.open[b] == 1 + sum(lib[i].arity - 1
+                                                for i in seen)
+                assert trig[b] == trig_ancestors(seen, lib)
+            rows = np.array([b for b, p in enumerate(prefixes)
+                             if len(p) > t], dtype=np.int64)
+            if not rows.size:
+                break
+            state.push(rows, np.array([prefixes[b][t] for b in rows]))
+        for b, prefix in enumerate(prefixes):
+            if is_complete(Traversal(prefix), lib):
+                with pytest.raises(dsr.CompleteTraversal):
+                    state.push(np.array([b]), np.array([0]))
 
 
 class TestConstraints:
@@ -285,23 +354,15 @@ class TestSampling:
         assert [t.seq for t in a] == [t.seq for t in b]
 
 
-def _open_at(prefix, i, lib):
-    """Whether the subtree rooted at prefix[i] is still open."""
-    slots = 1
-    for idx in prefix[i:]:
-        slots += lib[idx].arity - 1
-        if slots == 0:
-            return False
-    return True
-
-
 def reference_sample_batch(controller, mlm_model, config, rng, B):
     """sample_batch with the bookkeeping redone per row from the prefix:
     naive_parent_sibling, and explicit length, open-slot and trig counts.
-    The recurrent steps still run on the whole batch, as in sample_batch."""
+    The recurrent steps run on the whole batch to the longest row's end,
+    finished rows included; sample_batch steps only the unfinished rows
+    (and a finished one beside a last row), and its draws must not
+    differ."""
     lib = config.library
     V = len(lib)
-    trig = [t.name in OPS and OPS[t.name].trig for t in lib]
     bos = mlm_model.bos if mlm_model is not None else 0
     seqs = [[] for _ in range(B)]
     done = [False] * B
@@ -321,8 +382,7 @@ def reference_sample_batch(controller, mlm_model, config, rng, B):
                 parent, sibling = naive_parent_sibling(seq, lib)
                 n.append(len(seq))
                 d.append(1 + sum(lib[i].arity - 1 for i in seq))
-                tr.append(sum(trig[idx] for i, idx in enumerate(seq)
-                              if lib[idx].arity and _open_at(seq, i, lib)))
+                tr.append(trig_ancestors(seq, lib))
                 prev[b] = seq[-1] if seq else bos
             par.append(-1 if parent is None else parent)
             x[b, V if parent is None else parent] = 1.0
@@ -347,8 +407,9 @@ def reference_sample_batch(controller, mlm_model, config, rng, B):
 def recorded(controller, model, config, travs, record=None):
     """``sample_batch``'s record of drawing ``travs``, appended to
     ``record``: for the call, ``dsr.draw`` returns the next token of every
-    row (0 past a row's end, a draw that sampling discards)."""
-    columns = iter(dsr._padded(travs)[0].T)
+    unfinished row."""
+    seqs, lengths = dsr._padded(travs)
+    columns = (seqs[lengths > t, t] for t in range(seqs.shape[1]))
     record = [] if record is None else record
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dsr, "draw", lambda p, u: next(columns))
@@ -396,6 +457,77 @@ class TestSampleBatchOracle:
                                       np.random.default_rng(5), 64)
         assert [t.seq for t in got] == want
 
+    @pytest.mark.parametrize("with_mlm", [False, True])
+    def test_rows_ending_at_many_lengths(self, with_mlm):
+        # a likelier terminal: rows finish at every length, so the stepped
+        # rows shrink many times, down to the last one or two
+        lib = builtin_benchmarks()["nguyen-5"].library()
+        controller, model = perturbed_models(lib, with_mlm)
+        controller.b_out[lib.index_of("x")] += 2.0
+        config = cfg(lib, lam=0.5 if with_mlm else 0.0, batch_size=256)
+        record = []
+        got = sample_batch(controller, model, config,
+                           np.random.default_rng(5), record)
+        want = reference_sample_batch(controller, model, config,
+                                      np.random.default_rng(5), 256)
+        assert [t.seq for t in got] == want
+        lengths = np.array([len(t) for t in got])
+        assert len(set(lengths)) >= 20 and lengths.min() == dsr.MIN_LENGTH
+        # the record holds the unfinished rows of each step, in batch order
+        assert len(record) == lengths.max()
+        for t, (rows, *_) in enumerate(record):
+            assert rows.tolist() == np.flatnonzero(lengths > t).tolist()
+
+
+class TestLiveRows:
+    @pytest.mark.parametrize("with_mlm", [False, True])
+    def test_gru_rows_bounded_by_the_sampled_tokens(self, with_mlm,
+                                                    monkeypatch):
+        # the recurrent steps drop the finished rows once they are an
+        # eighth of those stepped, and never step one row alone: each step
+        # runs fewer than 8/7 of its unfinished rows, or two
+        lib = builtin_benchmarks()["nguyen-5"].library()
+        controller, model = perturbed_models(lib, with_mlm)
+        controller.b_out[lib.index_of("x")] += 2.0
+        config = cfg(lib, lam=0.5, batch_size=300)
+        seen = []
+        forward = recurrent.GRUCell.forward
+
+        def counted(cell, x, h):
+            seen.append(len(x))
+            return forward(cell, x, h)
+
+        monkeypatch.setattr(recurrent.GRUCell, "forward", counted)
+        travs = sample_batch(controller, model, config,
+                             np.random.default_rng(8))
+        tokens = sum(len(t) for t in travs)
+        T = max(len(t) for t in travs)
+        cells = 2 if with_mlm else 1
+        assert len(seen) == cells * T
+        assert tokens * cells <= sum(seen)
+        assert sum(seen) < cells * (8 * tokens / 7 + 2 * T)
+        assert min(seen) >= 2
+        # the bound bites: stepping every row to the longest row's end is
+        # above it
+        assert 8 * tokens / 7 + 2 * T < len(travs) * T
+
+    def test_a_last_row_is_not_stepped_alone(self):
+        # numpy steps a single row with gemv, whose sums round unlike
+        # gemm's; the prior's logits of a row that outlasts the others must
+        # still be those of the whole batch, bit for bit
+        lib = builtin_benchmarks()["nguyen-5"].library()
+        controller, model = perturbed_models(lib, True)
+        add, sin, cos, x = (lib.index_of(n)
+                            for n in ("add", "sin", "cos", "x"))
+        travs = ([Traversal([add, x] * 14 + [sin, x])]
+                 + [Traversal([add, x, sin, x]),
+                    Traversal([add, cos, x, x])] * 6)
+        record = recorded(controller, model, cfg(lib, lam=0.5), travs)
+        want = batch_prior_logits(model, travs)
+        assert [len(rows) for rows, *_ in record][-1] == 1
+        for t, (rows, *_, l_mlm) in enumerate(record):
+            assert np.array_equal(l_mlm, want[t, rows])
+
 
 
 # The training replay as it stood before sampling and training shared one
@@ -426,10 +558,10 @@ def reference_objective_and_gradients(controller, traversals, advantages,
     st = _SlotState(lib, k, T)
     for t in range(T):
         rows = np.flatnonzero(lengths > t)
-        parent, sibling = st.parent_sibling(rows)
+        parent, sibling, trig = st.slot(rows)
         xs[t, rows] = controller.input_batch(parent, sibling)
-        masks[t, rows] = st.mask(st.n[rows], st.open[rows], st.trig[rows],
-                                 parent, dsr.MIN_LENGTH, dsr.MAX_LENGTH)
+        masks[t, rows] = st.mask(st.n[rows], st.open[rows], trig, parent,
+                                 dsr.MIN_LENGTH, dsr.MAX_LENGTH)
         st.push(rows, seqs[rows, t])
 
     # forward, with each step's share of J and its logit gradients
@@ -486,9 +618,8 @@ class TestReplayOracle:
         rows = np.arange(len(travs)) if rows is None else rows
         kept = [travs[i] for i in rows]
         adv = np.random.default_rng(seed).normal(size=len(rows))
-        J, grads = dsr.objective_and_gradients(
-            controller, kept, adv, config,
-            [[a if a is None else a[rows] for a in step] for step in record])
+        J, grads = dsr.objective_and_gradients(controller, kept, adv, config,
+                                               record, rows)
         prior = None
         if model is not None:
             prior = batch_prior_logits(model, travs)[:, rows]
@@ -559,7 +690,7 @@ class TestPriorInput:
             trav = Traversal([slib.index_of(n) for n in names.split()])
             record = recorded(controller, model, config, [trav])
             got = sum(float(log_softmax(l_mlm[0])[tok])
-                      for (_, _, _, l_mlm), tok in zip(record, trav.seq))
+                      for (*_, l_mlm), tok in zip(record, trav.seq))
             assert abs(got - mlm.score(model, trav)) < 1e-12
 
 
@@ -680,9 +811,9 @@ class TestTrainStep:
         record = []
         travs = sample_batch(controller, None, config,
                              np.random.default_rng(1), record)
-        advantages = [0.4, -0.2, 0.1]
+        advantages, rows = [0.4, -0.2, 0.1], np.arange(3)
         J, grads = dsr.objective_and_gradients(controller, travs, advantages,
-                                               config, record)
+                                               config, record, rows)
         h = 1e-5
         worst = 0.0
         for name, p in controller.params().items():
@@ -693,11 +824,11 @@ class TestTrainStep:
                 flat[i] = orig + h
                 Jp, _ = dsr.objective_and_gradients(controller, travs,
                                                     advantages, config,
-                                                    record)
+                                                    record, rows)
                 flat[i] = orig - h
                 Jm, _ = dsr.objective_and_gradients(controller, travs,
                                                     advantages, config,
-                                                    record)
+                                                    record, rows)
                 flat[i] = orig
                 fd = (Jp - Jm) / (2 * h)
                 # floor 1e-5: central differences at h=1e-5 carry ~1e-10
@@ -734,7 +865,7 @@ class TestTrainStep:
                           for n in ("add", "exp", "log", "x", "x")])
         record = recorded(controller, None, config, [trav])
         J, _ = dsr.objective_and_gradients(controller, [trav], [0.5], config,
-                                           record)
+                                           record, np.array([0]))
         assert J == NEG_INF
 
     @pytest.mark.parametrize("with_mlm", [False, True])
