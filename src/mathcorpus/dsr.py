@@ -25,13 +25,13 @@ from .expr_core import (
     Token,
     Traversal,
     VARIABLE,
-    constant_value,
     evaluate_batch,
     evaluate_rows,
-    render_infix,
+    node,
+    render_latex,
     traversal_to_tree,
 )
-from .latex_parser import LatexError, normalize, parse_latex
+from .latex_parser import LatexError, normalize, parse_expression
 from .pool import fork_map
 from .recurrent import Adam, GRUReadout, draw, log_softmax, softmax
 
@@ -389,11 +389,20 @@ class BenchmarkSpec:
             raise DsrError(f"range must map variables to [lo, hi] pairs of "
                            f"finite numbers with lo < hi, and name declared "
                            f"variables only, not {self.ranges!r}")
-        for name in self.library_tokens:
-            if not (name in OPS or name in self.variables
-                    or constant_value(Token(name, 0, CONSTANT)) is not None):
-                raise DsrError(f"library token {name!r} is not an operator, "
-                               f"a declared variable or a numeric constant")
+        # every other library token is a declared variable or a number, and
+        # must read back from LaTeX as itself, as best_expression is read:
+        # as the base of a power and, in braces, alone
+        for name in sorted({*self.variables, *self.library_tokens} - set(OPS)):
+            kind = VARIABLE if name in self.variables else CONSTANT
+            try:  # Token rejects an empty name
+                tree = node(OPS["pow"].token, *[node(Token(name, 0, kind))] * 2)
+                same = parse_expression(render_latex(tree)) == tree
+            except (LatexError, ValueError):
+                same = False
+            if not same:
+                raise DsrError(f"{kind} {name!r} does not read back from "
+                               f"LaTeX as itself (a library token is an "
+                               f"operator, a declared variable or a number)")
         try:
             tree = self.target_tree()
         except LatexError as e:
@@ -410,15 +419,9 @@ class BenchmarkSpec:
                        name=f"bench:{self.name}")
 
     def target_tree(self):
-        """The one tree of the LaTeX target; a relation or a construct
-        outside the grammar is a LatexError."""
-        out = parse_latex(self.expression)
-        if out.unsupported:
-            raise LatexError(f"unsupported {out.unsupported[0][0]!r}",
-                             out.unsupported[0][1])
-        if len(out.trees) != 1:
-            raise LatexError(f"{len(out.trees)} expressions, not one")
-        return out.trees[0]
+        """The one tree of the LaTeX target, read without the library: a
+        target may use tokens the search lacks, such as nguyen-5's x^2."""
+        return parse_expression(self.expression)
 
     def dataset(self, rng):
         X = {}
@@ -485,15 +488,15 @@ def recovered(candidate, spec, grid_points=1000):
     cand = normalize(candidate)
     if cand == target:
         return True
-    X = {}
+    # each variable on its own axis, about grid_points ** 2 points in all
+    n = round(grid_points ** (2 / max(len(spec.variables), 2)))
+    axes = []
     for v in spec.variables:
         lo, hi = spec.ranges.get(v, (-1.0, 1.0))
         pad = (hi - lo) * 1e-6
-        X[v] = np.linspace(lo + pad, hi - pad, grid_points)
-    if len(spec.variables) == 2:
-        a, b = spec.variables
-        ga, gb = np.meshgrid(X[a], X[b], indexing="ij")
-        X = {a: ga.ravel(), b: gb.ravel()}
+        axes.append(np.linspace(lo + pad, hi - pad, n))
+    X = {v: g.ravel() for v, g in zip(spec.variables,
+                                      np.meshgrid(*axes, indexing="ij"))}
     y, ok = evaluate_batch(target, X)
     if not ok:
         return False
@@ -533,7 +536,7 @@ def run_search(spec, config, rng_seed, mlm_model=None):
                 break
         train_step(controller, list(zip(traversals, rewards)), cfg,
                    optimizer, record)
-    best_expr = render_infix(traversal_to_tree(best_trav, lib)) if best_trav else ""
+    best_expr = render_latex(traversal_to_tree(best_trav, lib)) if best_trav else ""
     return RunMetrics(
         recovered=solved_at is not None,
         steps_to_solve=solved_at if solved_at is not None else cfg.max_steps,

@@ -220,7 +220,7 @@ class Op:
 
     token: Token
     fn: np.ufunc
-    infix: str | None = None  # binary operators rendered infix
+    form: str = ""  # its LaTeX, the children at {0} and {1}
     latex: tuple = ()  # LaTeX command names that parse to this operator
     trig: bool = False  # counted by the no-nested-trig constraint
     inverse: str | None = None  # masked as this operator's direct child
@@ -233,18 +233,20 @@ def _op(name, arity, fn, **fields):
 # The single operator registry.  Row order is the operator order of
 # default_library, whose positions index model logits.
 OPS = dict([
-    _op("add", 2, np.add, infix="+"),
-    _op("sub", 2, np.subtract, infix="-"),
-    _op("mul", 2, np.multiply, infix="*"),
-    _op("div", 2, np.divide, infix="/"),
-    _op("pow", 2, np.power, infix="^"),
-    _op("neg", 1, np.negative),
-    _op("sqrt", 1, np.sqrt),
-    _op("sin", 1, np.sin, latex=("sin",), trig=True),
-    _op("cos", 1, np.cos, latex=("cos",), trig=True),
-    _op("tan", 1, np.tan, latex=("tan",), trig=True),
-    _op("exp", 1, np.exp, latex=("exp",), inverse="log"),
-    _op("log", 1, np.log, latex=("log", "ln"), inverse="exp"),
+    _op("add", 2, np.add, form="({0} + {1})"),
+    _op("sub", 2, np.subtract, form="({0} - {1})"),
+    _op("mul", 2, np.multiply, form=r"({0} \cdot {1})"),
+    _op("div", 2, np.divide, form=r"\frac{{{0}}}{{{1}}}"),
+    _op("pow", 2, np.power, form="{{{0}}}^{{{1}}}"),
+    _op("neg", 1, np.negative, form="(-{0})"),
+    _op("sqrt", 1, np.sqrt, form=r"\sqrt{{{0}}}"),
+    _op("sin", 1, np.sin, form=r"\sin({0})", latex=("sin",), trig=True),
+    _op("cos", 1, np.cos, form=r"\cos({0})", latex=("cos",), trig=True),
+    _op("tan", 1, np.tan, form=r"\tan({0})", latex=("tan",), trig=True),
+    _op("exp", 1, np.exp, form=r"\exp({0})", latex=("exp",),
+        inverse="log"),
+    _op("log", 1, np.log, form=r"\log({0})", latex=("log", "ln"),
+        inverse="exp"),
 ])
 
 
@@ -331,19 +333,17 @@ def evaluate_rows(seqs, lengths, tokens, bindings):
     return stack[base], ok
 
 
-def render_infix(tree):
-    """Fully parenthesized infix text, parseable back by the plain-math grammar."""
+def render_latex(tree):
+    """LaTeX text of a tree with every operation bracketed, so
+    ``latex_parser.parse_expression`` reads the same tree back."""
     tok = tree.root
-    if tok.arity == 0:
-        return tok.name
-    op = OPS.get(tok.name)
-    if op is not None and op.infix:
-        a, b = tree.children
-        return f"({render_infix(a)} {op.infix} {render_infix(b)})"
-    if tok.name == "neg":
-        return f"(-{render_infix(tree.children[0])})"
-    args = ", ".join(render_infix(c) for c in tree.children)
-    return f"{tok.name}({args})"
+    if tok.arity:
+        return OPS[tok.name].form.format(*map(render_latex, tree.children))
+    if tok.kind == CONSTANT and tok.name == "pi":
+        return r"\pi"
+    if tok.kind == VARIABLE and len(tok.name) > 1:
+        return rf"\mathrm{{{tok.name}}}"
+    return tok.name
 
 
 def default_library(n_vars=2, name=None):

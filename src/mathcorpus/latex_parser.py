@@ -1,11 +1,11 @@
-"""LaTeX math (practical subset) parsing into expression trees, and the
-reader of ``render_infix``'s text.
+"""LaTeX math (practical subset) parsing into expression trees.
 
-The LaTeX grammar covers arithmetic, \\frac, \\sqrt[n], powers, implicit
+The grammar covers arithmetic, \\frac, \\sqrt[n], powers, implicit
 multiplication, the usual elementary functions, Greek/decorated variables,
-and top-level relation splitting.  Anything outside the grammar becomes an
-in-tree Unsupported marker so the corpus stage can decide between the
-replace and split augmentations.
+and top-level relation splitting.  In corpus math anything outside the
+grammar becomes an in-tree Unsupported marker so the corpus stage can decide
+between the replace and split augmentations; ``parse_expression`` reads one
+expression written by a person or by ``expr_core.render_latex`` strictly.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class EmptyInput(LatexError):
 
 
 class TotallyUnparseable(LatexError):
-    pass
-
-
-class PlainSyntaxError(LatexError):
     pass
 
 
@@ -443,6 +439,28 @@ def parse_latex(text):
                         relation_split_count=nrel)
 
 
+def parse_expression(text, lib=None):
+    """The one tree of a LaTeX target or best_expression.  A relation, a
+    construct outside the grammar or, when ``lib`` is given, a token that
+    is not ``lib``'s is a LatexError."""
+    out = parse_latex(text)
+    if out.relation_split_count:
+        raise LatexError("a relation, not one expression")
+    if out.unsupported:
+        raise LatexError(f"unsupported {out.unsupported[0][0]!r}",
+                         out.unsupported[0][1])
+    if lib is not None and (bad := {n.root for n in out.trees[0].iter_nodes()}
+                            - set(lib.tokens)):
+        raise LatexError(f"not in the library: "
+                         f"{', '.join(sorted(t.name for t in bad))}")
+    return out.trees[0]
+
+
+# perfbench reads the metrics CSV's best_expression by this name until
+# ROADMAP item 9 moves it to parse_expression
+parse_plain = parse_expression
+
+
 def _is_const(tree, value):
     v = constant_value(tree.root)
     return v is not None and v == value and not tree.children
@@ -476,68 +494,3 @@ def normalize(tree):
     """Cleanup in one bottom-up pass: double negation, +0 / -0 / *1 folding
     and left-folded + and * chains.  Idempotent."""
     return _fold(tree.root, [normalize(c) for c in tree.children])
-
-
-# ---------------------------------------------------------------------------
-# The reader of render_infix's output, the metrics CSV's best_expression.
-
-_RENDERED_RE = re.compile(r"\s*(?:(?P<name>\d+(?:\.\d+)?|[A-Za-z_]\w*)"
-                          r"|(?P<sym>[-+*/^()])|(?P<bad>\S))")
-_INFIX = {op.infix: op.token for op in OPS.values() if op.infix}
-
-
-def parse_plain(text, lib=None):
-    """Read back render_infix's text: ``(a op b)``, ``(-a)``, ``f(a)`` and
-    terminals, the parentheses round the whole optional; normalized.  A
-    terminal is ``lib``'s token of that name, else a constant if it is a
-    number and a variable if not."""
-    toks = [(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-            for m in _RENDERED_RE.finditer(text)] + [("end", None, len(text))]
-    if len(toks) == 1:
-        raise EmptyInput("empty input")
-    pos = 0
-
-    def take(expected=None):
-        nonlocal pos
-        kind, value, offset = toks[pos]
-        if kind in ("end", "bad") or expected not in (None, value):
-            what = "end of input" if kind == "end" else repr(value)
-            raise PlainSyntaxError(f"unexpected {what}", offset)
-        pos += 1
-        return kind, value, offset
-
-    def operand():
-        kind, value, offset = take()
-        if value == "-":
-            return node(T_NEG, operand())
-        if value == "(":
-            tree = expr()
-            take(")")
-            return tree
-        if kind != "name":
-            raise PlainSyntaxError(f"unexpected {value!r}", offset)
-        if toks[pos][1] == "(":  # f(a)
-            op = OPS.get(value)
-            if op is None or op.token.arity != 1:
-                raise PlainSyntaxError(f"unknown function {value!r}", offset)
-            return node(op.token, operand())
-        if lib is not None and value in lib:
-            tok = lib.get(value)
-        else:
-            tok = (constant_token if value[0].isdigit() else variable_token)(value)
-        if tok.arity:
-            raise PlainSyntaxError(f"{value} needs an argument", offset)
-        return node(tok)
-
-    def expr():
-        nonlocal pos
-        left = operand()
-        if (op := _INFIX.get(toks[pos][1])) is None:
-            return left
-        pos += 1
-        return node(op, left, operand())
-
-    tree = expr()
-    if toks[pos][0] != "end":
-        raise PlainSyntaxError("trailing input", toks[pos][2])
-    return normalize(tree)

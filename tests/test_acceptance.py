@@ -25,11 +25,11 @@ from mathcorpus.expr_core import (
     Traversal,
     default_library,
     is_complete,
-    render_infix,
+    render_latex,
     traversal_to_tree,
     tree_to_traversal,
 )
-from mathcorpus.latex_parser import parse_plain
+from mathcorpus.latex_parser import parse_expression
 from mathcorpus.recurrent import Adam, softmax
 
 from conftest import random_tree
@@ -64,7 +64,7 @@ def test_criterion_01_roundtrip_suite():
         from mathcorpus.latex_parser import normalize
 
         canon = normalize(tree)
-        back = parse_plain(render_infix(canon), lib)
+        back = parse_expression(render_latex(canon), lib)
         if tree_to_traversal(back, lib).seq != tree_to_traversal(canon, lib).seq:
             ok = False
             break

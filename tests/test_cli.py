@@ -319,6 +319,34 @@ class TestExtractWorkers:
             0, f"pages={expect.pages} expressions={expect.kept_expressions} "
                f"unterminated={expect.unterminated}\n")
 
+    def test_tree_from_the_rows_it_reads(self, tmp_path):
+        """The worker keeps only the page rows the tree reads, and builds
+        the tree of the whole table, malformed rows included: subcategory 10
+        is a main-namespace row, and the last row of page ids 21 and 22
+        wins."""
+        links = tmp_path / "categorylinks.sql"
+        links.write_text("INSERT INTO `categorylinks` VALUES " + ",".join(
+            f"({i},'{to}','','2020-01-01','','','{kind}')"
+            for i, to, kind in [(10, "Root", "subcat"), (11, "Root", "subcat"),
+                                (20, "Sub", "page"), (21, "Root", "page"),
+                                (22, "Root", "page"), (23, "Other", "page")])
+            + ";\n")
+        page = tmp_path / "page.sql"
+        page.write_text("INSERT INTO `page` VALUES " + ",".join(
+            f"({i},{ns},'{title}')"
+            for i, ns, title in [(10, 0, "Sub"), (11, 14, "Other"),
+                                 (20, 0, "P20"), (21, 0, "P21"),
+                                 (21, 2, "User:21"), (22, 2, "User:22"),
+                                 (22, 0, "P22"), (30, 14, "Root")]) + ";\n")
+        tree = cli._category_tree("Root", links, page, 3)
+        every = {p.page_id: p
+                 for p in wiki_extract.parse_sql_dump(page, "page")}
+        assert tree == wiki_extract.build_category_tree(
+            "Root", wiki_extract.parse_sql_dump(links, "categorylinks"),
+            every, 3)
+        assert set(tree.nodes) == {"Root", "Sub", "Other"}
+        assert tree.page_ids == {20, 22, 23}
+
     @pytest.mark.parametrize("broken", ["dump", "out"])
     def test_bad_root_wins_over_a_bad_dump_or_out(self, monkeypatch, tmp_path,
                                                   capsys, generated_dumps,
@@ -854,6 +882,29 @@ class TestSr:
                            "steps,invalid_fraction,best_expression"
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("name, runs, steps", [
+        ("nguyen-8", "3", "20"), ("nguyen-5", "2", "3")])
+    def test_best_expression_reads_back(self, tmp_path, capsys, name,
+                                        runs, steps):
+        """Each row's best_expression is LaTeX of the search library, and
+        its tree's recovery agrees with the row, as perfbench checks."""
+        from mathcorpus import dsr
+
+        out = tmp_path / "metrics.csv"
+        assert main(["sr", "--benchmark", name, "--no-mlm", "--runs",
+                     runs, "--max-steps", steps, "--seed", "3",
+                     "--out", str(out)]) == 0
+        spec = dsr.builtin_benchmarks()[name]
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == int(runs)
+        for r in rows:
+            tree = latex_parser.parse_expression(r["best_expression"],
+                                                 spec.library())
+            assert dsr.recovered(tree, spec) == (r["recovered"] == "1")
+        if name == "nguyen-8":
+            assert all(r["recovered"] == "1" for r in rows)
+
     def test_spec_file(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -904,9 +955,22 @@ class TestSr:
         ({**LIN, "variables": 5}, "library lists of names"),
         ({**LIN, "expression": 5}, "expression must be a string"),
         ({**LIN, "range": {"z": [0, 1]}}, "name declared variables only"),
+        # a terminal that LaTeX reads back as something else: {e}^{x} is
+        # exp(x), \mathrm{ln} the log function, \mathrm{a b} the variable ab
+        ({**LIN, "variables": ["x", "e"]}, "variable 'e' does not read back"),
+        ({**LIN, "variables": ["x", "ln"]}, "variable 'ln' does not read back"),
+        ({**LIN, "variables": ["x", "a b"]},
+         "variable 'a b' does not read back"),
+        # inf is i n f, -1 is neg(1), 1e3 is 1 e 3, and .5 does not parse
+        ({**LIN, "library": ["add", "x", "inf"]}, "constant 'inf'"),
+        ({**LIN, "library": ["add", "x", "-1"]}, "constant '-1'"),
+        ({**LIN, "library": ["add", "x", "1e3"]}, "constant '1e3'"),
+        ({**LIN, "library": ["add", "x", ".5"]}, "constant '.5'"),
     ], ids=["list", "range-number", "range-one-bound", "negative-points",
             "no-points", "library-number", "variables-number",
-            "expression-number", "range-undeclared"])
+            "expression-number", "range-undeclared", "variable-e",
+            "variable-ln", "variable-with-a-space", "constant-inf",
+            "constant-negative", "constant-exponent", "constant-no-digit"])
     def test_malformed_spec_field_exit_2(self, tmp_path, capsys, spec,
                                          message):
         path = tmp_path / "spec.json"

@@ -34,7 +34,7 @@ from mathcorpus.expr_core import (
     is_complete,
     traversal_to_tree,
 )
-from mathcorpus.latex_parser import parse_latex, parse_plain
+from mathcorpus.latex_parser import parse_expression, parse_latex
 from mathcorpus.recurrent import Adam, log_softmax, softmax
 
 NEG_INF = float("-inf")
@@ -696,14 +696,14 @@ class TestPriorInput:
 
 class TestReward:
     def test_exact_target_reward_one(self, slib):
-        tree = parse_plain("((x1 ^ 2) + x1)", slib)
+        tree = parse_expression(r"\mathrm{x1}^2 + \mathrm{x1}", slib)
         X = {"x1": np.linspace(-1, 1, 20)}
         y = X["x1"] ** 2 + X["x1"]
         r, invalid = tree_reward(tree, X, y)
         assert r == 1.0 and not invalid
 
     def test_invalid_expression(self, slib):
-        tree = parse_plain("log(x1)", slib)
+        tree = parse_expression(r"\log(\mathrm{x1})", slib)
         X = {"x1": np.linspace(-1, 1, 20)}
         r, invalid = tree_reward(tree, X, X["x1"])
         assert r == 0.0 and invalid
@@ -711,7 +711,7 @@ class TestReward:
     def test_constant_predictor_half(self, slib):
         X = {"x1": np.linspace(-1, 1, 21)}
         y = X["x1"] ** 3
-        mean_tree = parse_plain("0", slib)  # mean(y) is 0 on symmetric grid
+        mean_tree = parse_expression("0", slib)  # mean(y) is 0 on symmetric grid
         r, invalid = tree_reward(mean_tree, X, y)
         assert not invalid
         assert math.isclose(r, 0.5, rel_tol=1e-12)
@@ -719,8 +719,10 @@ class TestReward:
     def test_bounds(self, slib, rng):
         X = {"x1": rng.uniform(-1, 1, 20)}
         y = X["x1"] ** 2
-        for expr in ("x1", "(x1 * 3)", "sin(x1)", "exp(exp(exp((x1 * 30))))"):
-            r, _ = tree_reward(parse_plain(expr, slib), X, y)
+        for expr in (r"\mathrm{x1}", r"(\mathrm{x1} \cdot 3)",
+                     r"\sin(\mathrm{x1})",  # and 30 is not slib's
+                     r"\exp(\exp(\exp((\mathrm{x1} \cdot 30))))"):
+            r, _ = tree_reward(parse_expression(expr), X, y)
             assert 0.0 <= r <= 1.0
 
     def test_degenerate_target(self, monkeypatch):
@@ -789,7 +791,7 @@ class TestBatchRewards:
 
         monkeypatch.setattr(dsr, "sample_batch", forced)
         metrics = dsr.run_search(spec, cfg(lib, max_steps=2), 0)
-        assert metrics.best_expression == "(x + sin(x))"
+        assert metrics.best_expression == r"(x + \sin(x))"
         assert metrics.invalid_fraction == 0.25
 
 
@@ -998,6 +1000,14 @@ class TestBenchmarksAndRecovery:
         spec = builtin_benchmarks()["nguyen-9"]
         cand = parse_latex(r"\sin(x) + \sin(y y)").trees[0]
         assert recovered(cand, spec, grid_points=50)
+
+    def test_three_variables_vary_independently(self):
+        # on the diagonal x = y = z, x^3 equals x y z
+        spec = BenchmarkSpec(name="xyz", expression="x y z",
+                             variables=["x", "y", "z"],
+                             library_tokens=["mul", "x", "y", "z"])
+        assert not recovered(parse_latex("x^3").trees[0], spec)
+        assert recovered(parse_latex("z y x").trees[0], spec)
 
     def test_run_benchmark_minimal(self):
         spec = builtin_benchmarks()["nguyen-1"]

@@ -24,7 +24,7 @@ from mathcorpus.expr_core import (
     is_complete,
     is_valid_prefix,
     node,
-    render_infix,
+    render_latex,
     traversal_to_tree,
     tree_to_traversal,
 )
@@ -301,17 +301,21 @@ class TestEvaluateRows:
         assert peak < 6.5 * values.nbytes
 
 
-class TestRenderInfix:
+class TestRenderLatex:
     def test_examples(self, lib):
         t = node(lib.get("add"), node(lib.get("x1")), node(lib.get("1")))
-        assert render_infix(t) == "(x1 + 1)"
+        assert render_latex(t) == r"(\mathrm{x1} + 1)"
         t = node(lib.get("pow"), node(lib.get("x1")), node(lib.get("x2")))
-        assert render_infix(t) == "(x1 ^ x2)"
+        assert render_latex(t) == r"{\mathrm{x1}}^{\mathrm{x2}}"
         t = node(lib.get("neg"), node(lib.get("x1")))
-        assert render_infix(t) == "(-x1)"
+        assert render_latex(t) == r"(-\mathrm{x1})"
         t = node(lib.get("sin"), node(lib.get("x1")))
-        assert render_infix(t) == "sin(x1)"
-
+        assert render_latex(t) == r"\sin(\mathrm{x1})"
+        x, y = (node(Token(v, 0, ec.VARIABLE)) for v in "xy")
+        pi = node(Token("pi", 0, ec.CONSTANT))
+        t = node(lib.get("div"), node(lib.get("mul"), x, pi),
+                 node(lib.get("sqrt"), y))
+        assert render_latex(t) == r"\frac{(x \cdot \pi)}{\sqrt{y}}"
 
 class TestProperties:
     @given(st.lists(st.integers(0, 3), max_size=12))
