@@ -213,7 +213,7 @@ def sample_batch(controller, mlm_model, config, rng, record=None):
             if mlm_model is not None:
                 h_mlm, prev = h_mlm[keep], prev[keep]
         parent, sibling, trig = st.slot(rows)
-        logits, h, _ = controller.forward(
+        logits, h = controller.forward(
             controller.input_batch(parent, sibling), h)
         if mlm_model is not None:
             l_mlm, h_mlm = mlm_model.step_batch(prev, h_mlm)
@@ -302,18 +302,13 @@ def objective_and_gradients(controller, traversals, advantages, config,
         parent[t, i], sibling[t, i], masks[t, i] = p[at], s[at], m[at]
         if prior is not None:
             prior[t, i] = l_mlm[at]
-    x = controller.input_batch(parent.ravel(), sibling.ravel())
-    h = controller.initial_state(k)
-    logits, hs, caches = [], [], []
-    for x_t in x.reshape(T, k, -1):
-        l, h, cache = controller.forward(x_t, h)
-        logits.append(l)
-        hs.append(h)
-        caches.append(cache)
-
-    # every step's share of J and its logit gradients at once, over (T, k, V)
-    # arrays; padded steps add nothing
-    logits = np.stack(logits)
+    # every row runs every step, and every step's share of J and its logit
+    # gradients are taken at once, over (T, k, V) arrays; padded steps add
+    # nothing
+    logits, cache = controller.unroll(
+        controller.input_batch(parent.ravel(), sibling.ravel()),
+        np.full(T, k))
+    logits = logits.reshape(T, k, -1)
     if prior is not None:
         logits = logits + config.lam * prior
     logits = logits + masks
@@ -339,7 +334,7 @@ def objective_and_gradients(controller, traversals, advantages, config,
         J += ENTROPY_WEIGHT * float(entropy) / k
 
     grads = controller.zero_grads()
-    controller.backward(list(zip(hs, dlogits, caches)), grads)
+    controller.bptt(dlogits.reshape(T * k, -1), cache, grads)
     return J, grads
 
 
@@ -403,6 +398,10 @@ class BenchmarkSpec:
                 raise DsrError(f"{kind} {name!r} does not read back from "
                                f"LaTeX as itself (a library token is an "
                                f"operator, a declared variable or a number)")
+        try:  # a token twice, or no terminal
+            self.library()
+        except ValueError as e:
+            raise DsrError(str(e)) from None
         try:
             tree = self.target_tree()
         except LatexError as e:

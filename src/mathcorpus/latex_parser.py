@@ -417,7 +417,8 @@ def parse_latex(text):
     normalize, is skipped; only when every segment fails is it an error."""
     if not text or not text.strip():
         raise EmptyInput("empty input")
-    segments, nrel = _split_on_relations(lex(text))
+    lexemes = lex(text)
+    segments, nrel = _split_on_relations(lexemes)
     trees, unsupported = [], []
     first_failure = None
     for seg in segments:
@@ -428,8 +429,10 @@ def parse_latex(text):
             tree = normalize(_SegmentParser(seg, seg_unsup).parse())
         except (LatexError, RecursionError) as e:
             offset = getattr(e, "offset", None)  # a RecursionError has none
-            if first_failure is None:
-                first_failure = seg[0].offset if offset is None else offset
+            if first_failure is None:  # no offset: where the segment ends
+                first_failure = offset if offset is not None else min(
+                    (lx.offset for lx in lexemes if lx.kind == "relation"
+                     and lx.offset > seg[-1].offset), default=len(text))
             continue
         trees.append(tree)
         unsupported.extend(seg_unsup)

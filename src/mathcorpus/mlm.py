@@ -79,8 +79,7 @@ class MLMModel(GRUReadout):
         idx = np.asarray(token_indices)
         if idx.size and not 0 <= idx.min() <= idx.max() <= self.V:
             raise MLMError(f"token index outside 0..{self.V} (BOS is {self.V})")
-        logits, h, _ = self.forward(self.E[idx], state)
-        return logits, h
+        return self.forward(self.E[idx], state)
 
     def equal(self, other):
         if self.vocab_names != other.vocab_names:
@@ -98,20 +97,25 @@ def init(vocab, d_emb, hidden, seed):
 
 
 def score(model, traversal):
-    """Total log-probability of a token sequence, stepping from BOS."""
-    # 0.0 - nll negates exactly and gives +0.0, not -0.0, for an empty one
-    return float(0.0 - _forward(model, [traversal], keep=False)[0])
+    """Total log-probability of a token sequence, stepping from BOS one
+    token at a time, as the search prior steps it."""
+    total, h, prev = 0.0, model.initial_state(), model.bos
+    for idx in traversal:
+        logits, h = model.step_batch([prev], h)
+        total += log_softmax(logits[0])[idx]
+        prev = idx
+    return float(total)
 
 
 def _forward(model, seqs, keep, batch_tokens=None):
     """Summed next-token cross-entropy of a batch, stepping each row from BOS.
 
     Rows are sorted longest first, so the rows still inside their sequence
-    at step t are the prefix ``[:n_t]`` and no padded slot is computed.
-    Returns (nll, tokens, steps); with ``keep``, steps lists each step's
-    (inputs, h, dlogits, cache), dlogits being the gradient of the summed
-    loss divided by ``batch_tokens``, by default the rows' own token count,
-    else it is None.
+    at step t are the prefix ``[:n_t]`` and no padded slot is computed; the
+    model runs them packed by step (``GRUReadout.unroll``).  Returns (nll,
+    tokens, steps); with ``keep``, steps is (input indices, dlogits,
+    cache), dlogits being the gradient of the summed loss divided by
+    ``batch_tokens``, by default the rows' own token count, else it is None.
     """
     lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
     order = np.argsort(-lens, kind="stable")
@@ -121,20 +125,16 @@ def _forward(model, seqs, keep, batch_tokens=None):
     rows = np.zeros(live.shape, dtype=np.int64)
     rows[live] = np.fromiter(chain.from_iterable(seqs[i] for i in order),
                              dtype=np.int64, count=tokens)
-    targets = rows.T
-    inputs = np.vstack((np.full(len(seqs), model.bos), targets[:-1]))
-    h = model.initial_state(len(seqs))
-    nll, steps = 0.0, [] if keep else None
-    for t, n in enumerate(live.sum(axis=0)):
-        x_idx, y = inputs[t, :n], targets[t, :n]
-        logits, h, cache = model.forward(model.E[x_idx], h[:n])
-        nll -= log_softmax(logits)[np.arange(n), y].sum()
-        if keep:
-            dlogits = softmax(logits)
-            dlogits[np.arange(n), y] -= 1.0
-            dlogits *= 1.0 / (batch_tokens or tokens)
-            steps.append((x_idx, h, dlogits, cache))
-    return nll, tokens, steps
+    inputs = np.hstack((np.full((len(seqs), 1), model.bos), rows[:, :-1]))
+    x_idx, y = inputs.T[live.T], rows.T[live.T]
+    logits, cache = model.unroll(model.E[x_idx], live.sum(axis=0), keep)
+    nll = -log_softmax(logits)[np.arange(tokens), y].sum()
+    if not keep:
+        return nll, tokens, None
+    dlogits = softmax(logits)
+    dlogits[np.arange(tokens), y] -= 1.0
+    dlogits *= 1.0 / (batch_tokens or tokens)
+    return nll, tokens, (x_idx, dlogits, cache)
 
 
 def loss_and_gradients(model, seqs, batch_tokens=None, grads=None):
@@ -144,13 +144,11 @@ def loss_and_gradients(model, seqs, batch_tokens=None, grads=None):
     batch's token count, and the gradients are added into ``grads``."""
     if not seqs:
         raise EmptyCorpus("empty batch")
-    nll, tokens, steps = _forward(model, seqs, True, batch_tokens)
+    nll, tokens, (x_idx, dlogits, cache) = _forward(model, seqs, True,
+                                                    batch_tokens)
     if grads is None:
         grads = model.zero_grads()
-    dxs = model.backward([s[1:] for s in steps], grads)
-    # last step first, the order backward visits the steps in
-    for (x_idx, *_), dx in zip(reversed(steps), reversed(dxs)):
-        np.add.at(grads["E"], x_idx, dx)
+    np.add.at(grads["E"], x_idx, model.bptt(dlogits, cache, grads, dx=True))
     return float(nll / (batch_tokens or tokens)), grads
 
 

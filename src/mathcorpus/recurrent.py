@@ -10,15 +10,19 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x):
+def sigmoid(x, out=None):
     """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, without
     branches: exp(-|x|) never overflows, and since it lies in [0, 1] the
     numerator max(exp(-|x|), x >= 0) is exactly 1 or exp(x)."""
     e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    return np.divide(np.maximum(e, x >= 0), 1.0 + e, out=out)
 
 
 class GRUCell:
+    """The per-step gate arithmetic.  The input products x @ W are made
+    outside, over as many steps as the caller has, and each step's gates
+    overwrite them in place."""
+
     PARAM_NAMES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
 
     def __init__(self, d_in, hidden, rng=None):
@@ -36,48 +40,55 @@ class GRUCell:
     def params(self):
         return {name: getattr(self, name) for name in self.PARAM_NAMES}
 
-    def forward(self, x, h):
-        z = sigmoid(x @ self.Wz + h @ self.Uz + self.bz)
-        r = sigmoid(x @ self.Wr + h @ self.Ur + self.br)
-        rh = r * h
-        g = np.tanh(x @ self.Wh + rh @ self.Uh + self.bh)
-        h_new = (1.0 - z) * h + z * g
-        cache = (x, h, z, r, rh, g)
-        return h_new, cache
+    def forward(self, z, r, g, h, rh=None, out=None):
+        """One step over its rows: the input products z = x @ Wz,
+        r = x @ Wr and g = x @ Wh become the update gate, the reset gate and
+        the candidate state.  ``h`` is the state read, None for the zero
+        state, whose products add nothing; r * h goes to ``rh``.  Returns
+        the new state, in ``out`` if given."""
+        if h is not None:
+            z += h @ self.Uz
+            r += h @ self.Ur
+        z += self.bz
+        r += self.br
+        sigmoid(z, out=z)
+        sigmoid(r, out=r)
+        if h is not None:
+            g += np.multiply(r, h, out=rh) @ self.Uh
+        g += self.bh
+        np.tanh(g, out=g)
+        out = np.multiply(z, g, out=out)
+        if h is not None:
+            out += (1.0 - z) * h
+        return out
 
-    def backward(self, dh_new, cache, grads):
-        """Accumulate parameter gradients into ``grads``; return (dx, dh_prev)."""
-        x, h, z, r, rh, g = cache
-        dz = dh_new * (g - h)
-        dg = dh_new * z
-        dh = dh_new * (1.0 - z)
-
-        dg_pre = dg * (1.0 - g * g)
-        grads["Wh"] += x.T @ dg_pre
-        grads["Uh"] += rh.T @ dg_pre
-        grads["bh"] += dg_pre.sum(axis=0)
-        drh = dg_pre @ self.Uh.T
-        dr = drh * h
-        dh += drh * r
-
-        dz_pre = dz * z * (1.0 - z)
-        dr_pre = dr * r * (1.0 - r)
-        grads["Wz"] += x.T @ dz_pre
-        grads["Uz"] += h.T @ dz_pre
-        grads["bz"] += dz_pre.sum(axis=0)
-        grads["Wr"] += x.T @ dr_pre
-        grads["Ur"] += h.T @ dr_pre
-        grads["br"] += dr_pre.sum(axis=0)
-        dh += dz_pre @ self.Uz.T + dr_pre @ self.Ur.T
-
-        dx = dz_pre @ self.Wz.T + dr_pre @ self.Wr.T + dg_pre @ self.Wh.T
-        return dx, dh
+    def backward(self, dh, z, r, g, h):
+        """``forward`` backwards, in place over the step's rows: given
+        ``dh``, the gradient of the new state, z, r and g become the
+        gradients of the gates' pre-activations.  Returns the gradient of
+        the state read, None for the zero state."""
+        dz = dh * g if h is None else dh * (g - h)
+        np.multiply(dh * z, 1.0 - g * g, out=g)
+        if h is None:
+            r[...] = 0.0  # the reset gate scaled a zero state
+        else:
+            dh_prev = dh * (1.0 - z)
+            drh = g @ self.Uh.T
+            dh_prev += drh * r
+            np.multiply(drh * h * r, 1.0 - r, out=r)
+        np.multiply(dz * z, 1.0 - z, out=z)
+        if h is not None:
+            dh_prev += z @ self.Uz.T + r @ self.Ur.T
+            return dh_prev
 
 
 class GRUReadout:
     """Gated recurrent cell plus a zero-initialised linear read-out to V
     logits, so the first distribution is uniform.  Subclasses supply the
-    input encoding."""
+    input encoding.  ``unroll`` and ``bptt`` run rows packed by step from
+    the zero state, step t's being the first counts[t] of step t - 1's, and
+    only the recurrence runs per step: the input products, the read-out and
+    each weight gradient are one product over all steps."""
 
     def __init__(self, d_in, hidden, V, rng):
         self.hidden = hidden
@@ -104,30 +115,59 @@ class GRUReadout:
         return np.zeros((batch, self.hidden))
 
     def forward(self, x, h):
-        """One step: returns (logits, new state, cache for ``backward``)."""
-        h, cache = self.cell.forward(x, h)
-        return h @ self.W_out + self.b_out, h, cache
+        """One step: returns (logits, new state)."""
+        c = self.cell
+        h = c.forward(x @ c.Wz, x @ c.Wr, x @ c.Wh, h)
+        return h @ self.W_out + self.b_out, h
 
-    def backward(self, steps, grads):
-        """BPTT over (h, dlogits, cache) steps of ``forward``, each step's
-        rows a prefix of the previous step's.  Adds into ``grads`` (keyed as
-        ``zero_grads``) and returns each step's input gradient."""
-        cell_grads = {name[len("cell."):]: g for name, g in grads.items()
-                      if name.startswith("cell.")}
-        dxs = [None] * len(steps)
-        dh_next = np.zeros((0, self.hidden))
-        for t in range(len(steps) - 1, -1, -1):
-            h, dlogits, cache = steps[t]
-            grads["W_out"] += h.T @ dlogits
-            grads["b_out"] += dlogits.sum(axis=0)
-            dh = dlogits @ self.W_out.T
-            dh[:len(dh_next)] += dh_next
-            dxs[t], dh_next = self.cell.backward(dh, cache, cell_grads)
-        return dxs
+    def unroll(self, X, counts, keep=True):
+        """(logits, cache for ``bptt``) of the input rows ``X``; without
+        ``keep``, the cache is None and only what the read-out needs kept."""
+        c = self.cell
+        Z, R, G = X @ c.Wz, X @ c.Wr, X @ c.Wh
+        Hs = np.empty((len(X), self.hidden))
+        RH = np.empty_like(Hs) if keep else None
+        h, end = None, 0
+        for n in counts:
+            rows = slice(end, end + n)
+            h = c.forward(Z[rows], R[rows], G[rows],
+                          None if h is None else h[:n],
+                          None if RH is None else RH[rows], Hs[rows])
+            end += n
+        cache = (X, counts, Z, R, G, RH, Hs) if keep else None
+        return Hs @ self.W_out + self.b_out, cache
+
+    def bptt(self, dlogits, cache, grads, dx=False):
+        """Add the gradients of an ``unroll`` with logit gradient
+        ``dlogits`` into ``grads``; with ``dx``, return its inputs'."""
+        X, counts, Z, R, G, RH, Hs = cache
+        c = self.cell
+        grads["W_out"] += Hs.T @ dlogits
+        grads["b_out"] += dlogits.sum(axis=0)
+        dH = dlogits @ self.W_out.T
+        ends = np.cumsum(counts)
+        dh = None
+        for t in range(len(counts) - 1, -1, -1):
+            rows = slice(ends[t] - counts[t], ends[t])
+            if dh is not None:
+                dH[rows][:len(dh)] += dh
+            # the state step t read: step t - 1's first rows
+            h = Hs[ends[t - 1] - counts[t - 1]:][:counts[t]] if t else None
+            dh = c.backward(dH[rows], Z[rows], R[rows], G[rows], h)
+        # each row's read state, for the recurrent weights; step 0 read zero
+        n0 = counts[0]
+        prev = Hs[np.arange(n0, len(Hs)) - np.repeat(counts[:-1], counts[1:])]
+        for gate, D, P in (("z", Z, prev), ("r", R, prev), ("h", G, RH[n0:])):
+            grads[f"cell.W{gate}"] += X.T @ D
+            grads[f"cell.U{gate}"] += P.T @ D[n0:]
+            grads[f"cell.b{gate}"] += D.sum(axis=0)
+        if dx:
+            return Z @ c.Wz.T + R @ c.Wr.T + G @ c.Wh.T
 
 
 class MomentumSGD:
-    """Plain gradient descent with momentum over a dict of parameter arrays."""
+    """Plain gradient descent with momentum over a dict of parameter arrays.
+    ``update`` scales the gradients in place, by the learning rate."""
 
     def __init__(self, lr, momentum=0.9):
         self.lr = lr
@@ -140,7 +180,7 @@ class MomentumSGD:
             if v is None:
                 v = np.zeros_like(p)
             v *= self.momentum
-            v -= self.lr * grads[name]
+            v -= np.multiply(grads[name], self.lr, out=grads[name])
             self.velocity[name] = v
             p += v
 

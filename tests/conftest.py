@@ -44,6 +44,75 @@ def rng():
     return np.random.default_rng(1234)
 
 
+# The per-step recurrent network as it stood before the time loop was
+# unrolled, verbatim apart from reading the parameters off ``cell``: the
+# reference the unrolled forward and backward are checked against.
+
+def _sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
+
+
+def reference_gru_step(cell, x, h):
+    """One step of a ``GRUCell``'s parameters: (new state, cache)."""
+    z = _sigmoid(x @ cell.Wz + h @ cell.Uz + cell.bz)
+    r = _sigmoid(x @ cell.Wr + h @ cell.Ur + cell.br)
+    rh = r * h
+    g = np.tanh(x @ cell.Wh + rh @ cell.Uh + cell.bh)
+    h_new = (1.0 - z) * h + z * g
+    return h_new, (x, h, z, r, rh, g)
+
+
+def reference_gru_backward(cell, dh_new, cache, grads):
+    """Add one step's parameter gradients into ``grads``, keyed by the
+    cell's names; return (dx, dh_prev)."""
+    x, h, z, r, rh, g = cache
+    dz = dh_new * (g - h)
+    dg = dh_new * z
+    dh = dh_new * (1.0 - z)
+
+    dg_pre = dg * (1.0 - g * g)
+    grads["Wh"] += x.T @ dg_pre
+    grads["Uh"] += rh.T @ dg_pre
+    grads["bh"] += dg_pre.sum(axis=0)
+    drh = dg_pre @ cell.Uh.T
+    dr = drh * h
+    dh += drh * r
+
+    dz_pre = dz * z * (1.0 - z)
+    dr_pre = dr * r * (1.0 - r)
+    grads["Wz"] += x.T @ dz_pre
+    grads["Uz"] += h.T @ dz_pre
+    grads["bz"] += dz_pre.sum(axis=0)
+    grads["Wr"] += x.T @ dr_pre
+    grads["Ur"] += h.T @ dr_pre
+    grads["br"] += dr_pre.sum(axis=0)
+    dh += dz_pre @ cell.Uz.T + dr_pre @ cell.Ur.T
+
+    dx = dz_pre @ cell.Wz.T + dr_pre @ cell.Wr.T + dg_pre @ cell.Wh.T
+    return dx, dh
+
+
+def reference_bptt(model, steps, grads):
+    """BPTT over (h, dlogits, cache) steps of ``reference_gru_step`` and
+    ``model``'s read-out, each step's rows a prefix of the previous
+    step's.  Adds into ``grads`` (keyed as ``model.zero_grads``) and returns
+    each step's input gradient."""
+    cell_grads = {name[len("cell."):]: g for name, g in grads.items()
+                  if name.startswith("cell.")}
+    dxs = [None] * len(steps)
+    dh_next = np.zeros((0, model.hidden))
+    for t in range(len(steps) - 1, -1, -1):
+        h, dlogits, cache = steps[t]
+        grads["W_out"] += h.T @ dlogits
+        grads["b_out"] += dlogits.sum(axis=0)
+        dh = dlogits @ model.W_out.T
+        dh[:len(dh_next)] += dh_next
+        dxs[t], dh_next = reference_gru_backward(model.cell, dh, cache,
+                                                 cell_grads)
+    return dxs
+
+
 def pytest_terminal_summary(terminalreporter):
     # repeat the acceptance pass/fail lines where capture cannot hide them
     import sys

@@ -966,11 +966,16 @@ class TestSr:
         ({**LIN, "library": ["add", "x", "-1"]}, "constant '-1'"),
         ({**LIN, "library": ["add", "x", "1e3"]}, "constant '1e3'"),
         ({**LIN, "library": ["add", "x", ".5"]}, "constant '.5'"),
+        ({**LIN, "library": ["add", "add", "x"]}, "duplicate token name 'add'"),
+        ({**LIN, "library": ["add", "mul"]}, "at least one terminal"),
+        # the target fails where its only segment ends
+        ({**LIN, "expression": "x +"}, "(offset 3)"),
     ], ids=["list", "range-number", "range-one-bound", "negative-points",
             "no-points", "library-number", "variables-number",
             "expression-number", "range-undeclared", "variable-e",
             "variable-ln", "variable-with-a-space", "constant-inf",
-            "constant-negative", "constant-exponent", "constant-no-digit"])
+            "constant-negative", "constant-exponent", "constant-no-digit",
+            "library-duplicate", "library-no-terminal", "target-ends-early"])
     def test_malformed_spec_field_exit_2(self, tmp_path, capsys, spec,
                                          message):
         path = tmp_path / "spec.json"

@@ -155,6 +155,17 @@ class TestParseLatex:
         with pytest.raises(TotallyUnparseable):
             parse_latex("^")
 
+    @pytest.mark.parametrize("text, offset", [
+        ("x +", 3),               # the end of the text
+        ("x + = y -", 4),         # the relation that ends the first segment
+        (r"\frac{x} = 1 +", 9),
+        ("x_", 2),
+    ])
+    def test_failure_at_a_segment_end_names_that_end(self, text, offset):
+        with pytest.raises(TotallyUnparseable) as e:
+            parse_latex(text)
+        assert e.value.offset == offset
+
     def test_split_segments_bounded(self):
         out = parse_latex("a = b = c")
         assert out.relation_split_count == 2

@@ -8,6 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from conftest import reference_gru_backward, reference_gru_step
 from mathcorpus import mlm
 from mathcorpus.expr_core import (
     CONSTANT,
@@ -172,8 +173,9 @@ class TestGradients:
 
 
 def padded_loss_and_gradients(model, seqs):
-    """Reference: every row runs to the longest length in the batch, and a
-    mask takes the padded slots out of the loss and the gradients."""
+    """Reference: every row runs to the longest length in the batch, one
+    step at a time, and a mask takes the padded slots out of the loss and
+    the gradients."""
     B = len(seqs)
     T = max(len(s) for s in seqs)
     inputs = np.full((T, B), model.bos, dtype=np.int64)
@@ -190,7 +192,7 @@ def padded_loss_and_gradients(model, seqs):
     caches, hs, probs = [], [], []
     loss = 0.0
     for t in range(T):
-        h, cache = model.cell.forward(model.E[inputs[t]], state)
+        h, cache = reference_gru_step(model.cell, model.E[inputs[t]], state)
         logits = h @ model.W_out + model.b_out
         loss -= (log_softmax(logits)[np.arange(B), targets[t]] * mask[t]).sum()
         caches.append(cache)
@@ -210,7 +212,8 @@ def padded_loss_and_gradients(model, seqs):
         grads["W_out"] += hs[t].T @ dlogits
         grads["b_out"] += dlogits.sum(axis=0)
         dh = dlogits @ model.W_out.T + dh_next
-        dx, dh_next = model.cell.backward(dh, caches[t], cell_grads)
+        dx, dh_next = reference_gru_backward(model.cell, dh, caches[t],
+                                             cell_grads)
         np.add.at(grads["E"], inputs[t], dx)
     return float(loss), grads
 
@@ -232,6 +235,8 @@ def oracle_batches():
         "one_row": [[0, 1, 2, 4, 3]],
         "equal_lengths": [[0, 2, 4], [1, 1, 3], [0, 4, 4], [1, 0, 2]],
         "shortest_first": sorted(mixed, key=len),
+        # the longest row alone for its last five steps
+        "one_row_tail": [[0, 1, 0, 1, 2, 3, 4, 2], [0, 2, 4], [1, 3], [2]],
     }
 
 
@@ -243,7 +248,7 @@ def assert_rel_close(got, want, tol=1e-12):
 class TestPackedMatchesPadded:
     """The length-sorted packed batch against the padded reference."""
 
-    @pytest.mark.parametrize("d_emb,hidden", [(6, 8), (16, 32)])
+    @pytest.mark.parametrize("d_emb,hidden", [(6, 8), (16, 32), (64, 256)])
     @pytest.mark.parametrize("case", sorted(oracle_batches()))
     def test_loss_and_gradients(self, d_emb, hidden, case):
         seqs = oracle_batches()[case]
@@ -396,9 +401,9 @@ class TestWorkGuard:
         rows = []
         forward = GRUCell.forward
 
-        def counting(cell, x, h):
-            rows.append(x.shape[0])
-            return forward(cell, x, h)
+        def counting(cell, z, *args):
+            rows.append(z.shape[0])
+            return forward(cell, z, *args)
 
         monkeypatch.setattr(GRUCell, "forward", counting)
         seqs = oracle_batches()["mixed"]
