@@ -17,7 +17,7 @@ import re
 import sys
 import tempfile
 from collections import namedtuple
-from functools import partial
+from functools import lru_cache, partial
 from itertools import count, groupby, islice
 from json.encoder import encode_basestring
 from operator import attrgetter
@@ -29,7 +29,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from . import corpus as corpus_mod
 from . import dsr, mlm, wiki_extract
 from .expr_core import default_library
-from .latex_parser import LatexError, parse_latex
+from .latex_parser import (LatexError, constant_token, parse_latex,
+                           variable_token)
 from .pool import fork_call, fork_map, usable_cpus
 
 
@@ -173,6 +174,18 @@ def cmd_extract(args):
 CORPUS_CHUNK_LINES = 1000  # lines per task: small, so workers finish together
 
 
+@lru_cache(maxsize=4096)
+def _encode_latex(latex, lib, policy):
+    """The encoded pieces of one record's LaTeX, as a tuple, parsed once per
+    distinct text while it stays among the recent ones; a text that does
+    not parse is one dropped piece."""
+    try:
+        return tuple(corpus_mod.encode_trees(parse_latex(latex).trees, lib,
+                                             policy))
+    except LatexError:
+        return (corpus_mod.DROPPED,)
+
+
 def _encode_lines(chunk, path, lib, policy):
     """(page_id, encoded pieces) for each record of one chunk of JSONL
     lines, in order; a record whose LaTeX does not parse is one dropped
@@ -192,12 +205,7 @@ def _encode_lines(chunk, path, lib, policy):
         if not ok:
             raise UsageError(f"{path}, line {lineno}: not a JSON object with "
                              f"an integer page_id and a string latex")
-        try:
-            pieces = corpus_mod.encode_trees(parse_latex(rec["latex"]).trees,
-                                             lib, policy)
-        except LatexError:
-            pieces = [corpus_mod.DROPPED]
-        out.append((rec["page_id"], pieces))
+        out.append((rec["page_id"], _encode_latex(rec["latex"], lib, policy)))
     return out
 
 
@@ -214,6 +222,7 @@ def cmd_corpus(args):
             os.remove(args.out)
         n = CORPUS_CHUNK_LINES  # the input is read a chunk at a time
         chunks = zip(count(1, n), iter(lambda: list(islice(f, n)), []))
+        _encode_latex.cache_clear()  # the workers start with an empty cache
         encoded = fork_map(encode, chunks, usable_cpus())
         samples, stats = corpus_mod.collect_samples(
             (record for chunk in encoded for record in chunk), lib)
@@ -474,6 +483,10 @@ def build_parser():
     return p
 
 
+# caches that hold entries only for the length of one main call
+_CACHES = (_encode_latex, variable_token, constant_token)
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -495,6 +508,9 @@ def main(argv=None):
             return 2
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    finally:
+        for cache in _CACHES:
+            cache.cache_clear()
 
 
 if __name__ == "__main__":

@@ -66,7 +66,14 @@ class CorpusStats:
 
 
 def has_markers(tree):
-    return any(is_unsupported_marker(n.root) for n in tree.iter_nodes())
+    # a stack: iter_nodes' nested generators pass each node up every level
+    stack = [tree]
+    while stack:
+        n = stack.pop()
+        if is_unsupported_marker(n.root):
+            return True
+        stack += n.children
+    return False
 
 
 def augment_split(tree, placeholder):

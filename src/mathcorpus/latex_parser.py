@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .expr_core import (
     CONSTANT,
@@ -89,7 +90,7 @@ class TotallyUnparseable(LatexError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Lexeme:
     kind: str  # command | symbol | number | group | superscript | subscript |
                # relation | op | lparen | rparen | lbracket | rbracket | other
@@ -166,10 +167,13 @@ def marker_construct(token):
     return token.name[len(UNSUPPORTED_PREFIX):]
 
 
+# Leaf tokens are interned: a parse makes one per letter and number.
+@lru_cache(maxsize=1024)
 def variable_token(name):
     return Token(name, 0, VARIABLE)
 
 
+@lru_cache(maxsize=1024)
 def constant_token(text):
     return Token(text, 0, CONSTANT)
 
@@ -217,10 +221,13 @@ class _SegmentParser:
             self.unsupported.append((f"trailing:{lx.kind}", lx.offset))
         return tree
 
+    # the hot methods below read self.lx[self.pos] directly; an "op",
+    # "superscript" or "subscript" lexeme is never the end sentinel
+
     def expr(self, stop=()):
         left = self.term(stop)
-        while (lx := self.peek()).kind == "op" and lx.value in "+-":
-            self.advance()
+        while (lx := self.lx[self.pos]).kind == "op" and lx.value in "+-":
+            self.pos += 1
             left = node(T_ADD if lx.value == "+" else T_SUB, left, self.term(stop))
         return left
 
@@ -232,9 +239,9 @@ class _SegmentParser:
     def term(self, stop):
         left = self.unary(stop)
         while True:
-            lx = self.peek()
+            lx = self.lx[self.pos]
             if lx.kind == "op" and lx.value in "*/":
-                self.advance()
+                self.pos += 1
                 left = node(T_MUL if lx.value == "*" else T_DIV, left, self.unary(stop))
             elif self._starts_atom(lx) and not self._at_stop(stop):
                 left = node(T_MUL, left, self.unary(stop))
@@ -243,19 +250,19 @@ class _SegmentParser:
 
     def _at_stop(self, stop):
         # a differential "dx" terminates integrand collection
-        return self.peek().kind in stop or ("differential" in stop
-                                            and self._at_differential())
+        return self.lx[self.pos].kind in stop or (
+            "differential" in stop and self._at_differential())
 
     def _at_differential(self):
         """At the letter d followed by another letter."""
-        lx = self.peek()
+        lx = self.lx[self.pos]
         return (lx.kind == "symbol" and lx.value == "d"
                 and self.lx[self.pos + 1].kind == "symbol")
 
     def unary(self, stop):
         signs = 0
-        while (lx := self.peek()).kind == "op" and lx.value in "+-":
-            self.advance()
+        while (lx := self.lx[self.pos]).kind == "op" and lx.value in "+-":
+            self.pos += 1
             signs += lx.value == "-"
         tree = self.power(stop)
         for _ in range(signs):
@@ -264,8 +271,9 @@ class _SegmentParser:
 
     def power(self, stop):
         base = self.atom(stop)
-        if not self._accept("superscript"):
+        if self.lx[self.pos].kind != "superscript":
             return base
+        self.pos += 1
         expo = self.exponent(stop)
         if base.root.kind == VARIABLE and base.root.name == "e":
             return node(_FUNCTIONS["exp"], expo)
@@ -292,23 +300,26 @@ class _SegmentParser:
         return inner
 
     def atom(self, stop):
-        lx = self.peek()
-        if lx.kind not in ("number", "symbol", "group", "lparen", "command"):
-            raise LatexError(f"unexpected {lx.kind}", lx.offset)
-        self.advance()
-        if lx.kind == "symbol":
+        lx = self.lx[self.pos]
+        kind = lx.kind
+        if kind not in ("number", "symbol", "group", "lparen", "command"):
+            raise LatexError(f"unexpected {kind}", lx.offset)
+        self.pos += 1
+        if kind == "symbol":
             return self._decorated_variable(lx.value)
-        if lx.kind == "lparen":
+        if kind == "lparen":
             return self._bracketed("rparen")
-        if lx.kind == "command":
+        if kind == "command":
             return self.command_atom(lx, stop)
         return self._operand(lx)
 
     def _decorated_variable(self, name):
-        if self._accept("subscript"):
-            sub = self.advance()
+        if self.lx[self.pos].kind == "subscript":
+            self.pos += 1
+            sub = self.lx[self.pos]
             if sub is _EOF:
                 raise LatexError("dangling '_'")
+            self.pos += 1
             name += "_" + _text([sub])
         return node(variable_token(name))
 
@@ -496,4 +507,6 @@ def _fold(root, children):
 def normalize(tree):
     """Cleanup in one bottom-up pass: double negation, +0 / -0 / *1 folding
     and left-folded + and * chains.  Idempotent."""
+    if not tree.children:  # a leaf is its own normal form
+        return tree
     return _fold(tree.root, [normalize(c) for c in tree.children])

@@ -13,10 +13,10 @@ from __future__ import annotations
 import html
 import os
 import re
-import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from xml.parsers import expat
 
 NS_MAIN = 0
 NS_CATEGORY = 14
@@ -69,59 +69,110 @@ class CategoryLink:
     link_type: str  # page | subcat | file
 
 
-def _localname(tag):
-    return tag.rsplit("}", 1)[-1]
+# bytes fed to the parser at a time; 64 KiB reads are no faster
+_READ_SIZE = 16 * 1024
+
+# the slot of each kept child of a page in an open page's record, and
+# the value of each slot when its element has no text
+_PAGE_FIELDS = {"id": 0, "title": 1, "ns": 2}
+_NO_TEXT = (0, "", 0, "")
 
 
 def stream_pages(source):
     """Yield PageRecords from a pages-articles XML stream, one page in memory
     at a time.
 
-    Accepts a binary file object or a path.  Truncated input raises
-    TruncatedDump after yielding all complete pages; other XML problems
-    raise MalformedXml with a byte offset.
+    Accepts a binary file object or a path.  Of a page only its direct
+    id (the first), title and ns and its revision's text are kept.  A page
+    is yielded once its end tag is read; input that ends early, inside a
+    tag, an entity or a character as well, raises TruncatedDump after the
+    complete pages; other XML problems and a page id or namespace that is
+    not an integer raise MalformedXml after the pages before them, an XML
+    problem with the byte offset where it was found.
     """
     close = isinstance(source, (str, bytes, os.PathLike))
     if close:
         source = open(source, "rb")
-    # finished pages stay children of the root unless the root is cleared
-    root = None
     try:
-        for event, elem in ET.iterparse(source, events=("start", "end")):
-            if root is None:
-                root = elem
-            if event != "end" or _localname(elem.tag) != "page":
-                continue
-            page_id, title, ns, text = None, "", 0, ""
-            for child in elem:
-                name = _localname(child.tag)
-                if name == "id" and page_id is None:
-                    page_id = child.text or 0
-                elif name == "title":
-                    title = child.text or ""
-                elif name == "ns":
-                    ns = child.text or 0
-                elif name == "revision":
-                    for sub in child:
-                        if _localname(sub.tag) == "text":
-                            text = sub.text or ""
+        yield from _read_pages(source)
+    finally:
+        if close:
+            source.close()
+
+
+def _read_pages(source):
+    # names as ElementTree resolves them, "uri}local" or "local", so an
+    # unbound prefix is an error
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.buffer_text = True
+    local_names = {}  # like expat's own name table, an entry per name
+    path = [""]  # local names of the open elements, below a sentinel
+    pages = []  # open pages, innermost last: [id, title, ns, text]
+    done = []  # (id, title, ns, text) of the pages the last feed ended
+    slot = None  # the slot the text being read goes to
+    chars = []
+
+    def keep():
+        """End the text of the element being read, at its first child or
+        its end."""
+        nonlocal slot
+        parser.CharacterDataHandler = None
+        pages[-1][slot] = "".join(chars) or _NO_TEXT[slot]
+        slot = None
+
+    def start(*event):  # the name and the attributes, which are not kept
+        nonlocal slot
+        name = event[0]
+        if slot is not None:
+            keep()
+        local = local_names.get(name)
+        if local is None:
+            local = local_names[name] = name[name.rfind("}") + 1:]
+        parent = path[-1]
+        path.append(local)
+        if local == "page":
+            pages.append([None, "", 0, ""])
+        elif parent == "page":
+            slot = _PAGE_FIELDS.get(local)
+            if slot == 0 and pages[-1][0] is not None:  # the first id wins
+                slot = None
+        elif local == "text" and parent == "revision" and path[-3] == "page":
+            slot = 3
+        if slot is not None:
+            chars.clear()
+            parser.CharacterDataHandler = chars.append
+
+    def end(name):
+        if slot is not None:
+            keep()
+        path.pop()
+        if local_names[name] == "page":
+            done.append(pages.pop())
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    while True:
+        data = source.read(_READ_SIZE)
+        error = None
+        try:
+            parser.Parse(data, not data)  # an empty read ends the input
+        except expat.ExpatError as e:
+            # an error of the last feed, at the end of input, is an early end
+            error = (MalformedXml(str(e), offset=parser.ErrorByteIndex) if data
+                     else TruncatedDump(f"dump truncated: {e}"))
+        for page_id, title, ns, text in done:
             try:
-                page = PageRecord(page_id=int(page_id or 0), title=title,
-                                  namespace=int(ns), text=text)
+                page = PageRecord(int(page_id or 0), title, int(ns), text)
             except ValueError:
                 raise MalformedXml(
                     f"page {title!r}: id {page_id!r} or namespace {ns!r} "
                     f"is not an integer") from None
             yield page
-            root.clear()
-    except ET.ParseError as e:
-        if "no element found" in str(e):
-            raise TruncatedDump(f"dump truncated: {e}") from e
-        offset = getattr(e, "position", (None, None))
-        raise MalformedXml(str(e), offset=offset[1]) from e
-    finally:
-        if close:
-            source.close()
+        done.clear()
+        if error is not None:
+            raise error
+        if not data:
+            return
 
 
 # lazy attributes, so a self-closing "/" right before ">" lands in group 2

@@ -562,6 +562,57 @@ class TestCorpusWorkers:
             "1\tnone\tadd x1 1", "3\tnone\tpow x1 2", "4\tnone\tx1"]
         assert json.loads(stats)["n_dropped"] == 1
 
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("runs", [
+        [("--policy", "drop"), ("--policy", "replace_and_split")],
+        [("--library", "std1"), ("--library", "std2")],
+    ], ids=["policy", "library"])
+    def test_runs_in_one_process_write_what_they_write_alone(
+            self, monkeypatch, tmp_path, capsys, generated_jsonl, n_cpus,
+            runs):
+        # each record's encoding is cached for one main call only
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        alone = []
+        for i, flags in enumerate(runs):
+            out = tmp_path / f"alone{i}.corpus"
+            proc = subprocess.run(
+                [sys.executable, "-m", "mathcorpus.cli", "corpus",
+                 "--in", str(generated_jsonl), "--out", str(out), *flags],
+                capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            alone.append((out.read_bytes(),
+                          Path(f"{out}.stats.json").read_bytes()))
+        assert alone[0][0] != alone[1][0]
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n_cpus)))
+        for i, flags in enumerate(runs + runs):
+            out = tmp_path / f"run{i}.corpus"
+            assert main(["corpus", "--in", str(generated_jsonl),
+                         "--out", str(out), *flags]) == 0
+            assert (out.read_bytes(), Path(f"{out}.stats.json").read_bytes()
+                    ) == alone[i % 2], flags
+
+    def test_caches_are_bounded_and_empty_after_main(
+            self, monkeypatch, tmp_path, capsys, generated_jsonl):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        caches = (cli._encode_latex, latex_parser.variable_token,
+                  latex_parser.constant_token)
+        hits = []
+
+        def parse(text):  # the caches are in use while main runs
+            hits.append([c.cache_info().hits for c in caches])
+            return latex_parser.parse_latex(text)
+
+        monkeypatch.setattr(cli, "parse_latex", parse)
+        assert main(["corpus", "--in", str(generated_jsonl),
+                     "--out", str(tmp_path / "c.corpus")]) == 0
+        assert all(h > 0 for h in hits[-1])
+        assert len(hits) < len(generated_jsonl.read_text().splitlines())
+        assert [c.cache_info().currsize for c in caches] == [0, 0, 0]
+        assert all(c.cache_info().maxsize for c in caches)
+
     def test_worker_exception_is_an_internal_error(self, monkeypatch,
                                                    tmp_path, capsys,
                                                    generated_jsonl):

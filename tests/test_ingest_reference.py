@@ -1,9 +1,13 @@
-"""The regex SQL cell scanner and the one-walk corpus build against the
-previous implementations, kept here verbatim as references: the
-character-at-a-time VALUES state machine, and canonicalize_variables,
-admit, augment_replace and augment_split."""
+"""The expat page reader, the regex SQL cell scanner and the one-walk
+corpus build against the previous implementations, kept here verbatim as
+references: the ElementTree page reader, the character-at-a-time VALUES
+state machine, and canonicalize_variables, admit, augment_replace and
+augment_split."""
 
+import io
+import os
 import random
+import xml.etree.ElementTree as ET
 from dataclasses import replace as dc_replace
 
 import numpy as np
@@ -32,14 +36,193 @@ from mathcorpus.expr_core import (
 )
 from mathcorpus.latex_parser import ParseOutcome, is_unsupported_marker
 from mathcorpus.wiki_extract import (
+    MalformedXml,
+    PageRecord,
     SqlSyntax,
+    TruncatedDump,
+    WikiError,
     _parse_values,
     _sql_scalar,
     serialize_rows,
+    stream_pages,
 )
 
 from conftest import random_tree
+from test_cli import perfbench_gen
 from test_corpus import inject_markers
+
+
+# --- pages-articles XML -----------------------------------------------------
+
+def _localname(tag):
+    return tag.rsplit("}", 1)[-1]
+
+
+def reference_stream_pages(source):
+    """Yield PageRecords from a pages-articles XML stream, one page in memory
+    at a time.
+
+    Accepts a binary file object or a path.  Truncated input raises
+    TruncatedDump after yielding all complete pages; other XML problems
+    raise MalformedXml with a byte offset.
+    """
+    close = isinstance(source, (str, bytes, os.PathLike))
+    if close:
+        source = open(source, "rb")
+    # finished pages stay children of the root unless the root is cleared
+    root = None
+    try:
+        for event, elem in ET.iterparse(source, events=("start", "end")):
+            if root is None:
+                root = elem
+            if event != "end" or _localname(elem.tag) != "page":
+                continue
+            page_id, title, ns, text = None, "", 0, ""
+            for child in elem:
+                name = _localname(child.tag)
+                if name == "id" and page_id is None:
+                    page_id = child.text or 0
+                elif name == "title":
+                    title = child.text or ""
+                elif name == "ns":
+                    ns = child.text or 0
+                elif name == "revision":
+                    for sub in child:
+                        if _localname(sub.tag) == "text":
+                            text = sub.text or ""
+            try:
+                page = PageRecord(page_id=int(page_id or 0), title=title,
+                                  namespace=int(ns), text=text)
+            except ValueError:
+                raise MalformedXml(
+                    f"page {title!r}: id {page_id!r} or namespace {ns!r} "
+                    f"is not an integer") from None
+            yield page
+            root.clear()
+    except ET.ParseError as e:
+        if "no element found" in str(e):
+            raise TruncatedDump(f"dump truncated: {e}") from e
+        offset = getattr(e, "position", (None, None))
+        raise MalformedXml(str(e), offset=offset[1]) from e
+    finally:
+        if close:
+            source.close()
+
+
+def pages_outcome(read, dump):
+    """The pages read, then the error raised: its type and its message up
+    to the offset, which the reference gives as a column."""
+    pages = []
+    try:
+        for page in read(io.BytesIO(dump)):
+            pages.append(page)
+    except WikiError as e:
+        return pages, (type(e).__name__, str(e).split(" (byte ")[0])
+    return pages, None
+
+
+def _page(body, page_id=1):
+    return (f"<page><title>P{page_id}</title><ns>0</ns><id>{page_id}</id>"
+            f"{body}</page>")
+
+
+def _dump(*pages, root="<mediawiki>"):
+    return (root + "\n".join(pages) + "</mediawiki>").encode()
+
+
+_REVISION = "<revision><id>70</id><timestamp>t</timestamp><text>{}</text></revision>"
+
+WELL_FORMED = {
+    "default-xmlns-siteinfo": _dump(
+        "<siteinfo><sitename>W</sitename><dbname>x</dbname></siteinfo>",
+        _page(_REVISION.format("a &lt;math&gt;x&lt;/math&gt;")),
+        _page(_REVISION.format("b"), 2),
+        root='<mediawiki xmlns="http://www.mediawiki.org/xml/export-0.10/" '
+             'version="0.10" xml:lang="en">'),
+    "bound-prefix": _dump(
+        "<mw:page><mw:title>T</mw:title><mw:ns>0</mw:ns><mw:id>3</mw:id>"
+        "<mw:revision><mw:text>q</mw:text></mw:revision></mw:page>",
+        root='<mw:mediawiki xmlns:mw="u">').replace(
+            b"</mediawiki>", b"</mw:mediawiki>"),
+    "revision-id-before-page-id": _dump(
+        "<page><title>T</title><revision><id>9</id><text>r</text>"
+        "</revision><ns>0</ns><id>4</id><id>5</id></page>"),
+    "empty-text": _dump(_page("<revision><text/></revision>"),
+                        _page("<revision><text></text></revision>", 2)),
+    "no-ns-no-id-no-revision": _dump("<page><title>T</title></page>"),
+    "empty-id-and-ns": _dump(
+        "<page><title>T</title><ns/><id></id><revision><text>x</text>"
+        "</revision></page>"),
+    "entities": _dump(_page(_REVISION.format(
+        "&lt;math&gt;a &amp;lt; b&lt;/math&gt; &#233; &#x3b1; &quot;&apos;")),
+        "<page><title>A &amp; B</title><ns>0</ns><id>2</id></page>"),
+    "cdata": _dump(_page(_REVISION.format(
+        "pre <![CDATA[<math>x < y & z</math>]]> post"))),
+    "whitespace-and-crlf": _dump(_page(_REVISION.format(
+        "  line one\r\nline two\r  "))),
+    "two-revisions": _dump(_page(
+        _REVISION.format("old") + _REVISION.format("new")
+        + "<revision><id>71</id></revision>")),
+    "text-with-a-child": _dump(
+        "<page><title>a<b>x</b>c</title><ns>0</ns><id>6</id>"
+        "<revision><text>m<i/>n</text></revision></page>"),
+    "nested-element-named-text": _dump(_page(
+        "<revision><contributor><text>no</text></contributor>"
+        "<text>yes</text></revision><text>not a revision's</text>"
+        "<sub><revision><text>not the page's</text></revision></sub>")),
+    "nested-page": _dump(
+        "<page><title>Outer</title><page><title>Inner</title><id>8</id>"
+        "</page><id>7</id><ns>0</ns></page>"),
+    "page-as-root": _page(_REVISION.format("alone")).encode(),
+    "utf8": _dump(_page(_REVISION.format("Ωμέγα ∑ 😀"))),
+}
+
+MALFORMED = {
+    "non-integer-id": _dump(_page(_REVISION.format("a")),
+                            "<page><title>Bad</title><ns>0</ns><id>12a</id>"
+                            "</page>", _page("", 3)),
+    "non-integer-ns": _dump(_page(_REVISION.format("a")),
+                            "<page><title>Bad</title><ns>main</ns>"
+                            "<id>2</id></page>"),
+    "mismatched-tag": _dump(_page(_REVISION.format("a")),
+                            "<page><title>B</titel></page>"),
+    "unbound-prefix": _dump(_page(_REVISION.format("a")),
+                            "<mw:page></mw:page>"),
+    "undefined-entity": _dump(_page(_REVISION.format("a")),
+                              _page(_REVISION.format("&nbsp;"), 2)),
+    "junk-after-root": _dump(_page(_REVISION.format("a"))) + b"junk",
+    "second-root": _dump(_page(_REVISION.format("a"))) + b"<mediawiki/>",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WELL_FORMED))
+def test_reader_matches_reference_on_edge_fixtures(name):
+    dump = WELL_FORMED[name]
+    got = pages_outcome(stream_pages, dump)
+    assert got == pages_outcome(reference_stream_pages, dump)
+    assert got[0] and got[1] is None
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_reader_matches_reference_on_malformed_fixtures(name):
+    dump = MALFORMED[name]
+    got = pages_outcome(stream_pages, dump)
+    assert got == pages_outcome(reference_stream_pages, dump)
+    # the pages before the malformed point come first
+    assert got[0] and got[1][0] == "MalformedXml"
+
+
+def test_non_integer_id_names_the_page():
+    with pytest.raises(MalformedXml, match="page 'Bad': id '12a'"):
+        list(stream_pages(io.BytesIO(MALFORMED["non-integer-id"])))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reader_matches_reference_on_generated_dumps(tmp_path, seed):
+    paths, expect = perfbench_gen().write_dump(tmp_path, seed, 2000)
+    got = list(stream_pages(paths["dump"]))
+    assert got == list(reference_stream_pages(paths["dump"]))
+    assert len(got) == expect.pages
 
 
 # --- SQL VALUES -------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from mathcorpus.wiki_extract import (
     CategoryLink,
+    MalformedXml,
     PageRecord,
     RootNotFound,
     SqlSyntax,
@@ -59,6 +60,43 @@ class TestStreamPages:
             for p in stream_pages(io.BytesIO(cut)):
                 pages.append(p)
         assert [p.page_id for p in pages] == [1, 2]
+
+    @pytest.mark.parametrize("dump", [
+        FIXTURE_XML,
+        # a title of two-byte characters and entities in the text
+        ("<mediawiki>" + page_xml(1, "Éé", "<math>a &amp; b</math>")
+         + page_xml(2, "Ωé", "é &lt; x") + "</mediawiki>").encode(),
+    ], ids=["fixture", "utf8-entities"])
+    def test_every_cut_yields_the_pages_it_completes(self, dump):
+        whole = [(p.page_id, p.title, p.text)
+                 for p in stream_pages(io.BytesIO(dump))]
+        for end in range(len(dump)):
+            # inside a tag, an entity or a character as well
+            cut, pages = dump[:end], []
+            with pytest.raises(TruncatedDump):
+                for p in stream_pages(io.BytesIO(cut)):
+                    pages.append((p.page_id, p.title, p.text))
+            assert pages == whole[:cut.count(b"</page>")], cut
+
+    def test_malformed_offset_is_the_byte_in_the_stream(self):
+        dump = ("<mediawiki>\n" + page_xml(1, "A", "x") + "\n"
+                "<page><title>B</tilte></page>\n</mediawiki>").encode()
+        with pytest.raises(MalformedXml) as exc:
+            list(stream_pages(io.BytesIO(dump)))
+        byte = dump.index(b"</tilte>") + 2  # at the name in the end tag
+        assert "line 3, column 16" in str(exc.value)
+        assert exc.value.offset == byte and byte != 16
+        assert str(exc.value).endswith(f"(byte {byte})")
+
+    def test_malformed_point_beyond_the_first_read(self):
+        dump = ("<mediawiki>" + page_xml(1, "A", "y " * 20_000)
+                + "<page><junk></page></mediawiki>").encode()
+        pages = []
+        with pytest.raises(MalformedXml) as exc:
+            for p in stream_pages(io.BytesIO(dump)):
+                pages.append(p.page_id)
+        assert pages == [1]
+        assert exc.value.offset == dump.index(b"</page></mediawiki>") + 2
 
     def test_file_path_input(self, tmp_path):
         f = tmp_path / "dump.xml"
