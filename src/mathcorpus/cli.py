@@ -77,16 +77,9 @@ def _category_tree(root, links_path, page_path, depth):
     if root is None:
         return None
     try:
-        links = list(wiki_extract.parse_sql_dump(links_path, "categorylinks"))
-        # only the rows the tree reads, which takes a missing page for a
-        # main-namespace one: other namespaces, and subcategories' titles
-        subcats = {k.from_page_id for k in links if k.link_type == "subcat"}
-        pages = {}
-        for p in wiki_extract.parse_sql_dump(page_path, "page"):
-            pages.pop(p.page_id, None)  # the last row of a page id wins
-            if p.namespace != wiki_extract.NS_MAIN or p.page_id in subcats:
-                pages[p.page_id] = p
-        return wiki_extract.build_category_tree(root, links, pages, depth)
+        return wiki_extract.build_category_tree(
+            root, wiki_extract.parse_sql_dump(links_path, "categorylinks"),
+            wiki_extract.parse_sql_dump(page_path, "page"), depth)
     except wiki_extract.WikiError as e:
         raise UsageError(str(e))
 

@@ -276,19 +276,19 @@ def _padded(traversals):
     return seqs, lengths
 
 
-def objective_and_gradients(controller, traversals, advantages, config,
+def objective_and_gradients(controller, seqs, lengths, advantages, config,
                             record, rows):
     """Risk-seeking surrogate objective and its exact controller gradients.
 
     J = mean_i adv_i * log p(tau_i) + ENTROPY_WEIGHT * mean_i sum_t H_t.
-    ``record`` is ``sample_batch``'s record of the draws, and ``rows`` the
-    batch rows of ``traversals`` in it.  The controller reruns on the
+    The traversals are ``_padded``'s ``seqs`` and ``lengths``, ``record``
+    is ``sample_batch``'s record of the draws, and ``rows`` the batch rows
+    of the traversals in it.  The controller reruns on the
     recorded parents and siblings, and its logits are combined as sampling
     combined them, so training scores exactly the distribution that drew
     the tokens.  The prior logits and constraint masks are constants;
     gradients flow only through the controller logits.
     """
-    seqs, lengths = _padded(traversals)
     k, T = seqs.shape
     live = np.arange(T)[:, None] < lengths
     # past a row's end: the empty prefix of every row's first step, and
@@ -338,19 +338,20 @@ def objective_and_gradients(controller, traversals, advantages, config,
     return J, grads
 
 
-def train_step(controller, batch, config, optimizer, record):
-    """One risk-seeking policy update from a batch of (traversal, reward)
-    and ``sample_batch``'s record of the draws that made it; only the top
-    rows' record is read."""
-    if not batch:
+def train_step(controller, seqs, lengths, rewards, config, optimizer,
+               record):
+    """One risk-seeking policy update from a batch of traversals, as
+    ``_padded``'s ``seqs`` and ``lengths``, their rewards and
+    ``sample_batch``'s record of the draws that made them; only the top
+    rows are read."""
+    if not len(rewards):
         raise ValueError("empty batch")
-    rewards = np.array([r for _, r in batch])
     baseline = float(np.quantile(rewards, 1.0 - RISK_FRACTION))
-    k = max(1, int(round(RISK_FRACTION * len(batch))))
+    k = max(1, int(round(RISK_FRACTION * len(rewards))))
     top = np.argsort(-rewards, kind="stable")[:k]
     J, grads = objective_and_gradients(
-        controller, [batch[i][0] for i in top],
-        [rewards[i] - baseline for i in top], config, record, top)
+        controller, seqs[top, :lengths[top].max()], lengths[top],
+        rewards[top] - baseline, config, record, top)
     neg = {n: -g for n, g in grads.items()}
     optimizer.update(controller.params(), neg)
     return J
@@ -521,8 +522,8 @@ def run_search(spec, config, rng_seed, mlm_model=None):
     for step_i in range(1, cfg.max_steps + 1):
         record = []
         traversals = sample_batch(controller, mlm_model, cfg, rng, record)
-        rewards, invalid = batch_rewards(*_padded(traversals), lib.tokens,
-                                         X, y, sd)
+        seqs, lengths = _padded(traversals)
+        rewards, invalid = batch_rewards(seqs, lengths, lib.tokens, X, y, sd)
         n_invalid += int(invalid.sum())
         n_total += len(traversals)
         i = int(np.argmax(rewards))  # the first maximum
@@ -533,8 +534,8 @@ def run_search(spec, config, rng_seed, mlm_model=None):
             if recovered(traversal_to_tree(best_trav, lib), spec):
                 solved_at = step_i
                 break
-        train_step(controller, list(zip(traversals, rewards)), cfg,
-                   optimizer, record)
+        train_step(controller, seqs, lengths, rewards, cfg, optimizer,
+                   record)
     best_expr = render_latex(traversal_to_tree(best_trav, lib)) if best_trav else ""
     return RunMetrics(
         recovered=solved_at is not None,

@@ -233,7 +233,7 @@ class _SegmentParser:
 
     def _starts_atom(self, lx):
         if lx.kind == "command":
-            return lx.value not in _SPACING
+            return lx.value != "text"
         return lx.kind in ("number", "symbol", "group", "lparen")
 
     def term(self, stop):
@@ -254,10 +254,18 @@ class _SegmentParser:
             "differential" in stop and self._at_differential())
 
     def _at_differential(self):
-        """At the letter d followed by another letter."""
+        """The number of lexemes of the differential here, the letter d or
+        \\mathrm{d} before another letter; 0 when there is none."""
         lx = self.lx[self.pos]
-        return (lx.kind == "symbol" and lx.value == "d"
-                and self.lx[self.pos + 1].kind == "symbol")
+        if lx.kind == "symbol" and lx.value == "d":
+            n = 1
+        elif (lx.kind == "command" and lx.value == "mathrm"
+              and (grp := self.lx[self.pos + 1]).kind == "group"
+              and _text(grp.value) == "d"):
+            n = 2
+        else:
+            return 0
+        return n + 1 if self.lx[self.pos + n].kind == "symbol" else 0
 
     def unary(self, stop):
         signs = 0
@@ -282,9 +290,19 @@ class _SegmentParser:
     def exponent(self, stop):
         # one lexeme or brace group; anything else, itself possibly powered
         # (x^2^3 is rare)
-        if lx := self._accept("number", "symbol", "group"):
-            return self._operand(lx)
+        if self.lx[self.pos].kind in ("number", "symbol", "group"):
+            return self._operand(self._argument())
         return self.power(stop)
+
+    def _argument(self):
+        """Consume one TeX argument, a brace group or one lexeme, and
+        return it.  Of a number it is the first digit, and the rest stays
+        as the next lexeme: TeX reads x^23 as x^2 3."""
+        lx = self.lx[self.pos]
+        if lx.kind == "number" and len(lx.value) > 1:
+            self.lx[self.pos] = Lexeme("number", lx.value[1:], lx.offset + 1)
+            return Lexeme("number", lx.value[0], lx.offset)
+        return self.advance()
 
     def _operand(self, lx):
         """The tree of a consumed number, bare letter or brace group."""
@@ -316,10 +334,9 @@ class _SegmentParser:
     def _decorated_variable(self, name):
         if self.lx[self.pos].kind == "subscript":
             self.pos += 1
-            sub = self.lx[self.pos]
+            sub = self._argument()
             if sub is _EOF:
                 raise LatexError("dangling '_'")
-            self.pos += 1
             name += "_" + _text([sub])
         return node(variable_token(name))
 
@@ -352,7 +369,7 @@ class _SegmentParser:
         return self._unsupported_atom(name, lx.offset, stop)
 
     def _required_group(self, ctx):
-        lx = self.advance()
+        lx = self._argument()
         if lx.kind in ("number", "symbol", "group"):
             return self._operand(lx)
         raise LatexError(f"\\{ctx} needs a group, a number or a letter", lx.offset)
@@ -363,7 +380,7 @@ class _SegmentParser:
         power_expo = None
         while lx := self._accept("subscript", "superscript"):
             if lx.kind == "subscript":
-                self.advance()  # base ignored
+                self._argument()  # base ignored
             else:
                 power_expo = self.exponent(stop)
         if self.peek().kind in ("lparen", "group"):
@@ -385,11 +402,11 @@ class _SegmentParser:
         children = []
         if name in _INTEGRALS or name in _BIG_OPERATORS:
             while self._accept("subscript", "superscript"):
-                self.advance()  # bounds dropped
+                self._argument()  # bounds dropped
             integral = name in _INTEGRALS
             body = self._optional_term(("differential",) if integral else stop)
-            if integral and self._at_differential():
-                self.pos += 2
+            if integral:
+                self.pos += self._at_differential()
             children = [] if body is None else [body]
         elif name in _ACCENTS:
             while grp := self._accept("group"):

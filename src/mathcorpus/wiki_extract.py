@@ -14,8 +14,7 @@ import html
 import os
 import re
 from collections import deque
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from xml.parsers import expat
 
 NS_MAIN = 0
@@ -347,65 +346,57 @@ def parse_sql_dump(source, table):
 # --- category tree ---------------------------------------------------------
 
 @dataclass
-class CategoryNode:
-    subcategories: list = field(default_factory=list)
-    page_ids: list = field(default_factory=list)
-    depth: int = 0
-
-
-@dataclass
 class CategoryTree:
     root: str
-    nodes: dict
-
-    @cached_property
-    def page_ids(self):
-        """Every page id in the tree, collected on first use."""
-        return frozenset(i for n in self.nodes.values() for i in n.page_ids)
+    nodes: dict  # category name -> depth
+    page_ids: frozenset
 
 
 def build_category_tree(root, links, pages, max_depth):
     """Breadth-first category expansion from a root category name.
 
-    ``links`` is an iterable of CategoryLink; ``pages`` maps page_id ->
-    PageRecord (needed to resolve subcategory page ids to names).  Each
-    category is expanded once, at its shallowest depth, which both guards
-    cycles and keeps diamonds from blowing up.
+    ``links`` and ``pages`` are the rows ``parse_sql_dump`` yields for the
+    categorylinks and page tables, each read once, links first; the last
+    row of a page id wins.  A subcategory is named by its page's title, or
+    ``cat#<id>`` without one.  Each category is expanded once, at its
+    shallowest depth, which both guards cycles and keeps diamonds from
+    blowing up.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    by_target = {}
+    children = {}  # category name -> (subcategory page ids, member page ids)
     for link in links:
-        by_target.setdefault(link.to_category_name, []).append(link)
-
-    known = set(by_target)
-    for rec in pages.values():
-        if rec.namespace == NS_CATEGORY:
-            known.add(rec.title)
-    if root not in known:
+        subcats, members = children.setdefault(link.to_category_name, ([], []))
+        if link.link_type == "subcat":
+            subcats.append(link.from_page_id)
+        elif link.link_type == "page":
+            members.append(link.from_page_id)
+    # only the rows the walk reads, which takes a missing page for a
+    # main-namespace one: other namespaces, and subcategories' titles
+    subcat_ids = {i for subcats, _ in children.values() for i in subcats}
+    names = {}  # page id -> (namespace, title)
+    for page in pages:
+        names.pop(page.page_id, None)
+        if page.namespace != NS_MAIN or page.page_id in subcat_ids:
+            names[page.page_id] = (page.namespace, page.title)
+    if root not in children and (NS_CATEGORY, root) not in names.values():
         raise RootNotFound(f"category {root!r} not found")
-
-    nodes = {root: CategoryNode(depth=0)}
-    queue = deque([(root, 0)])
+    nodes = {root: 0}
+    page_ids = set()
+    queue = deque([root])
     while queue:
-        cat, depth = queue.popleft()
-        node = nodes[cat]
-        children = sorted(by_target.get(cat, []),
-                          key=lambda l: (l.link_type, l.from_page_id))
-        for link in children:
-            if link.link_type == "subcat":
-                rec = pages.get(link.from_page_id)
-                child_name = rec.title if rec is not None else f"cat#{link.from_page_id}"
-                if depth + 1 > max_depth or child_name in nodes:
-                    continue
-                nodes[child_name] = CategoryNode(depth=depth + 1)
-                node.subcategories.append(child_name)
-                queue.append((child_name, depth + 1))
-            elif link.link_type == "page":
-                rec = pages.get(link.from_page_id)
-                if rec is None or rec.namespace == NS_MAIN:
-                    node.page_ids.append(link.from_page_id)
-    return CategoryTree(root=root, nodes=nodes)
+        cat = queue.popleft()
+        subcats, members = children.get(cat, ((), ()))
+        page_ids.update(i for i in members
+                        if i not in names or names[i][0] == NS_MAIN)
+        if nodes[cat] == max_depth:
+            continue
+        for i in sorted(subcats):
+            name = names[i][1] if i in names else f"cat#{i}"
+            if name not in nodes:
+                nodes[name] = nodes[cat] + 1
+                queue.append(name)
+    return CategoryTree(root, nodes, frozenset(page_ids))
 
 
 def filter_pages_by_category(tree, expressions):

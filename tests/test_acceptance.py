@@ -180,10 +180,11 @@ def test_criterion_07_lambda_zero_equivalence():
                                  config, rng, record)
             for t in travs:
                 tokens.extend(t.seq)
-            rewards, _ = dsr.batch_rewards(*dsr._padded(travs), lib.tokens,
-                                           X, y, sd)
-            batch = list(zip(travs, rewards))
-            train_step(controller, batch, config, opt, record)
+            seqs, lengths = dsr._padded(travs)
+            rewards, _ = dsr.batch_rewards(seqs, lengths, lib.tokens, X, y,
+                                           sd)
+            train_step(controller, seqs, lengths, rewards, config, opt,
+                       record)
         return tokens
 
     a, b = trajectory(True), trajectory(False)

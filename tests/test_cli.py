@@ -284,6 +284,26 @@ def generated_dumps(tmp_path_factory):
             for seed in (1, 2, 3)}
 
 
+def write_tree_rows(tmp_path):
+    """The paths of a small categorylinks and page table whose rows
+    exercise the tree's row selection."""
+    links = tmp_path / "categorylinks.sql"
+    links.write_text("INSERT INTO `categorylinks` VALUES " + ",".join(
+        f"({i},'{to}','','2020-01-01','','','{kind}')"
+        for i, to, kind in [(10, "Root", "subcat"), (11, "Root", "subcat"),
+                            (20, "Sub", "page"), (21, "Root", "page"),
+                            (22, "Root", "page"), (23, "Other", "page")])
+        + ";\n")
+    page = tmp_path / "page.sql"
+    page.write_text("INSERT INTO `page` VALUES " + ",".join(
+        f"({i},{ns},'{title}')"
+        for i, ns, title in [(10, 0, "Sub"), (11, 14, "Other"),
+                             (20, 0, "P20"), (21, 0, "P21"),
+                             (21, 2, "User:21"), (22, 2, "User:22"),
+                             (22, 0, "P22"), (30, 14, "Root")]) + ";\n")
+    return links, page
+
+
 def category_argv(paths, out, root):
     return ["extract", "--dump", str(paths["dump"]), "--out", str(out),
             "--category", root,
@@ -320,31 +340,11 @@ class TestExtractWorkers:
                f"unterminated={expect.unterminated}\n")
 
     def test_tree_from_the_rows_it_reads(self, tmp_path):
-        """The worker keeps only the page rows the tree reads, and builds
-        the tree of the whole table, malformed rows included: subcategory 10
-        is a main-namespace row, and the last row of page ids 21 and 22
-        wins."""
-        links = tmp_path / "categorylinks.sql"
-        links.write_text("INSERT INTO `categorylinks` VALUES " + ",".join(
-            f"({i},'{to}','','2020-01-01','','','{kind}')"
-            for i, to, kind in [(10, "Root", "subcat"), (11, "Root", "subcat"),
-                                (20, "Sub", "page"), (21, "Root", "page"),
-                                (22, "Root", "page"), (23, "Other", "page")])
-            + ";\n")
-        page = tmp_path / "page.sql"
-        page.write_text("INSERT INTO `page` VALUES " + ",".join(
-            f"({i},{ns},'{title}')"
-            for i, ns, title in [(10, 0, "Sub"), (11, 14, "Other"),
-                                 (20, 0, "P20"), (21, 0, "P21"),
-                                 (21, 2, "User:21"), (22, 2, "User:22"),
-                                 (22, 0, "P22"), (30, 14, "Root")]) + ";\n")
-        tree = cli._category_tree("Root", links, page, 3)
-        every = {p.page_id: p
-                 for p in wiki_extract.parse_sql_dump(page, "page")}
-        assert tree == wiki_extract.build_category_tree(
-            "Root", wiki_extract.parse_sql_dump(links, "categorylinks"),
-            every, 3)
-        assert set(tree.nodes) == {"Root", "Sub", "Other"}
+        """The worker builds the tree of the whole table, malformed rows
+        included: subcategory 10 is a main-namespace row, and the last row
+        of page ids 21 and 22 wins."""
+        tree = cli._category_tree("Root", *write_tree_rows(tmp_path), 3)
+        assert tree.nodes == {"Root": 0, "Sub": 1, "Other": 1}
         assert tree.page_ids == {20, 22, 23}
 
     @pytest.mark.parametrize("broken", ["dump", "out"])
@@ -681,13 +681,29 @@ class TestBoundedMemory:
         for pages, (paths, _) in scaled_dumps.items():
             tree = cli._category_tree(gen.ROOT_CATEGORY, paths["links_sql"],
                                       paths["page_sql"], gen.FILTER_DEPTH)
-            tree.page_ids  # built outside the traced read, as in a worker
             monkeypatch.setattr(cli, "fork_call", lambda build, jobs, t=tree:
                                 nullcontext(self.TreeNotYet(t)))
             out = tmp_path / f"{pages}.jsonl"
             peaks.append(traced_peak(category_argv(paths, out,
                                                    gen.ROOT_CATEGORY), capsys))
         assert peaks[1] < 2 * peaks[0], peaks
+
+    def test_category_tree(self, scaled_dumps):
+        """The tree's worker holds each category's page ids and the page
+        rows the walk reads, not the tables: its peak allocation stays
+        below the size of the two SQL files."""
+        gen = perfbench_gen()
+        for pages, (paths, _) in scaled_dumps.items():
+            tracemalloc.start()
+            try:
+                cli._category_tree(gen.ROOT_CATEGORY, paths["links_sql"],
+                                   paths["page_sql"], gen.FILTER_DEPTH)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = sum(paths[table].stat().st_size
+                       for table in ("links_sql", "page_sql"))
+            assert peak < size, (pages, peak, size)
 
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_corpus(self, monkeypatch, tmp_path, capsys, scaled_dumps,

@@ -622,8 +622,8 @@ class TestReplayOracle:
         rows = np.arange(len(travs)) if rows is None else rows
         kept = [travs[i] for i in rows]
         adv = np.random.default_rng(seed).normal(size=len(rows))
-        J, grads = dsr.objective_and_gradients(controller, kept, adv, config,
-                                               record, rows)
+        J, grads = dsr.objective_and_gradients(
+            controller, *dsr._padded(kept), adv, config, record, rows)
         prior = None
         if model is not None:
             prior = batch_prior_logits(model, travs)[:, rows]
@@ -804,14 +804,6 @@ class TestBatchRewards:
 
 
 class TestTrainStep:
-    def _batch(self, controller, config, rng, X, y):
-        travs = sample_batch(controller, None, config, rng)
-        out = []
-        for t in travs:
-            r, _ = tree_reward(traversal_to_tree(t, config.library), X, y)
-            out.append((t, r))
-        return out
-
     def test_gradient_check_finite_differences(self, slib):
         config = cfg(slib, batch_size=3)
         controller = Controller(slib, 6, seed=3)
@@ -822,8 +814,10 @@ class TestTrainStep:
         travs = sample_batch(controller, None, config,
                              np.random.default_rng(1), record)
         advantages, rows = [0.4, -0.2, 0.1], np.arange(3)
-        J, grads = dsr.objective_and_gradients(controller, travs, advantages,
-                                               config, record, rows)
+        seqs, lengths = dsr._padded(travs)
+        J, grads = dsr.objective_and_gradients(controller, seqs, lengths,
+                                               advantages, config, record,
+                                               rows)
         h = 1e-5
         worst = 0.0
         for name, p in controller.params().items():
@@ -832,13 +826,13 @@ class TestTrainStep:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                Jp, _ = dsr.objective_and_gradients(controller, travs,
-                                                    advantages, config,
-                                                    record, rows)
+                Jp, _ = dsr.objective_and_gradients(controller, seqs,
+                                                    lengths, advantages,
+                                                    config, record, rows)
                 flat[i] = orig - h
-                Jm, _ = dsr.objective_and_gradients(controller, travs,
-                                                    advantages, config,
-                                                    record, rows)
+                Jm, _ = dsr.objective_and_gradients(controller, seqs,
+                                                    lengths, advantages,
+                                                    config, record, rows)
                 flat[i] = orig
                 fd = (Jp - Jm) / (2 * h)
                 # floor 1e-5: central differences at h=1e-5 carry ~1e-10
@@ -860,9 +854,10 @@ class TestTrainStep:
         for _ in range(100):
             record = []
             travs = sample_batch(controller, model, config, rng, record)
-            batch = [(t, tree_reward(traversal_to_tree(t, slib), X, y)[0])
-                     for t in travs]
-            train_step(controller, batch, config, opt, record)
+            rewards = np.array([tree_reward(traversal_to_tree(t, slib),
+                                            X, y)[0] for t in travs])
+            train_step(controller, *dsr._padded(travs), rewards, config, opt,
+                       record)
         assert model.equal(snapshot)
 
     def test_replay_uses_the_sampling_constraint_set(self):
@@ -874,8 +869,9 @@ class TestTrainStep:
         trav = Traversal([lib.index_of(n)
                           for n in ("add", "exp", "log", "x", "x")])
         record = recorded(controller, None, config, [trav])
-        J, _ = dsr.objective_and_gradients(controller, [trav], [0.5], config,
-                                           record, np.array([0]))
+        J, _ = dsr.objective_and_gradients(controller, *dsr._padded([trav]),
+                                           [0.5], config, record,
+                                           np.array([0]))
         assert J == NEG_INF
 
     @pytest.mark.parametrize("with_mlm", [False, True])
@@ -895,7 +891,7 @@ class TestTrainStep:
         want_J, _ = reference_objective_and_gradients(
             controller, [travs[i] for i in top],
             rewards[top] - np.quantile(rewards, 0.95), config, prior)
-        J = train_step(controller, list(zip(travs, rewards)), config,
+        J = train_step(controller, *dsr._padded(travs), rewards, config,
                        Adam(dsr.LEARNING_RATE), record)
         assert J == want_J
 
@@ -903,7 +899,9 @@ class TestTrainStep:
         config = cfg(slib)
         controller = Controller(slib, dsr.HIDDEN_SIZE, seed=0)
         with pytest.raises(ValueError):
-            train_step(controller, [], config, Adam(0.001), [])
+            train_step(controller, np.zeros((0, 0), dtype=np.int64),
+                       np.zeros(0, dtype=np.int64), np.zeros(0), config,
+                       Adam(0.001), [])
 
 
 class TestLambdaZeroEquivalence:
@@ -924,11 +922,11 @@ class TestLambdaZeroEquivalence:
                                      model if with_model else None, config,
                                      rng, record)
                 trajectory.extend(t.seq for t in travs)
-                rewards, _ = dsr.batch_rewards(*dsr._padded(travs),
-                                               slib.tokens, X, y,
-                                               target_spread(y))
-                batch = list(zip(travs, rewards))
-                train_step(controller, batch, config, opt, record)
+                seqs, lengths = dsr._padded(travs)
+                rewards, _ = dsr.batch_rewards(seqs, lengths, slib.tokens,
+                                               X, y, target_spread(y))
+                train_step(controller, seqs, lengths, rewards, config, opt,
+                           record)
             return trajectory
 
         assert run(True) == run(False)

@@ -1,14 +1,18 @@
-"""The expat page reader, the regex SQL cell scanner and the one-walk
-corpus build against the previous implementations, kept here verbatim as
-references: the ElementTree page reader, the character-at-a-time VALUES
-state machine, and canonicalize_variables, admit, augment_replace and
+"""The expat page reader, the regex SQL cell scanner, the category tree
+and the one-walk corpus build against the previous implementations, kept
+here verbatim as references: the ElementTree page reader, the
+character-at-a-time VALUES state machine, the page-row filter and tree of
+CategoryNodes, and canonicalize_variables, admit, augment_replace and
 augment_split."""
 
 import io
 import os
 import random
 import xml.etree.ElementTree as ET
+from collections import deque
+from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -36,19 +40,24 @@ from mathcorpus.expr_core import (
 )
 from mathcorpus.latex_parser import ParseOutcome, is_unsupported_marker
 from mathcorpus.wiki_extract import (
+    NS_CATEGORY,
+    NS_MAIN,
     MalformedXml,
     PageRecord,
+    RootNotFound,
     SqlSyntax,
     TruncatedDump,
     WikiError,
     _parse_values,
     _sql_scalar,
+    build_category_tree,
+    parse_sql_dump,
     serialize_rows,
     stream_pages,
 )
 
 from conftest import random_tree
-from test_cli import perfbench_gen
+from test_cli import perfbench_gen, write_tree_rows
 from test_corpus import inject_markers
 
 
@@ -340,6 +349,128 @@ def test_values_match_reference_on_round_trips(seed):
         got = values_outcome(_parse_values, buf)
         assert got == values_outcome(reference_parse_values, buf), buf
         assert got == (rows, len(buf))
+
+
+# --- category tree ----------------------------------------------------------
+
+@dataclass
+class CategoryNode:
+    subcategories: list = field(default_factory=list)
+    page_ids: list = field(default_factory=list)
+    depth: int = 0
+
+
+@dataclass
+class ReferenceCategoryTree:
+    root: str
+    nodes: dict
+
+    @cached_property
+    def page_ids(self):
+        """Every page id in the tree, collected on first use."""
+        return frozenset(i for n in self.nodes.values() for i in n.page_ids)
+
+
+def reference_build_category_tree(root, links, pages, max_depth):
+    """Breadth-first category expansion from a root category name.
+
+    ``links`` is an iterable of CategoryLink; ``pages`` maps page_id ->
+    PageRecord (needed to resolve subcategory page ids to names).  Each
+    category is expanded once, at its shallowest depth, which both guards
+    cycles and keeps diamonds from blowing up.
+    """
+    if max_depth < 0:
+        raise ValueError("max_depth must be >= 0")
+    by_target = {}
+    for link in links:
+        by_target.setdefault(link.to_category_name, []).append(link)
+
+    known = set(by_target)
+    for rec in pages.values():
+        if rec.namespace == NS_CATEGORY:
+            known.add(rec.title)
+    if root not in known:
+        raise RootNotFound(f"category {root!r} not found")
+
+    nodes = {root: CategoryNode(depth=0)}
+    queue = deque([(root, 0)])
+    while queue:
+        cat, depth = queue.popleft()
+        node = nodes[cat]
+        children = sorted(by_target.get(cat, []),
+                          key=lambda l: (l.link_type, l.from_page_id))
+        for link in children:
+            if link.link_type == "subcat":
+                rec = pages.get(link.from_page_id)
+                child_name = rec.title if rec is not None else f"cat#{link.from_page_id}"
+                if depth + 1 > max_depth or child_name in nodes:
+                    continue
+                nodes[child_name] = CategoryNode(depth=depth + 1)
+                node.subcategories.append(child_name)
+                queue.append((child_name, depth + 1))
+            elif link.link_type == "page":
+                rec = pages.get(link.from_page_id)
+                if rec is None or rec.namespace == NS_MAIN:
+                    node.page_ids.append(link.from_page_id)
+    return ReferenceCategoryTree(root=root, nodes=nodes)
+
+
+def reference_category_tree(root, links_path, page_path, depth):
+    """The tree of the two SQL tables, as ``cli._category_tree`` built it
+    from the page rows it kept."""
+    links = list(parse_sql_dump(links_path, "categorylinks"))
+    # only the rows the tree reads, which takes a missing page for a
+    # main-namespace one: other namespaces, and subcategories' titles
+    subcats = {k.from_page_id for k in links if k.link_type == "subcat"}
+    pages = {}
+    for p in parse_sql_dump(page_path, "page"):
+        pages.pop(p.page_id, None)  # the last row of a page id wins
+        if p.namespace != NS_MAIN or p.page_id in subcats:
+            pages[p.page_id] = p
+    return reference_build_category_tree(root, links, pages, depth)
+
+
+def assert_tree_matches_reference(root, links_path, page_path, depth):
+    got = build_category_tree(root,
+                              parse_sql_dump(links_path, "categorylinks"),
+                              parse_sql_dump(page_path, "page"), depth)
+    want = reference_category_tree(root, links_path, page_path, depth)
+    # the same categories at the same depths, in the same order
+    assert list(got.nodes.items()) == [(name, n.depth)
+                                       for name, n in want.nodes.items()]
+    assert got.page_ids == want.page_ids
+
+
+@pytest.fixture(scope="module")
+def tree_dumps(tmp_path_factory):
+    """Seed -> paths of 3,000-page ``perfbench/gen.py`` dumps."""
+    work = tmp_path_factory.mktemp("tree")
+    return {seed: perfbench_gen().write_dump(work / str(seed), seed, 3000)[0]
+            for seed in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tree_matches_reference_on_generated_dumps(tree_dumps, seed, depth):
+    paths = tree_dumps[seed]
+    assert_tree_matches_reference(perfbench_gen().ROOT_CATEGORY,
+                                  paths["links_sql"], paths["page_sql"], depth)
+
+
+@pytest.mark.parametrize("root", ["Root", "Sub", "Other"])
+def test_tree_matches_reference_on_the_rows_it_reads(tmp_path, root):
+    for depth in (0, 1, 3):
+        assert_tree_matches_reference(root, *write_tree_rows(tmp_path), depth)
+
+
+def test_missing_root_raises_as_the_reference_does(tmp_path):
+    links, page = write_tree_rows(tmp_path)
+    # a main-namespace page's title is not a category name
+    with pytest.raises(RootNotFound):
+        reference_category_tree("P20", links, page, 1)
+    with pytest.raises(RootNotFound):
+        build_category_tree("P20", parse_sql_dump(links, "categorylinks"),
+                            parse_sql_dump(page, "page"), 1)
 
 
 # --- corpus build -----------------------------------------------------------

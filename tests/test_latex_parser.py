@@ -147,6 +147,37 @@ class TestParseLatex:
         assert shape(parse_latex("x_1^2").trees[0]) == "pow(x_1,2)"
         assert shape(parse_latex(r"\mathrm{x1}^2").trees[0]) == "pow(x1,2)"
 
+    @pytest.mark.parametrize("text, want", [
+        (r"\frac12", "div(1,2)"),
+        (r"\frac12 x^2", "mul(div(1,2),pow(x,2))"),
+        (r"\sqrt23", "mul(sqrt(2),3)"),
+        ("x^23", "mul(pow(x,2),3)"),
+        ("x^{23}", "pow(x,23)"),
+        ("x_12", "mul(x_1,2)"),
+        (r"\log_10 x", "mul(log(0),x)"),  # the base is one digit
+        (r"\sum_10 x", "?sum(mul(0,x))"),
+    ])
+    def test_a_bare_argument_is_one_token(self, text, want):
+        # as TeX reads it: of a number, one digit
+        assert shape(parse_latex(text).trees[0]) == want
+
+    @pytest.mark.parametrize("text, want", [
+        (r"3 \mathrm{x1}", "mul(3,x1)"),
+        (r"k \mathrm{e}^x", "mul(k,exp(x))"),
+        (r"2 \mathbf{y} \mathit{z}", "mul(mul(2,y),z)"),
+        (r"2 \operatorname{sin} x", "mul(2,sin(x))"),
+        (r"\int x \mathrm{d}x", "?int(x)"),  # \mathrm{d}x is a differential
+    ])
+    def test_a_font_command_starts_an_atom(self, text, want):
+        out = parse_latex(text)
+        assert shape(out.trees[0]) == want
+        assert not [u for u in out.unsupported if u[0].startswith("trailing")]
+
+    def test_text_ends_a_term(self):
+        out = parse_latex(r"a \text{if} b")
+        assert shape(out.trees[0]) == "a"
+        assert out.unsupported[0] == ("trailing:command", 2)
+
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             parse_latex("   ")

@@ -270,12 +270,12 @@ def category_fixture():
         CategoryLink(100, "A", "page"),
         CategoryLink(200, "B", "page"),
     ]
-    pages = {
-        10: PageRecord(10, "A", 14, ""),
-        11: PageRecord(11, "B", 14, ""),
-        100: PageRecord(100, "X", 0, ""),
-        200: PageRecord(200, "Y", 0, ""),
-    }
+    pages = [
+        PageRecord(10, "A", 14, ""),
+        PageRecord(11, "B", 14, ""),
+        PageRecord(100, "X", 0, ""),
+        PageRecord(200, "Y", 0, ""),
+    ]
     return links, pages
 
 
@@ -285,17 +285,14 @@ class TestCategoryTree:
         start = time.monotonic()
         tree = build_category_tree("A", links, pages, max_depth=3)
         assert time.monotonic() - start < 1.0
-        assert set(tree.nodes) == {"A", "B"}
-        assert tree.nodes["A"].depth == 0
-        assert tree.nodes["B"].depth == 1
-        assert tree.nodes["B"].subcategories == []  # A not re-added
+        assert tree.nodes == {"A": 0, "B": 1}  # A not re-added
         assert tree.page_ids == {100, 200}
 
     def test_max_depth_zero(self):
         links, pages = category_fixture()
         tree = build_category_tree("A", links, pages, max_depth=0)
-        assert set(tree.nodes) == {"A"}
-        assert tree.nodes["A"].page_ids == [100]
+        assert tree.nodes == {"A": 0}
+        assert tree.page_ids == {100}
 
     def test_root_not_found(self):
         links, pages = category_fixture()
@@ -304,16 +301,22 @@ class TestCategoryTree:
 
     def test_self_loop(self):
         links = [CategoryLink(10, "A", "subcat")]
-        pages = {10: PageRecord(10, "A", 14, "")}
+        pages = [PageRecord(10, "A", 14, "")]
         tree = build_category_tree("A", links, pages, max_depth=5)
-        assert set(tree.nodes) == {"A"}
+        assert tree.nodes == {"A": 0}
+
+    def test_subcategory_without_a_page_row(self):
+        links = [CategoryLink(12, "A", "subcat"),
+                 CategoryLink(5, "cat#12", "page")]
+        tree = build_category_tree("A", links, [], max_depth=1)
+        assert tree.nodes == {"A": 0, "cat#12": 1}
+        assert tree.page_ids == {5}
 
     def test_deterministic(self):
         links, pages = category_fixture()
         a = build_category_tree("A", links, pages, 3)
         b = build_category_tree("A", list(reversed(links)), pages, 3)
-        assert a.nodes.keys() == b.nodes.keys()
-        assert a.nodes["A"].page_ids == b.nodes["A"].page_ids
+        assert a == b and list(a.nodes) == list(b.nodes)
 
 
 class TestFilter:
@@ -327,14 +330,14 @@ class TestFilter:
     def test_keeps_tree_pages_only(self):
         exprs = self._exprs()
         links = [CategoryLink(1, "A", "page")]
-        pages = {1: PageRecord(1, "Alpha", 0, "")}
+        pages = [PageRecord(1, "Alpha", 0, "")]
         tree = build_category_tree("A", links, pages, 1)
         kept = filter_pages_by_category(tree, exprs)
         assert {e.page_id for e in kept} == {1}
 
     def test_empty_tree(self):
         links = [CategoryLink(999, "A", "page")]
-        tree = build_category_tree("A", links, {}, 1)
+        tree = build_category_tree("A", links, [], 1)
         # page 999 unknown -> still kept by id; unrelated pages dropped
         kept = filter_pages_by_category(tree, self._exprs())
         assert kept == []
@@ -342,7 +345,7 @@ class TestFilter:
     def test_idempotent(self):
         exprs = self._exprs()
         links = [CategoryLink(2, "A", "page")]
-        pages = {2: PageRecord(2, "Beta", 0, "")}
+        pages = [PageRecord(2, "Beta", 0, "")]
         tree = build_category_tree("A", links, pages, 1)
         once = filter_pages_by_category(tree, exprs)
         twice = filter_pages_by_category(tree, once)
