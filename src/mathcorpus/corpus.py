@@ -10,9 +10,10 @@ samples, or both.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .expr_core import ExprError, ExprTree, Traversal, VARIABLE, node
+from .expr_core import (ExprTree, Traversal, UnknownToken, node,
+                        tree_to_traversal)
 from .latex_parser import is_unsupported_marker
 
 POLICIES = ("drop", "replace", "split", "replace_and_split")
@@ -54,15 +55,8 @@ class CorpusStats:
     length_histogram: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "n_samples": self.n_samples,
-            "n_pages": self.n_pages,
-            "n_replaced": self.n_replaced,
-            "n_split": self.n_split,
-            "n_dropped": self.n_dropped,
-            "token_histogram": dict(self.token_histogram),
-            "length_histogram": {str(k): v for k, v in self.length_histogram.items()},
-        }
+        return asdict(self) | {"length_histogram": {
+            str(k): v for k, v in self.length_histogram.items()}}
 
 
 def has_markers(tree):
@@ -97,35 +91,15 @@ def split_fragments(tree):
     return out
 
 
-def _encode(tree, lib):
-    """Library indices of the tree in pre-order, its variables renamed
-    x1..xk in order of first appearance; None when a token is not in the
-    library, a variable beyond the library's ones among them."""
-    renamed, seq = {}, []
-
-    def visit(n):
-        name = n.root.name
-        if n.root.kind == VARIABLE:
-            name = renamed.setdefault(name, f"x{len(renamed) + 1}")
-        seq.append(lib.index_of(name))
-        for c in n.children:
-            visit(c)
-
-    try:
-        visit(tree)
-    except ExprError:  # a token outside the library
-        return None
-    return Traversal(seq)
-
-
 DROPPED = (None, "none")  # an encoded piece that makes no sample
 
 
 def encode_trees(trees, lib, policy):
     """(seq, augmentation) for each piece the policy makes of one parse
-    outcome's trees, in order: seq is the piece's library indices, or None
-    for a dropped piece.  A tree too deep for the recursive walks ends its
-    pieces with one dropped piece.  Only tuples come out, never a tree."""
+    outcome's trees, in order: seq is the piece's ``tree_to_traversal``
+    indices, or None for a dropped piece.  A tree too deep for the recursive
+    walks ends its pieces with one dropped piece.  Only tuples come out,
+    never a tree."""
     placeholder = lib.get(PLACEHOLDER)
     out = []
     for tree in trees:
@@ -143,9 +117,11 @@ def encode_trees(trees, lib, policy):
                 first, *rest = augment_split(tree, placeholder)
                 pieces = [(first, "replaced")] + [(f, "split") for f in rest]
             for piece, augmentation in pieces:
-                trav = _encode(piece, lib)
-                out.append(DROPPED if trav is None
-                           else (trav.seq, augmentation))
+                try:
+                    out.append((tree_to_traversal(piece, lib).seq,
+                                augmentation))
+                except UnknownToken:  # a token outside the library
+                    out.append(DROPPED)
         except RecursionError:
             out.append(DROPPED)
     return out

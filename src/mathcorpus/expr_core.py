@@ -167,31 +167,28 @@ def _open_slots(t, lib):
     return list(accumulate((lib[idx].arity - 1 for idx in t), initial=1))
 
 
-def dangling_slots(t, lib):
-    """Running slot count after consuming every token; negative means overrun."""
-    return _open_slots(t, lib)[-1]
-
-
-def is_valid_prefix(t, lib):
-    return all(d > 0 for d in _open_slots(t, lib)[:-1])
-
-
 def is_complete(t, lib):
     *head, last = _open_slots(t, lib)
     return last == 0 and all(d > 0 for d in head)
 
 
 def tree_to_traversal(tree, lib):
-    """Pre-order encoding of a tree as library indices."""
-    out = []
+    """Pre-order encoding of a tree as library indices, its variables
+    renamed x1..xk in order of first appearance.  A token outside the
+    library, a variable beyond the library's ones among them, raises
+    UnknownToken."""
+    renamed, seq = {}, []
 
     def visit(n):
-        out.append(lib.index_of(n.root.name))
+        name = n.root.name
+        if n.root.kind == VARIABLE:
+            name = renamed.setdefault(name, f"x{len(renamed) + 1}")
+        seq.append(lib.index_of(name))
         for c in n.children:
             visit(c)
 
     visit(tree)
-    return Traversal(out)
+    return Traversal(seq)
 
 
 def traversal_to_tree(t, lib):

@@ -163,10 +163,6 @@ def is_unsupported_marker(token):
     return token.name.startswith(UNSUPPORTED_PREFIX)
 
 
-def marker_construct(token):
-    return token.name[len(UNSUPPORTED_PREFIX):]
-
-
 # Leaf tokens are interned: a parse makes one per letter and number.
 @lru_cache(maxsize=1024)
 def variable_token(name):

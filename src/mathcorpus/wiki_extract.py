@@ -296,23 +296,6 @@ def _sql_scalar(text):
         return text
 
 
-_SQL_QUOTE = str.maketrans({"\\": "\\\\", "'": "\\'", "\n": "\\n",
-                            "\r": "\\r", "\0": "\\0"})
-
-
-def serialize_rows(rows, table):
-    """Re-serialize parsed tuples as a single INSERT statement (round-trip aid)."""
-    def cell(v):
-        if v is None:
-            return "NULL"
-        if isinstance(v, (int, float)):
-            return repr(v)
-        return "'" + str(v).translate(_SQL_QUOTE) + "'"
-
-    values = ",".join("(" + ",".join(cell(v) for v in row) + ")" for row in rows)
-    return f"INSERT INTO `{table}` VALUES {values};"
-
-
 def _sql_int(row, i, table):
     """Column i of a row, which must be an unquoted integer: int() would
     truncate a float and accept a quoted '12'."""

@@ -7,6 +7,7 @@ from mathcorpus.expr_core import (
     Library,
     OPERATOR,
     Token,
+    Traversal,
     VARIABLE,
     default_library,
 )
@@ -37,6 +38,54 @@ def random_tree(lib, rng, max_depth=8):
     tok = lib.tokens[rng.integers(len(lib))]
     return ExprTree(tok, [random_tree(lib, rng, max_depth - 1)
                           for _ in range(tok.arity)])
+
+
+def rename_variables(tree):
+    """The tree with its variables renamed x1, x2, ... in order of first
+    appearance in pre-order."""
+    names = {}
+
+    def walk(n):
+        tok = n.root
+        if tok.kind == VARIABLE:
+            tok = Token(names.setdefault(tok.name, f"x{len(names) + 1}"), 0,
+                        VARIABLE)
+        return ExprTree(tok, [walk(c) for c in n.children])
+
+    return walk(tree)
+
+
+def plain_traversal(tree, lib):
+    """Pre-order encoding of a tree as library indices."""
+    # expr_core.tree_to_traversal before it renamed variables, verbatim: a
+    # tree's own variable names, for tests that need a traversal of
+    # exactly the tree they built
+    out = []
+
+    def visit(n):
+        out.append(lib.index_of(n.root.name))
+        for c in n.children:
+            visit(c)
+
+    visit(tree)
+    return Traversal(out)
+
+
+_SQL_QUOTE = str.maketrans({"\\": "\\\\", "'": "\\'", "\n": "\\n",
+                            "\r": "\\r", "\0": "\\0"})
+
+
+def serialize_rows(rows, table):
+    """Re-serialize parsed tuples as a single INSERT statement (round-trip aid)."""
+    def cell(v):
+        if v is None:
+            return "NULL"
+        if isinstance(v, (int, float)):
+            return repr(v)
+        return "'" + str(v).translate(_SQL_QUOTE) + "'"
+
+    values = ",".join("(" + ",".join(cell(v) for v in row) + ")" for row in rows)
+    return f"INSERT INTO `{table}` VALUES {values};"
 
 
 @pytest.fixture

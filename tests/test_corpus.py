@@ -18,7 +18,6 @@ from mathcorpus.expr_core import (
     Traversal,
     default_library,
     node,
-    tree_to_traversal,
 )
 from mathcorpus.latex_parser import (
     ParseOutcome,
@@ -27,7 +26,7 @@ from mathcorpus.latex_parser import (
     unsupported_marker,
 )
 
-from conftest import random_tree
+from conftest import plain_traversal, random_tree
 
 
 @pytest.fixture
@@ -245,7 +244,7 @@ class TestCorpusFile:
         out, seen = [], set()
         while len(out) < n:
             t = random_tree(lib, rng, max_depth=6)
-            trav = tree_to_traversal(t, lib)
+            trav = plain_traversal(t, lib)
             if trav.seq in seen:
                 continue
             seen.add(trav.seq)

@@ -114,12 +114,11 @@ class TestParentSibling:
     def test_agrees_with_tree_reconstruction(self, slib, rng):
         # cross-check: sample prefixes from random complete traversals, then
         # derive parent/sibling by replaying the pre-order slot filling
-        from conftest import random_tree
-        from mathcorpus.expr_core import tree_to_traversal
+        from conftest import plain_traversal, random_tree
 
         for _ in range(100):
             tree = random_tree(slib, rng, max_depth=5)
-            trav = list(tree_to_traversal(tree, slib))
+            trav = list(plain_traversal(tree, slib))
             k = int(rng.integers(0, len(trav)))
             expect = naive_parent_sibling(trav[:k], slib)
             assert parent_sibling(slib, trav[:k]) == expect

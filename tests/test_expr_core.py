@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mathcorpus import corpus
 from mathcorpus import expr_core as ec
 from mathcorpus.expr_core import (
     ExprTree,
@@ -17,19 +18,18 @@ from mathcorpus.expr_core import (
     Traversal,
     UnboundVariable,
     UnknownToken,
-    dangling_slots,
     default_library,
     evaluate_batch,
     evaluate_rows,
     is_complete,
-    is_valid_prefix,
     node,
     render_latex,
     traversal_to_tree,
     tree_to_traversal,
 )
+from mathcorpus.latex_parser import unsupported_marker
 
-from conftest import random_tree
+from conftest import plain_traversal, random_tree, rename_variables
 
 
 def names(trav, lib):
@@ -84,9 +84,33 @@ class TestTraversalEncoding:
             ["add", "pow", "x1", "2", "sin", "x1"]
 
     def test_unknown_token(self, lib):
-        t = node(Token("weird", 0, ec.VARIABLE))
+        t = node(Token("weird", 0, ec.CONSTANT))
         with pytest.raises(UnknownToken):
             tree_to_traversal(t, lib)
+
+    def test_variables_renamed_by_first_appearance(self, lib):
+        x, y = (node(Token(v, 0, ec.VARIABLE)) for v in "xy")
+        assert names(tree_to_traversal(node(lib.get("add"), y, x), lib),
+                     lib) == ["add", "x1", "x2"]
+        assert names(tree_to_traversal(node(lib.get("x2")), lib), lib) \
+            == ["x1"]
+
+    def test_variable_beyond_the_library(self, lib):
+        x, y, z = (node(Token(v, 0, ec.VARIABLE)) for v in "xyz")
+        t = node(lib.get("add"), x, node(lib.get("mul"), y, z))
+        with pytest.raises(UnknownToken) as e:
+            tree_to_traversal(t, lib)
+        assert e.value.name == "x3"
+
+    def test_split_fragment_renamed_on_its_own(self, lib):
+        # add(x, ?int(sub(y, x))): the fragments x and sub(y, x) each
+        # start at x1
+        x, y = (node(Token(v, 0, ec.VARIABLE)) for v in "xy")
+        t = node(lib.get("add"), x, unsupported_marker(
+            "int", [node(lib.get("sub"), y, x)]))
+        pieces = corpus.encode_trees([t], lib, "split")
+        assert [(names(Traversal(seq), lib), aug) for seq, aug in pieces] \
+            == [(["x1"], "split"), (["sub", "x1", "x2"], "split")]
 
     def test_inverse_trivial(self, lib):
         trav = Traversal([lib.index_of(n) for n in ("add", "x1", "1")])
@@ -108,9 +132,22 @@ class TestTraversalEncoding:
     def test_completeness_examples(self, lib):
         add, x = lib.index_of("add"), lib.index_of("x1")
         assert not is_complete(Traversal([add, x]), lib)
-        assert is_valid_prefix(Traversal([add, x]), lib)
+        assert decoded(Traversal([add, x]), lib) == (False, True)
         assert is_complete(Traversal([x]), lib)
         assert not is_complete(Traversal([]), lib)
+
+
+def decoded(t, lib):
+    """(complete, valid prefix) as traversal_to_tree tells them: it builds a
+    tree, raises InvalidPrefix once a complete prefix has trailing tokens,
+    or raises IncompleteTraversal."""
+    try:
+        traversal_to_tree(t, lib)
+    except InvalidPrefix:
+        return False, False
+    except IncompleteTraversal:
+        return False, True
+    return True, True
 
 
 def oracle_build(seq, lib):
@@ -153,7 +190,8 @@ class TestEnumerationOracle:
                 expect_complete = oracle_build(list(seq), lib) if seq else False
                 assert is_complete(trav, lib) == expect_complete, seq
                 expect_prefix = oracle_prefix(list(seq), lib)
-                assert is_valid_prefix(trav, lib) == expect_prefix, seq
+                assert decoded(trav, lib) == (expect_complete,
+                                              expect_prefix), seq
                 if expect_complete:
                     tree = traversal_to_tree(trav, lib)
                     assert tuple(tree_to_traversal(tree, lib)) == seq
@@ -244,7 +282,7 @@ class TestEvaluateRows:
         xs = np.linspace(-2, 2, 17)
         bindings = {"x1": xs, "x2": xs - 0.5}
         trees = [random_tree(lib, rng, max_depth=6) for _ in range(300)]
-        travs = [tree_to_traversal(t, lib).seq for t in trees]
+        travs = [plain_traversal(t, lib).seq for t in trees]
         lengths = np.array([len(t) for t in travs])
         # pad with an operator: a padding cell that were read would show
         seqs = np.full((len(travs), lengths.max()), lib.index_of("add"))
@@ -326,7 +364,7 @@ class TestProperties:
         ])
         was_valid = True
         for k in range(len(seq) + 1):
-            v = is_valid_prefix(Traversal(seq[:k]), lib)
+            v = decoded(Traversal(seq[:k]), lib)[1]
             if not was_valid:
                 assert not v
             was_valid = v
@@ -337,8 +375,10 @@ class TestProperties:
             Token("add", 2, ec.OPERATOR), Token("sin", 1, ec.OPERATOR),
             Token("x1", 0, ec.VARIABLE), Token("1", 0, ec.CONSTANT),
         ])
-        d = dangling_slots(Traversal(seq), lib)
-        d2 = dangling_slots(Traversal(seq + [extra]), lib)
+        # the running open-slot count that is_complete and
+        # traversal_to_tree read, after the last token
+        d = ec._open_slots(Traversal(seq), lib)[-1]
+        d2 = ec._open_slots(Traversal(seq + [extra]), lib)[-1]
         assert d2 - d == lib[extra].arity - 1
 
     @settings(max_examples=60, deadline=None)
@@ -348,4 +388,4 @@ class TestProperties:
         tree = random_tree(lib, np.random.default_rng(seed), max_depth=8)
         trav = tree_to_traversal(tree, lib)
         assert is_complete(trav, lib)
-        assert traversal_to_tree(trav, lib) == tree
+        assert traversal_to_tree(trav, lib) == rename_variables(tree)

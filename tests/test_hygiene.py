@@ -274,11 +274,6 @@ def test_checker_flags_a_test_only_entry_point():
 # Public names that only tests call, each kept on purpose as a reference:
 TEST_REFERENCES = [
     "score",  # mlm: the sequence log-probability TestPriorInput checks against
-    "tree_to_traversal",  # expr_core: encodes the trees of round-trip tests
-    "dangling_slots",  # expr_core: criterion 2's traversal oracle
-    "is_valid_prefix",  # expr_core: criterion 2's traversal oracle
-    "serialize_rows",  # wiki_extract: writes the SQL of round-trip tests
-    "marker_construct",  # latex_parser: reads back an unsupported marker
 ]
 
 

@@ -3,7 +3,7 @@ and the one-walk corpus build against the previous implementations, kept
 here verbatim as references: the ElementTree page reader, the
 character-at-a-time VALUES state machine, the page-row filter and tree of
 CategoryNodes, and canonicalize_variables, admit, augment_replace and
-augment_split."""
+augment_split, with conftest's plain_traversal as the encoder."""
 
 import io
 import os
@@ -36,7 +36,6 @@ from mathcorpus.expr_core import (
     VARIABLE,
     default_library,
     node,
-    tree_to_traversal,
 )
 from mathcorpus.latex_parser import ParseOutcome, is_unsupported_marker
 from mathcorpus.wiki_extract import (
@@ -52,11 +51,10 @@ from mathcorpus.wiki_extract import (
     _sql_scalar,
     build_category_tree,
     parse_sql_dump,
-    serialize_rows,
     stream_pages,
 )
 
-from conftest import random_tree
+from conftest import plain_traversal, random_tree, serialize_rows
 from test_cli import perfbench_gen, write_tree_rows
 from test_corpus import inject_markers
 
@@ -543,7 +541,7 @@ def reference_build_corpus(parsed, lib, policy="replace_and_split", max_vars=2):
             stats.n_dropped += 1
             return
         try:
-            trav = tree_to_traversal(canon, lib)
+            trav = plain_traversal(canon, lib)
         except ExprError:  # a token outside the library
             stats.n_dropped += 1
             return

@@ -34,13 +34,12 @@ def tiny5():
 
 
 def random_seqs(lib, rng, n, max_len=8):
-    from conftest import random_tree
-    from mathcorpus.expr_core import tree_to_traversal
+    from conftest import plain_traversal, random_tree
 
     out = []
     while len(out) < n:
         t = random_tree(lib, rng, max_depth=4)
-        trav = tree_to_traversal(t, lib)
+        trav = plain_traversal(t, lib)
         if len(trav) <= max_len:
             out.append(list(trav))
     return out

@@ -15,9 +15,10 @@ from mathcorpus.wiki_extract import (
     filter_pages_by_category,
     iter_insert_tuples,
     parse_sql_dump,
-    serialize_rows,
     stream_pages,
 )
+
+from conftest import serialize_rows
 
 
 def page_xml(page_id, title, text, ns=0):
