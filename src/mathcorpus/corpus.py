@@ -83,12 +83,20 @@ def augment_split(tree, placeholder):
 
 def split_fragments(tree):
     """Maximal marker-free subtrees left after cutting marker nodes out."""
-    if not has_markers(tree):
-        return [tree]
     out = []
-    for c in tree.children:
-        out.extend(split_fragments(c))
+    _split(tree, out)
     return out
+
+
+def _split(tree, out):
+    """Append the tree's fragments to ``out``, in one walk that looks at each
+    node once; returns whether the tree holds a marker."""
+    start = len(out)
+    held = [_split(c, out) for c in tree.children]
+    if is_unsupported_marker(tree.root) or any(held):
+        return True
+    out[start:] = [tree]  # its children's fragments, whole
+    return False
 
 
 DROPPED = (None, "none")  # an encoded piece that makes no sample

@@ -290,11 +290,24 @@ def load(path, lib=None):
         magic = f.read(4)
         if magic != MAGIC:
             raise FormatVersion(f"bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode("utf-8"))
+        try:  # a bad length, UTF-8 or JSON
+            (hlen,) = struct.unpack("<I", f.read(4))
+            header = json.loads(f.read(hlen).decode("utf-8"))
+        except (struct.error, ValueError) as e:
+            raise FormatVersion(f"unreadable header: {e}") from None
+        if not isinstance(header, dict):
+            raise FormatVersion("header is not a JSON object")
         if header.get("version") != FORMAT_VERSION:
             raise FormatVersion(f"unsupported version {header.get('version')}")
-        model = MLMModel(header["vocab"], header["d_emb"], header["H"],
+        vocab = header.get("vocab")
+        if not (isinstance(vocab, list)
+                and all(isinstance(t, str) and t for t in vocab)
+                and len(set(vocab)) == len(vocab)):
+            raise FormatVersion("vocab is not a list of distinct token names")
+        for key in ("d_emb", "H"):
+            if type(header.get(key)) is not int or header[key] < 1:
+                raise FormatVersion(f"{key} is not an integer >= 1")
+        model = MLMModel(vocab, header["d_emb"], header["H"],
                          np.random.default_rng(0))
         params = model.params()
         for name in _ARRAY_ORDER:

@@ -61,13 +61,6 @@ class PageRecord:
     text: str
 
 
-@dataclass(frozen=True)
-class CategoryLink:
-    from_page_id: int
-    to_category_name: str
-    link_type: str  # page | subcat | file
-
-
 # bytes fed to the parser at a time; 64 KiB reads are no faster
 _READ_SIZE = 16 * 1024
 
@@ -213,14 +206,22 @@ def extract_math(page, tally=None):
 
 # --- MediaWiki SQL dump parsing -------------------------------------------
 
-def iter_insert_tuples(source, table):
-    """Yield raw value tuples from INSERT INTO `table` VALUES (...),(...);
-    statements, handling quoted strings with escapes and NULL.
+# the positions of the columns the tree reads, the type of each (an int is
+# unquoted, a str quoted), and the table's least and greatest column count
+_COLUMNS = {"categorylinks": ((0, 1, 6), (int, str, str), 7, 7),
+            "page": ((0, 1, 2), (int, int, str), 3, None)}
 
-    ``source`` is a path or a text file object.  Dumps put one INSERT
-    statement per line; memory stays bounded by the longest statement, not
-    the file.
+
+def parse_sql_dump(source, table):
+    """Yield ``(cl_from, cl_to, cl_type)``, an empty type read as "page",
+    for each row of INSERT INTO `categorylinks` VALUES (...),(...);
+    statements, or ``(page_id, page_namespace, page_title)`` for `page`.
+
+    ``source`` is a path or a text file object.  Dumps put one statement
+    per line, so memory stays bounded by the longest one, not the file.
     """
+    if table not in _COLUMNS:
+        raise ValueError(f"unsupported table {table!r}")
     close = isinstance(source, (str, bytes, os.PathLike))
     if close:
         source = open(source, "r", encoding="utf-8", errors="replace")
@@ -228,12 +229,8 @@ def iter_insert_tuples(source, table):
         marker = f"INSERT INTO `{table}` VALUES "
         for line in source:
             pos = 0
-            while True:
-                start = line.find(marker, pos)
-                if start < 0:
-                    break
-                pos = start + len(marker)
-                pos = yield from _parse_values(line, pos)
+            while (start := line.find(marker, pos)) >= 0:
+                pos = yield from _parse_values(line, start + len(marker), table)
     finally:
         if close:
             source.close()
@@ -253,8 +250,11 @@ def _unescape(m):
     return "'" if m[1] is None else _SQL_ESCAPES.get(m[1], m[1])
 
 
-def _parse_values(buf, pos):
-    n = len(buf)
+def _parse_values(buf, pos, table):
+    """Yield the read columns of each row of the VALUES list at ``pos``,
+    typed once its ")" is read; returns the offset after its ";"."""
+    read, types, least, most = _COLUMNS[table]
+    match, n = _CELL_RE.match, len(buf)
     while pos < n:
         while pos < n and buf[pos] in " ,\n":
             pos += 1
@@ -262,68 +262,38 @@ def _parse_values(buf, pos):
             return pos + 1
         if pos >= n or buf[pos] != "(":
             raise SqlSyntax("expected '(' in VALUES list", pos)
+        start, count, cells = pos, 0, []
         pos += 1
-        row = []
         while True:
-            m = _CELL_RE.match(buf, pos)
-            text, quoted, sep = m.groups()
-            if not sep:
+            m = match(buf, pos)
+            if not (sep := m[3]):
                 if m.end() == n:
                     raise SqlSyntax("unterminated VALUES tuple", n)
-                if quoted is not None:
+                if m[2] is not None:
                     raise SqlSyntax("unexpected character after string", m.end())
                 raise SqlSyntax("unterminated string literal", n)  # at a "'"
-            row.append(_sql_scalar(text) if quoted is None
-                       else _ESCAPE_RE.sub(_unescape, quoted))
+            if count in read:
+                cells.append(m)
+            count += 1
             pos = m.end()
             if sep == ")":
                 break
+        if not least <= count <= (most or count):
+            raise SqlSyntax(f"{table} row {buf[start:pos]} has {count} "
+                            f"columns, expected {most or f'at least {least}'}")
+        row = []
+        for i, kind, m in zip(read, types, cells):
+            try:  # the cell less its "," or ")": int() takes spaces, not "'"
+                row.append(int(m[0][:-1]) if kind is int
+                           else _ESCAPE_RE.sub(_unescape, m[2]))
+            except (TypeError, ValueError):  # re.sub of None: no string
+                what = "an integer" if kind is int else "a quoted string"
+                raise SqlSyntax(f"{table} row {buf[start:pos]}: column "
+                                f"{i + 1} is not {what}") from None
+        if table == "categorylinks" and not row[2]:
+            row[2] = "page"
         yield tuple(row)
     return pos
-
-
-def _sql_scalar(text):
-    text = text.strip()
-    if text.upper() == "NULL":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def _sql_int(row, i, table):
-    """Column i of a row, which must be an unquoted integer: int() would
-    truncate a float and accept a quoted '12'."""
-    if type(row[i]) is not int:
-        raise SqlSyntax(f"{table} row {row!r}: column {i + 1} is not an "
-                        f"integer")
-    return row[i]
-
-
-def parse_sql_dump(source, table):
-    """Yield typed rows of the categorylinks or the page table."""
-    if table not in ("categorylinks", "page"):
-        raise ValueError(f"unsupported table {table!r}")
-    for row in iter_insert_tuples(source, table):
-        if table == "categorylinks":
-            if len(row) != 7:
-                raise SqlSyntax(
-                    f"categorylinks row has {len(row)} columns, expected 7")
-            yield CategoryLink(from_page_id=_sql_int(row, 0, table),
-                               to_category_name=str(row[1]),
-                               link_type=str(row[6]) or "page")
-        else:
-            if len(row) < 3:
-                raise SqlSyntax(
-                    f"page row has {len(row)} columns, expected at least 3")
-            yield PageRecord(page_id=_sql_int(row, 0, table),
-                             namespace=_sql_int(row, 1, table),
-                             title=str(row[2]), text="")
 
 
 # --- category tree ---------------------------------------------------------
@@ -348,21 +318,30 @@ def build_category_tree(root, links, pages, max_depth):
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     children = {}  # category name -> (subcategory page ids, member page ids)
-    for link in links:
-        subcats, members = children.setdefault(link.to_category_name, ([], []))
-        if link.link_type == "subcat":
-            subcats.append(link.from_page_id)
-        elif link.link_type == "page":
-            members.append(link.from_page_id)
-    # only the rows the walk reads, which takes a missing page for a
-    # main-namespace one: other namespaces, and subcategories' titles
+    for from_id, to, kind in links:
+        subcats, members = children.setdefault(to, ([], []))
+        if kind == "subcat":
+            subcats.append(from_id)
+        elif kind == "page":
+            members.append(from_id)
+    # of the page rows only what the walk reads, which takes a missing
+    # page for a main-namespace one
     subcat_ids = {i for subcats, _ in children.values() for i in subcats}
-    names = {}  # page id -> (namespace, title)
-    for page in pages:
-        names.pop(page.page_id, None)
-        if page.namespace != NS_MAIN or page.page_id in subcat_ids:
-            names[page.page_id] = (page.namespace, page.title)
-    if root not in children and (NS_CATEGORY, root) not in names.values():
+    titles = {}  # subcategory page id -> title
+    outside = {}  # keys: ids outside the main namespace; half a set's bytes
+    roots = set()  # ids of category pages titled ``root``
+    for page_id, namespace, title in pages:
+        if namespace == NS_MAIN:
+            outside.pop(page_id, None)
+        else:
+            outside[page_id] = None
+        if page_id in subcat_ids:
+            titles[page_id] = title
+        if namespace == NS_CATEGORY and title == root:
+            roots.add(page_id)
+        elif roots:
+            roots.discard(page_id)
+    if root not in children and not roots:
         raise RootNotFound(f"category {root!r} not found")
     nodes = {root: 0}
     page_ids = set()
@@ -370,12 +349,11 @@ def build_category_tree(root, links, pages, max_depth):
     while queue:
         cat = queue.popleft()
         subcats, members = children.get(cat, ((), ()))
-        page_ids.update(i for i in members
-                        if i not in names or names[i][0] == NS_MAIN)
+        page_ids.update(i for i in members if i not in outside)
         if nodes[cat] == max_depth:
             continue
         for i in sorted(subcats):
-            name = names[i][1] if i in names else f"cat#{i}"
+            name = titles[i] if i in titles else f"cat#{i}"
             if name not in nodes:
                 nodes[name] = nodes[cat] + 1
                 queue.append(name)

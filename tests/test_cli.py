@@ -25,6 +25,7 @@ from mathcorpus.expr_core import (
     tree_to_traversal,
 )
 
+from test_mlm import MALFORMED_HEADERS, write_header
 from test_wiki_extract import CL_SQL, FIXTURE_XML, page_xml
 
 
@@ -130,9 +131,19 @@ class TestExtract:
 
     @pytest.mark.parametrize("cl, pg, named", [
         ("('x','Physics','','','','','page')", "(1,0,'Alpha')",
-         "categorylinks row ('x', 'Physics'"),
+         "categorylinks row ('x','Physics','','','','','page'): column 1 is "
+         "not an integer"),
         ("(1,'Physics','','','','','page')", "(1,2.5,'Alpha')",
-         "page row (1, 2.5, 'Alpha')"),
+         "page row (1,2.5,'Alpha'): column 2 is not an integer"),
+        ("(1,Physics,'','','','','page')", "(1,0,'Alpha')",
+         "categorylinks row (1,Physics,'','','','','page'): column 2 is not "
+         "a quoted string"),
+        ("(1,'Physics','','','','','page')", "(1,0,Alpha)",
+         "page row (1,0,Alpha): column 3 is not a quoted string"),
+        ("(1,'Physics','','','','','page')", "(NULL,0,'Alpha')",
+         "page row (NULL,0,'Alpha'): column 1 is not an integer"),
+        ("(1,'Physics','','','','','page')", "(1,0)",
+         "page row (1,0) has 2 columns, expected at least 3"),
     ])
     def test_non_integer_sql_id_names_the_row(self, monkeypatch, tmp_path,
                                               dump, capsys, cl, pg, named):
@@ -727,6 +738,31 @@ class TestBoundedMemory:
                        for table in ("links_sql", "page_sql"))
             assert peak < size, (pages, peak, size)
 
+    def test_category_tree_keeps_no_unread_title(self, tmp_path,
+                                                 scaled_dumps):
+        """Titles are kept only for subcategories: 5,000 talk pages with
+        200-character titles raise the tree's peak allocation by less than
+        half the titles' size."""
+        gen = perfbench_gen()
+        paths, _ = scaled_dumps[5000]
+        talk = tmp_path / "page.sql"
+        with open(talk, "w") as f:  # statements no longer than the dump's
+            f.write(paths["page_sql"].read_text())
+            for k in range(0, 5000, 100):
+                f.write("INSERT INTO `page` VALUES " + ",".join(
+                    f"({10**6 + i},1,'Talk:{i:0195}')"
+                    for i in range(k, k + 100)) + ";\n")
+        peaks = []
+        for page_sql in (paths["page_sql"], talk):
+            tracemalloc.start()
+            try:
+                cli._category_tree(gen.ROOT_CATEGORY, paths["links_sql"],
+                                   page_sql, gen.FILTER_DEPTH)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 5000 * 200 / 2, peaks
+
     @pytest.mark.parametrize("n_cpus", [1, 2])
     def test_corpus(self, monkeypatch, tmp_path, capsys, scaled_dumps,
                     n_cpus):
@@ -896,6 +932,17 @@ class TestSr:
                      "--with-mlm", str(weights), "--lambda", "-1"])
         assert code == 2
         assert "--lambda must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, named", MALFORMED_HEADERS)
+    def test_malformed_weight_file_exit_2(self, tmp_path, capsys, header,
+                                          named):
+        weights = tmp_path / "m.mlm"
+        write_header(weights, header)
+        code = main(["sr", "--benchmark", "nguyen-1", "--runs", "1",
+                     "--max-steps", "1", "--with-mlm", str(weights)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_lambda_exit_2_before_the_spec(self, tmp_path, capsys,

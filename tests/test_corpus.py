@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mathcorpus import corpus
 from mathcorpus.corpus import (
     CorpusError,
     CorpusSample,
@@ -8,6 +9,7 @@ from mathcorpus.corpus import (
     VocabMismatch,
     augment_split,
     build_corpus,
+    encode_trees,
     has_markers,
     read_corpus,
     split_fragments,
@@ -124,6 +126,21 @@ class TestSplitFragments:
         t = node(lib.get("x1"))
         assert split_fragments(t) == [t]
 
+    def test_linear_in_depth(self, lib, monkeypatch):
+        """The split policy looks at each node of an add(1, ...) chain over
+        one integral at most twice, its marker check included."""
+        depth = 400
+        chain = unsupported_marker("int", [node(lib.get("x1"))])
+        for _ in range(depth):
+            chain = node(lib.get("add"), node(lib.get("1")), chain)
+        looked = []
+        monkeypatch.setattr(corpus, "is_unsupported_marker",
+                            lambda tok: looked.append(tok)
+                            or is_unsupported_marker(tok))
+        pieces = encode_trees([chain], lib, "split")
+        assert len(pieces) == depth + 1  # each 1, and x1
+        assert len(looked) <= 2 * (2 * depth + 2)
+
 
 class TestCanonicalize:
     def test_first_appearance_order(self, lib):
@@ -224,7 +241,7 @@ class TestBuildCorpus:
         with pytest.raises(ValueError):
             build_corpus([], lib, policy="maybe")
 
-    @pytest.mark.parametrize("policy", ["drop", "replace_and_split"])
+    @pytest.mark.parametrize("policy", ["drop", "split", "replace_and_split"])
     def test_too_deep_tree_dropped_not_raised(self, lib, policy):
         deep = node(lib.get("x1"))
         for _ in range(5000):

@@ -1,18 +1,19 @@
 """The expat page reader, the regex SQL cell scanner, the category tree
 and the one-walk corpus build against the previous implementations, kept
 here verbatim as references: the ElementTree page reader, the
-character-at-a-time VALUES state machine, the page-row filter and tree of
-CategoryNodes, and canonicalize_variables, admit, augment_replace and
-augment_split, with conftest's plain_traversal as the encoder."""
+character-at-a-time VALUES state machine with the typing of every cell,
+the page-row filter and tree of CategoryNodes, and
+canonicalize_variables, admit, augment_replace and augment_split, with
+conftest's plain_traversal as the encoder."""
 
 import io
 import os
 import random
 import xml.etree.ElementTree as ET
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from dataclasses import replace as dc_replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -48,7 +49,6 @@ from mathcorpus.wiki_extract import (
     TruncatedDump,
     WikiError,
     _parse_values,
-    _sql_scalar,
     build_category_tree,
     parse_sql_dump,
     stream_pages,
@@ -234,7 +234,37 @@ def test_reader_matches_reference_on_generated_dumps(tmp_path, seed):
 
 # --- SQL VALUES -------------------------------------------------------------
 
+def _sql_scalar(text):
+    text = text.strip()
+    if text.upper() == "NULL":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+class Quoted(str):
+    """A quoted string cell: ``_sql_scalar`` leaves an unquoted cell that is
+    not a number a str too."""
+
+
+class SourceRow(tuple):
+    """A row's cells, with its source text from "(" to ")" as ``text``."""
+
+    def __new__(cls, cells, text):
+        row = super().__new__(cls, cells)
+        row.text = text
+        return row
+
+
 def reference_parse_values(buf, pos):
+    # verbatim, but for the Quoted and SourceRow marks, which compare equal
+    # to the str and the tuple they mark
     n = len(buf)
     while pos < n:
         while pos < n and buf[pos] in " ,\n":
@@ -243,6 +273,7 @@ def reference_parse_values(buf, pos):
             return pos + 1
         if pos >= n or buf[pos] != "(":
             raise SqlSyntax("expected '(' in VALUES list", pos)
+        start = pos
         pos += 1
         row, cell = [], []
         while True:
@@ -271,7 +302,7 @@ def reference_parse_values(buf, pos):
                     else:
                         out.append(c)
                         pos += 1
-                row.append("".join(out))
+                row.append(Quoted("".join(out)))
                 cell = None
             elif ch == "," :
                 if cell is not None:
@@ -288,8 +319,40 @@ def reference_parse_values(buf, pos):
                     raise SqlSyntax("unexpected character after string", pos)
                 cell.append(ch)
                 pos += 1
-        yield tuple(row)
+        yield SourceRow(row, buf[start:pos])
     return pos
+
+
+def reference_values(buf, pos, table):
+    """``reference_parse_values``' rows cut to the columns the category tree
+    reads, as ``parse_sql_dump`` once cut the typed rows, checking the
+    column count, then an unquoted integer for an id or a namespace and a
+    quoted string for a name, a title or a type."""
+    rows = reference_parse_values(buf, pos)
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration as stop:
+            return stop.value
+        if table == "categorylinks":
+            if len(row) != 7:
+                raise SqlSyntax(f"categorylinks row {row.text} has "
+                                f"{len(row)} columns, expected 7")
+            columns = ((0, int), (1, Quoted), (6, Quoted))
+        else:
+            if len(row) < 3:
+                raise SqlSyntax(f"page row {row.text} has {len(row)} "
+                                f"columns, expected at least 3")
+            columns = ((0, int), (1, int), (2, Quoted))
+        for i, kind in columns:
+            if type(row[i]) is not kind:
+                raise SqlSyntax(
+                    f"{table} row {row.text}: column {i + 1} is not "
+                    + ("an integer" if kind is int else "a quoted string"))
+        cut = [row[i] for i, _ in columns]
+        if table == "categorylinks":
+            cut[2] = cut[2] or "page"
+        yield tuple(cut)
 
 
 def values_outcome(parse, buf):
@@ -305,6 +368,13 @@ def values_outcome(parse, buf):
         return rows, ("SqlSyntax", str(e), e.offset)
 
 
+def assert_values_match_reference(buf):
+    for table in ("categorylinks", "page"):
+        assert (values_outcome(partial(_parse_values, table=table), buf)
+                == values_outcome(partial(reference_values, table=table),
+                                  buf)), (table, buf)
+
+
 SQL_PIECES = ["(", ")", ",", "'", "''", "\\", "\\'", "\\n", "\\\\", "a", "1",
               "2.5", "NULL", " ", "\n", "\r", ";", "x y", "é"]
 
@@ -316,17 +386,36 @@ def test_values_match_reference_on_random_text(seed):
         buf = "".join(rng.choice(SQL_PIECES) for _ in range(rng.randint(0, 25)))
         if rng.random() < 0.5:
             buf = "(" + buf
-        assert (values_outcome(_parse_values, buf)
-                == values_outcome(reference_parse_values, buf)), buf
+        assert_values_match_reference(buf)
+
+
+# cells of every type and a few bad ones, for rows that reach the checks
+SQL_CELLS = (["7", " -3 ", "1_0", "NULL", "2.5", "x", "", "'a'", "'b\\'c'",
+             "''", "'page'", "'subcat'", "ab'c'", "'1'", "1'2'"] * 8
+             + ["'a'x", "'d"])
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_values_match_reference_on_random_rows(seed):
+    rng = random.Random(seed)
+    for _ in range(5000):
+        buf = ",".join(
+            "(" + ",".join(rng.choice(SQL_CELLS)
+                           for _ in range(rng.choice([2, 3, 3, 4, 7, 7, 8])))
+            + ")" for _ in range(rng.randint(1, 3))) + rng.choice(["", ";"])
+        assert_values_match_reference(buf)
 
 
 @pytest.mark.parametrize("buf", [
     "(1,'a'')", "('')", "('''')", "(''')", "('a\\", "('a' ,1)", "('a'",
     "(ab'c',2);", "()", "(1),\n", "(1)", "(NULL, 2 ,'x\\ny');rest",
+    "(1,0,'a'),(2, 14 ,'b\\'c',NULL,2.5,x);rest", "(1,0,ab'c')",
+    "(1,'a','','','','',''),(2,'b','','','','','subcat')", "(1,0,'a'x)",
+    "(1,0,'a'),('2',0,'b')", "(1,0,'a'),(2,0,b)", "(1,'0','a',3)",
+    "(1'2',0,'a')",
 ])
 def test_values_match_reference_on_edge_cases(buf):
-    assert (values_outcome(_parse_values, buf)
-            == values_outcome(reference_parse_values, buf))
+    assert_values_match_reference(buf)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -334,19 +423,23 @@ def test_values_match_reference_on_round_trips(seed):
     rng = random.Random(seed)
     chars = ["a", "'", "\\", "\t", "\n", "\r", "\0", " ", "é", ",", ")", "("]
 
+    def string():
+        return "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))
+
     def value():
-        return rng.choice([
-            None, rng.randint(-99, 99), rng.random(),
-            "".join(rng.choice(chars) for _ in range(rng.randint(0, 6)))])
+        return rng.choice([None, rng.randint(-99, 99), rng.random(), string()])
 
     for _ in range(1000):
-        rows = [tuple(value() for _ in range(rng.randint(1, 4)))
+        # page-shaped: two ints and a string, then any cells
+        rows = [(rng.randint(-99, 99), rng.randint(-99, 99), string())
+                + tuple(value() for _ in range(rng.randint(0, 3)))
                 for _ in range(rng.randint(1, 4))]
-        sql = serialize_rows(rows, "t")
-        buf = sql[len("INSERT INTO `t` VALUES "):]
-        got = values_outcome(_parse_values, buf)
-        assert got == values_outcome(reference_parse_values, buf), buf
-        assert got == (rows, len(buf))
+        sql = serialize_rows(rows, "page")
+        buf = sql[len("INSERT INTO `page` VALUES "):]
+        got = values_outcome(partial(_parse_values, table="page"), buf)
+        assert got == values_outcome(partial(reference_values, table="page"),
+                                     buf), buf
+        assert got == ([row[:3] for row in rows], len(buf))
 
 
 # --- category tree ----------------------------------------------------------
@@ -413,15 +506,21 @@ def reference_build_category_tree(root, links, pages, max_depth):
     return ReferenceCategoryTree(root=root, nodes=nodes)
 
 
+CategoryLink = namedtuple("CategoryLink",
+                          "from_page_id to_category_name link_type")
+PageRow = namedtuple("PageRow", "page_id namespace title")
+
+
 def reference_category_tree(root, links_path, page_path, depth):
     """The tree of the two SQL tables, as ``cli._category_tree`` built it
     from the page rows it kept."""
-    links = list(parse_sql_dump(links_path, "categorylinks"))
+    links = [CategoryLink._make(row)
+             for row in parse_sql_dump(links_path, "categorylinks")]
     # only the rows the tree reads, which takes a missing page for a
     # main-namespace one: other namespaces, and subcategories' titles
     subcats = {k.from_page_id for k in links if k.link_type == "subcat"}
     pages = {}
-    for p in parse_sql_dump(page_path, "page"):
+    for p in map(PageRow._make, parse_sql_dump(page_path, "page")):
         pages.pop(p.page_id, None)  # the last row of a page id wins
         if p.namespace != NS_MAIN or p.page_id in subcats:
             pages[p.page_id] = p

@@ -1,7 +1,9 @@
+import json
 import math
 import multiprocessing
 import os
 import signal
+import struct
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -31,6 +33,43 @@ def tiny5():
         Token("x2", 0, VARIABLE),
         Token("1", 0, CONSTANT),
     ], name="tiny5")
+
+
+def write_header(path, header):
+    """A weight file of ``header`` alone, with no arrays after it; bytes
+    are written as they are, after the magic."""
+    if not isinstance(header, bytes):
+        data = json.dumps(header).encode("utf-8")
+        header = struct.pack("<I", len(data)) + data
+    path.write_bytes(mlm.MAGIC + header)
+
+
+def _header(**fields):
+    return {"version": 1, "vocab": ["x1", "add"], "d_emb": 4, "H": 4,
+            **fields}
+
+
+# malformed headers, and what the FormatVersion error names
+MALFORMED_HEADERS = [
+    pytest.param(b"\x05", "unreadable header", id="cut-in-the-length"),
+    pytest.param(struct.pack("<I", 2) + b"\xff\xfe", "unreadable header",
+                 id="not-utf8"),
+    pytest.param(struct.pack("<I", 3) + b"{x:", "unreadable header",
+                 id="not-json"),
+    pytest.param(["x1", "add"], "not a JSON object", id="list"),
+    pytest.param(_header(vocab="x1"), "vocab", id="vocab-a-string"),
+    pytest.param(_header(vocab=["x1", "x1"]), "vocab", id="vocab-repeated"),
+    pytest.param(_header(vocab=["x1", ""]), "vocab", id="vocab-empty-name"),
+    pytest.param(_header(vocab=["x1", 2]), "vocab", id="vocab-number"),
+    pytest.param({k: v for k, v in _header().items() if k != "H"},
+                 "H is not", id="H-missing"),
+    pytest.param(_header(H="4"), "H is not", id="H-string"),
+    pytest.param(_header(H=-1), "H is not", id="H-negative"),
+    pytest.param(_header(H=True), "H is not", id="H-bool"),
+    pytest.param({k: v for k, v in _header().items() if k != "d_emb"},
+                 "d_emb is not", id="d_emb-missing"),
+    pytest.param(_header(d_emb=2.5), "d_emb is not", id="d_emb-float"),
+]
 
 
 def random_seqs(lib, rng, n, max_len=8):
@@ -561,4 +600,11 @@ class TestSaveLoad:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(mlm.FormatVersion):
+            mlm.load(path)
+
+    @pytest.mark.parametrize("header, named", MALFORMED_HEADERS)
+    def test_malformed_header(self, tmp_path, header, named):
+        path = tmp_path / "m.mlm"
+        write_header(path, header)
+        with pytest.raises(mlm.FormatVersion, match=named):
             mlm.load(path)

@@ -4,7 +4,6 @@ import time
 import pytest
 
 from mathcorpus.wiki_extract import (
-    CategoryLink,
     MalformedXml,
     PageRecord,
     RootNotFound,
@@ -13,7 +12,6 @@ from mathcorpus.wiki_extract import (
     build_category_tree,
     extract_math,
     filter_pages_by_category,
-    iter_insert_tuples,
     parse_sql_dump,
     stream_pages,
 )
@@ -207,26 +205,44 @@ CL_SQL = ("INSERT INTO `categorylinks` VALUES "
 class TestSqlParsing:
     def test_categorylinks_fixture(self):
         rows = list(parse_sql_dump(io.StringIO(CL_SQL), "categorylinks"))
-        assert rows[0] == CategoryLink(12, "Physics", "subcat")
-        assert rows[1] == CategoryLink(34, "Physics", "page")
+        assert rows == [(12, "Physics", "subcat"), (34, "Physics", "page")]
 
     def test_escaped_quote(self):
         sql = ("INSERT INTO `page` VALUES "
                "(1,0,'O\\'Brien'),(2,0,'It''s');\n")
         rows = list(parse_sql_dump(io.StringIO(sql), "page"))
-        assert rows[0].title == "O'Brien"
-        assert rows[1].title == "It's"
-
-    def test_null_and_numbers(self):
-        sql = "INSERT INTO `category` VALUES (3,'Math',10,NULL,2.5);\n"
-        (row,) = iter_insert_tuples(io.StringIO(sql), "category")
-        assert row == (3, "Math", 10, None, 2.5)
+        assert rows == [(1, 0, "O'Brien"), (2, 0, "It's")]
 
     def test_column_count_mismatch(self):
         sql = "INSERT INTO `categorylinks` VALUES (1,'X','page');\n"
         with pytest.raises(SqlSyntax) as exc:
             list(parse_sql_dump(io.StringIO(sql), "categorylinks"))
         assert "3" in str(exc.value) and "7" in str(exc.value)
+
+    def test_unread_cells_are_skipped(self):
+        sql = ("INSERT INTO `page` VALUES "
+               "(1,0,'T',NULL,2.5,abc,'a\\'b'),(2,4,'U');\n")
+        assert list(parse_sql_dump(io.StringIO(sql), "page")) == [
+            (1, 0, "T"), (2, 4, "U")]
+
+    @pytest.mark.parametrize("row, message", [
+        ("('1',0,'T')", "page row ('1',0,'T'): column 1 is not an integer"),
+        ("(1,NULL,'T')", "page row (1,NULL,'T'): column 2 is not an integer"),
+        ("(1, 2.5 ,'T')", "column 2 is not an integer"),
+        ("(1,0,T)", "page row (1,0,T): column 3 is not a quoted string"),
+        ("(1,0,NULL,4)", "column 3 is not a quoted string"),
+        ("(1,0)", "page row (1,0) has 2 columns, expected at least 3"),
+        # the row is typed once its ")" is read: a syntax error wins
+        ("('1',0,'T'x)", "unexpected character after string (offset 49)"),
+        ("('1',0", "unterminated VALUES tuple (offset 47)"),
+    ])
+    def test_bad_row_names_itself(self, row, message):
+        sql = f"INSERT INTO `page` VALUES (7,0,'Fine'),{row};\n"
+        rows = parse_sql_dump(io.StringIO(sql), "page")
+        assert next(rows) == (7, 0, "Fine")
+        with pytest.raises(SqlSyntax) as exc:
+            next(rows)
+        assert message in str(exc.value)
 
     def test_unknown_table(self):
         with pytest.raises(ValueError):
@@ -235,14 +251,15 @@ class TestSqlParsing:
     def test_ten_thousand_row_insert(self):
         rows_in = [(i, 0, f"Page {i}") for i in range(10_000)]
         sql = serialize_rows(rows_in, "page") + "\n"
-        rows_out = list(iter_insert_tuples(io.StringIO(sql), "page"))
+        rows_out = list(parse_sql_dump(io.StringIO(sql), "page"))
         assert rows_out == rows_in
 
     def test_roundtrip_tricky_strings(self):
-        rows_in = [(1, "a'b"), (2, "back\\slash"), (3, None), (4, "tab\there"),
-                   (5, "new\nline"), (6, "carriage\rreturn"), (7, "nul\0byte")]
-        sql = serialize_rows(rows_in, "t")
-        assert list(iter_insert_tuples(io.StringIO(sql), "t")) == rows_in
+        rows_in = [(1, 0, "a'b"), (2, 0, "back\\slash"), (3, 0, ""),
+                   (4, 0, "tab\there"), (5, 0, "new\nline"),
+                   (6, 0, "carriage\rreturn"), (7, 0, "nul\0byte")]
+        sql = serialize_rows(rows_in, "page")
+        assert list(parse_sql_dump(io.StringIO(sql), "page")) == rows_in
 
     def test_other_statements_ignored(self):
         sql = ("DROP TABLE IF EXISTS `page`;\n"
@@ -260,23 +277,18 @@ class TestSqlParsing:
         f.write_text(serialize_rows(rows_in, "page") + "\n", encoding="utf-8")
         for source in (str(f), f):
             rows = list(parse_sql_dump(source, "page"))
-            assert [(r.page_id, r.namespace, r.title) for r in rows] == rows_in
+            assert rows == rows_in
 
 
 def category_fixture():
     # A -> B, B -> A (cycle); pages: 100 under A, 200 under B
     links = [
-        CategoryLink(11, "A", "subcat"),   # B's page id is 11
-        CategoryLink(10, "B", "subcat"),   # A's page id is 10
-        CategoryLink(100, "A", "page"),
-        CategoryLink(200, "B", "page"),
+        (11, "A", "subcat"),   # B's page id is 11
+        (10, "B", "subcat"),   # A's page id is 10
+        (100, "A", "page"),
+        (200, "B", "page"),
     ]
-    pages = [
-        PageRecord(10, "A", 14, ""),
-        PageRecord(11, "B", 14, ""),
-        PageRecord(100, "X", 0, ""),
-        PageRecord(200, "Y", 0, ""),
-    ]
+    pages = [(10, 14, "A"), (11, 14, "B"), (100, 0, "X"), (200, 0, "Y")]
     return links, pages
 
 
@@ -301,14 +313,13 @@ class TestCategoryTree:
             build_category_tree("Nope", links, pages, max_depth=1)
 
     def test_self_loop(self):
-        links = [CategoryLink(10, "A", "subcat")]
-        pages = [PageRecord(10, "A", 14, "")]
+        links = [(10, "A", "subcat")]
+        pages = [(10, 14, "A")]
         tree = build_category_tree("A", links, pages, max_depth=5)
         assert tree.nodes == {"A": 0}
 
     def test_subcategory_without_a_page_row(self):
-        links = [CategoryLink(12, "A", "subcat"),
-                 CategoryLink(5, "cat#12", "page")]
+        links = [(12, "A", "subcat"), (5, "cat#12", "page")]
         tree = build_category_tree("A", links, [], max_depth=1)
         assert tree.nodes == {"A": 0, "cat#12": 1}
         assert tree.page_ids == {5}
@@ -330,14 +341,14 @@ class TestFilter:
 
     def test_keeps_tree_pages_only(self):
         exprs = self._exprs()
-        links = [CategoryLink(1, "A", "page")]
-        pages = [PageRecord(1, "Alpha", 0, "")]
+        links = [(1, "A", "page")]
+        pages = [(1, 0, "Alpha")]
         tree = build_category_tree("A", links, pages, 1)
         kept = filter_pages_by_category(tree, exprs)
         assert {e.page_id for e in kept} == {1}
 
     def test_empty_tree(self):
-        links = [CategoryLink(999, "A", "page")]
+        links = [(999, "A", "page")]
         tree = build_category_tree("A", links, [], 1)
         # page 999 unknown -> still kept by id; unrelated pages dropped
         kept = filter_pages_by_category(tree, self._exprs())
@@ -345,8 +356,8 @@ class TestFilter:
 
     def test_idempotent(self):
         exprs = self._exprs()
-        links = [CategoryLink(2, "A", "page")]
-        pages = [PageRecord(2, "Beta", 0, "")]
+        links = [(2, "A", "page")]
+        pages = [(2, 0, "Beta")]
         tree = build_category_tree("A", links, pages, 1)
         once = filter_pages_by_category(tree, exprs)
         twice = filter_pages_by_category(tree, once)
