@@ -139,14 +139,15 @@ def cmd_extract(args):
             for page in wiki_extract.stream_pages(source):
                 if held is not None and tree.done():
                     # a category error ends the read at once
-                    n_kept += _write_held(tree.result(), held, f)
+                    categories = tree.result()  # read once, then kept
+                    n_kept += _write_held(categories, held, f)
                     held = None
                 n_pages += 1
                 if page.namespace != wiki_extract.NS_MAIN or not (
                         exprs := wiki_extract.extract_math(page, tally)):
                     continue
                 if held is None:
-                    n_kept += _write_kept(tree.result(), _jsonl(exprs), f)
+                    n_kept += _write_kept(categories, _jsonl(exprs), f)
                 else:
                     held.writelines(f"{line.page_id}\t{line.text}"
                                     for line in _jsonl(exprs))
@@ -238,17 +239,18 @@ def cmd_mlm_train(args):
         vocab = re.search(r" vocab=(\S+)", f.readline())
     try:
         lib = _library_by_name(vocab[1] if vocab else "")
-        samples = corpus_mod.read_corpus(args.corpus, lib)
     except UsageError as e:
         raise UsageError(f"{args.corpus}, line 1: {e} in vocab=") from None
+    model = mlm.init(lib, args.emb, args.hidden, args.seed)
+    # training reads the corpus once, as it streams from the file
+    seqs = (idxs for _, _, idxs in corpus_mod.iter_corpus(args.corpus, lib))
+    try:
+        history = mlm.train(model, seqs, epochs=args.epochs, lr=args.lr,
+                            batch=args.batch, seed=args.seed)
     except corpus_mod.CorpusError as e:
         raise UsageError(str(e))
-    if not samples:
-        raise UsageError("corpus is empty")
-    model = mlm.init(lib, args.emb, args.hidden, args.seed)
-    seqs = [list(s.traversal) for s in samples]
-    history = mlm.train(model, seqs, epochs=args.epochs, lr=args.lr,
-                        batch=args.batch, seed=args.seed)
+    except mlm.EmptyCorpus:  # the file's lines are never empty samples
+        raise UsageError("corpus is empty") from None
     for epoch, loss in enumerate(history):
         print(f"epoch={epoch} loss={loss:.6f}")
     mlm.save(model, args.out)

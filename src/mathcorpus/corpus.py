@@ -179,8 +179,10 @@ def write_corpus(samples, path, lib):
             f.write(f"{s.page_id}\t{s.augmentation}\t{names}\n")
 
 
-def read_corpus(path, lib):
-    samples = []
+def iter_corpus(path, lib):
+    """(page_id, augmentation, library indices) for each sample of a corpus
+    file, read a line at a time; a malformed line or a token outside
+    ``lib`` raises when it is reached."""
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if not header.startswith(FORMAT_HEADER):
@@ -200,15 +202,16 @@ def read_corpus(path, lib):
             if not names:
                 raise CorpusError(f"{path}, line {lineno}: a sample with no "
                                   f"tokens")
-            idxs = []
-            for name in names:
-                if name not in lib:
-                    raise VocabMismatch(name)
-                idxs.append(lib.index_of(name))
-            samples.append(CorpusSample(traversal=Traversal(idxs),
-                                        page_id=page_id,
-                                        augmentation=augmentation))
-    return samples
+            try:
+                idxs = [lib.index[name] for name in names]
+            except KeyError as e:
+                raise VocabMismatch(e.args[0]) from None
+            yield page_id, augmentation, idxs
+
+
+def read_corpus(path, lib):
+    return [CorpusSample(Traversal(idxs), page_id, augmentation)
+            for page_id, augmentation, idxs in iter_corpus(path, lib)]
 
 
 def token_frequencies(samples, lib):

@@ -534,8 +534,9 @@ def run_search(spec, config, rng_seed, mlm_model=None):
             if recovered(traversal_to_tree(best_trav, lib), spec):
                 solved_at = step_i
                 break
-        train_step(controller, seqs, lengths, rewards, cfg, optimizer,
-                   record)
+        if step_i < cfg.max_steps:  # an update no step would use is skipped
+            train_step(controller, seqs, lengths, rewards, cfg, optimizer,
+                       record)
     best_expr = render_latex(traversal_to_tree(best_trav, lib)) if best_trav else ""
     return RunMetrics(
         recovered=solved_at is not None,

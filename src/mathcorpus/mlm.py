@@ -16,6 +16,8 @@ import json
 import math
 import mmap
 import struct
+from array import array
+from collections.abc import Sequence
 from functools import partial
 from itertools import chain
 
@@ -169,6 +171,31 @@ def corpus_loss(model, seqs):
     return float(nll / n)
 
 
+class _Packed(Sequence):
+    """Token sequences read once into one int64 array, with a start and a
+    length per sequence: ``seqs[i]`` is a view of sequence i, and a slice
+    is a list of views.  The array holds no object per token, so a forked
+    worker that reads it copies none of its pages."""
+
+    def __init__(self, seqs):
+        tokens, lens = array("q"), array("q")
+        for s in seqs:
+            tokens.extend(s)
+            lens.append(len(s))
+        self.tokens = np.frombuffer(tokens, dtype=np.int64)
+        self.lens = np.frombuffer(lens, dtype=np.int64)
+        self.starts = np.cumsum(self.lens) - self.lens
+
+    def __len__(self):
+        return len(self.lens)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        start = self.starts[i]
+        return self.tokens[start:start + self.lens[i]]
+
+
 def _shared(arrays):
     """Copies of ``arrays`` in one shared mapping, so that a forked worker
     and its parent see each other's writes to them."""
@@ -194,50 +221,48 @@ def _shard(model, seqs, grads, job):
 def train(model, seqs, epochs, lr, batch=64, seed=0):
     """Full-sequence BPTT with momentum SGD; deterministic given seed.
 
-    A batch's gradient is shard 0's plus shard 1's, the shards being its
-    alternate rows sorted longest first.  With more than one usable CPU,
-    shard 1 runs in a forked worker, the parameters and its gradient
-    shared; with one, here.  The split does not depend on the CPU count,
-    so neither do the weights.
+    ``seqs``, any iterable of token sequences, is read once into a packed
+    corpus (``_Packed``).  A batch's gradient is shard 0's plus shard 1's,
+    the shards being its alternate rows sorted longest first.  With more
+    than one usable CPU, shard 1 runs in a forked worker, which reads the
+    packed corpus the parent holds, the parameters and its gradient shared;
+    with one, here.  The split does not depend on the CPU count, so neither
+    do the weights.  The model is left bound to the shared copy of its
+    parameters, which holds the last completed update, also when training
+    raises.
 
     Returns per-epoch mean per-token cross-entropy, with the pre-update
     corpus loss prepended as a step-0 baseline.
     """
-    seqs = [list(s) for s in seqs]
-    if not seqs or not all(seqs):
+    seqs = _Packed(seqs)
+    if not len(seqs) or not seqs.lens.all():
         raise EmptyCorpus("corpus is empty or holds an empty sequence")
-    lens = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    lens = seqs.lens
     rng = np.random.default_rng(seed)
     opt = MomentumSGD(lr, MOMENTUM)
     history = [corpus_loss(model, seqs)]
-    own = model.params()
-    params, grads1 = _shared(own), _shared(model.zero_grads())
+    params, grads1 = _shared(model.params()), _shared(model.zero_grads())
     grads = model.zero_grads()
     order = np.arange(len(seqs))
     model.bind(params)
-    try:
-        with fork_server(partial(_shard, model, seqs, grads1),
-                         usable_cpus()) as submit:
-            for _ in range(epochs):
-                rng.shuffle(order)
-                epoch_loss, epoch_tokens = 0.0, 0
-                for i in range(0, len(order), batch):
-                    rows = order[i:i + batch]
-                    rows = rows[np.argsort(-lens[rows], kind="stable")]
-                    tokens = int(lens[rows].sum())
-                    shard1 = submit((rows[1::2], tokens))
-                    loss = _shard(model, seqs, grads, (rows[::2], tokens))
-                    loss += shard1()
-                    for name, g in grads.items():
-                        g += grads1[name]
-                    opt.update(params, grads)
-                    epoch_loss += loss * tokens
-                    epoch_tokens += tokens
-                history.append(epoch_loss / epoch_tokens)
-    finally:
-        for name, p in own.items():
-            p[...] = params[name]
-        model.bind(own)
+    with fork_server(partial(_shard, model, seqs, grads1),
+                     usable_cpus()) as submit:
+        for _ in range(epochs):
+            rng.shuffle(order)
+            epoch_loss, epoch_tokens = 0.0, 0
+            for i in range(0, len(order), batch):
+                rows = order[i:i + batch]
+                rows = rows[np.argsort(-lens[rows], kind="stable")]
+                tokens = int(lens[rows].sum())
+                shard1 = submit((rows[1::2], tokens))
+                loss = _shard(model, seqs, grads, (rows[::2], tokens))
+                loss += shard1()
+                for name, g in grads.items():
+                    g += grads1[name]
+                opt.update(params, grads)
+                epoch_loss += loss * tokens
+                epoch_tokens += tokens
+            history.append(epoch_loss / epoch_tokens)
     return history
 
 
@@ -316,4 +341,6 @@ def load(path, lib=None):
             if len(data) != arr.size * 8:
                 raise FormatVersion("truncated weight file")
             arr[...] = np.frombuffer(data, dtype="<f8").reshape(arr.shape)
+        if f.read(1):
+            raise FormatVersion("bytes after the weight arrays")
     return model if lib is None else _aligned(model, lib)

@@ -11,6 +11,7 @@ from mathcorpus.corpus import (
     build_corpus,
     encode_trees,
     has_markers,
+    iter_corpus,
     read_corpus,
     split_fragments,
     token_frequencies,
@@ -302,6 +303,31 @@ class TestCorpusFile:
         path.write_text("#mathcorpus v1 vocab=std2\n1\tnone\t\n")
         with pytest.raises(CorpusError, match=r"line 2: a sample with no tok"):
             read_corpus(path, lib)
+
+    @pytest.mark.parametrize("text", [
+        "#other v9 vocab=std2\n",
+        "#mathcorpus v1 vocab=std2\n1\tnone\tfoo\n",
+        "#mathcorpus v1 vocab=std2\n1\tnone\t\n",
+        "#mathcorpus v1 vocab=std2\n2\tnone\tsin x1\n1\tadd x1 1\n",
+        "#mathcorpus v1 vocab=std2\none\tnone\tadd x1 1\n",
+    ], ids=["header", "unknown-token", "no-tokens", "two-fields",
+            "page-id"])
+    def test_stream_raises_as_the_list_does(self, lib, tmp_path, text):
+        path = tmp_path / "c.corpus"
+        path.write_text(text)
+        errors = []
+        for read in (read_corpus, lambda p, l: list(iter_corpus(p, l))):
+            with pytest.raises(CorpusError) as exc:
+                read(path, lib)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
+
+    def test_stream_yields_what_the_list_holds(self, lib, rng, tmp_path):
+        samples = self._random_samples(lib, rng, 50)
+        path = tmp_path / "c.corpus"
+        write_corpus(samples, path, lib)
+        assert list(iter_corpus(path, lib)) == [
+            (s.page_id, s.augmentation, list(s.traversal)) for s in samples]
 
     def test_comment_lines_skipped(self, lib, tmp_path):
         path = tmp_path / "c.corpus"

@@ -802,6 +802,34 @@ class TestBatchRewards:
         assert metrics.invalid_fraction == 0.25
 
 
+    @pytest.mark.parametrize("recover_at, steps", [(3, 3), (None, 4)])
+    def test_no_update_after_the_last_step(self, monkeypatch, recover_at,
+                                           steps):
+        """``train_step`` runs once per step that another step follows:
+        not on the step that recovers, nor on the last of the budget."""
+        spec = BenchmarkSpec(name="x+1", expression="x + 1", variables=["x"],
+                             library_tokens=["add", "sin", "x", "1"])
+        lib = spec.library()
+        add, sin, x, one = range(4)
+        step = iter(range(1, 5))
+
+        def forced(controller, model, config, rng, record):
+            first = [add, x, one] if next(step) == recover_at else [sin, x]
+            travs = [Traversal(first), Traversal([x])]
+            recorded(controller, model, config, travs, record)
+            return travs
+
+        calls = []
+        train = dsr.train_step
+        monkeypatch.setattr(dsr, "sample_batch", forced)
+        monkeypatch.setattr(dsr, "train_step",
+                            lambda *args: calls.append(1) or train(*args))
+        metrics = dsr.run_search(spec, cfg(lib, max_steps=4), 0)
+        assert metrics.recovered == (recover_at is not None)
+        assert metrics.steps_to_solve == steps
+        assert len(calls) == steps - 1
+
+
 class TestTrainStep:
     def test_gradient_check_finite_differences(self, slib):
         config = cfg(slib, batch_size=3)

@@ -379,7 +379,7 @@ class TestShardedBatch:
 
 class TestTrainWorker:
     """The worker of ``train`` ends with it, on every exit path, and the
-    model keeps its own parameter arrays."""
+    model is left with the weights of the last completed update."""
 
     def train(self, model):
         seqs = random_seqs(tiny5(), np.random.default_rng(41), 60)
@@ -403,25 +403,37 @@ class TestTrainWorker:
     def test_returns_with_no_worker_left(self, monkeypatch):
         use_cpus(monkeypatch, 2)
         model = nudged_model(6, 8, seed=1)
-        own = model.params()
         history = self.train(model)
         assert len(history) == 3
         assert multiprocessing.active_children() == []
-        assert all(own[k] is p for k, p in model.params().items())
+        # the weights of the same training with shard 1 in the process
+        use_cpus(monkeypatch, 1)
+        here = nudged_model(6, 8, seed=1)
+        assert self.train(here) == history
+        assert model.equal(here)
 
     def test_parent_shard_raising_mid_epoch(self, monkeypatch):
         use_cpus(monkeypatch, 2)
+        real = mlm.loss_and_gradients
 
         def boom():
             raise RuntimeError("parent shard")
 
         self.fail_on_call(monkeypatch, 3, False, boom)
         model = nudged_model(6, 8, seed=1)
-        own = model.params()
         with pytest.raises(RuntimeError, match="parent shard"):
             self.train(model)
         assert multiprocessing.active_children() == []
-        assert all(own[k] is p for k, p in model.params().items())
+        # two updates were made: with both shards in the process, the
+        # third batch's first call is the fifth
+        use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(mlm, "loss_and_gradients", real)
+        self.fail_on_call(monkeypatch, 5, False, boom)
+        here = nudged_model(6, 8, seed=1)
+        with pytest.raises(RuntimeError, match="parent shard"):
+            self.train(here)
+        assert model.equal(here)
+        assert not model.equal(nudged_model(6, 8, seed=1))
 
     def test_worker_killed_is_a_typed_error(self, monkeypatch):
         use_cpus(monkeypatch, 2)
@@ -535,6 +547,16 @@ class TestTraining:
         logits, _ = model.step_batch([model.bos], model.initial_state())
         assert int(np.argmax(logits[0])) == 0
 
+    def test_any_iterable_of_sequences(self):
+        """Lists, and a generator of tuples read once, train alike."""
+        seqs = random_seqs(tiny5(), np.random.default_rng(9), 20)
+        m1, m2 = nudged_model(6, 8, seed=1), nudged_model(6, 8, seed=1)
+        h1 = mlm.train(m1, seqs, epochs=3, lr=0.05, batch=8, seed=4)
+        h2 = mlm.train(m2, (tuple(s) for s in seqs), epochs=3, lr=0.05,
+                       batch=8, seed=4)
+        assert h1 == h2
+        assert m1.equal(m2)
+
     def test_empty_corpus(self):
         model = mlm.init(tiny5(), 6, 8, seed=0)
         with pytest.raises(mlm.EmptyCorpus):
@@ -600,6 +622,15 @@ class TestSaveLoad:
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(mlm.FormatVersion):
+            mlm.load(path)
+
+    @pytest.mark.parametrize("extra", [1, 700])
+    def test_bytes_after_the_arrays(self, tmp_path, extra):
+        path = tmp_path / "m.mlm"
+        mlm.save(mlm.init(default_library(n_vars=2), 4, 4, seed=0), path)
+        with open(path, "ab") as f:
+            f.write(b"\0" * extra)
+        with pytest.raises(mlm.FormatVersion, match="bytes after"):
             mlm.load(path)
 
     @pytest.mark.parametrize("header, named", MALFORMED_HEADERS)
